@@ -5,8 +5,12 @@ from pathlib import Path
 import numpy as np
 from numpy.testing import assert_allclose
 
+import pytest
+
 from toroharm.cli import main
 from toroharm.special_functions import q_half_grid
+
+GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 
 
 def run(capsys, *argv):
@@ -84,11 +88,27 @@ def test_golden_round_trip(tmp_path, capsys):
 def test_checked_in_golden_zero_slot(capsys):
     # the degree-1 cosine monogenic is the zero function; its stored
     # regression value is identically zero
-    golden = Path(__file__).resolve().parent.parent / "goldens" / "eval_T_1_0_pp.json"
+    golden = GOLDENS / "eval_T_1_0_pp.json"
     code, out, _ = run(capsys, "eval", "T", "1", "0", "+", "+",
                        "--golden", str(golden))
     assert code == 0
     assert out.splitlines()[0].split() == ["0.0", "0.0", "0.0"]
+    assert "golden match" in out
+
+
+@pytest.mark.parametrize("name", [
+    "eval_I_3_2_pm.json", "eval_Istar_3_1_mp.json", "eval_J_2_m.json",
+    "eval_W_-1_p.json", "eval_T_2_1_pm.json", "eval_T0_1_p.json",
+])
+def test_checked_in_golden_per_kind(capsys, name):
+    # one nonzero regression value per kind, at an interior point where no
+    # trigonometric factor vanishes
+    golden = GOLDENS / name
+    data = json.loads(golden.read_text())
+    assert any(v != 0.0 for v in data["values"])
+    code, out, _ = run(capsys, "eval", data["kind"], *data["index"],
+                       "--golden", str(golden), "--tol", "golden=1e-13")
+    assert code == 0, out
     assert "golden match" in out
 
 
