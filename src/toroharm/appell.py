@@ -25,27 +25,17 @@ from typing import List, Tuple
 import numpy as np
 
 from .geometry import ToroidalPoint
-from .harmonics import HarmonicIndex, eval_I, eval_I_batch, kappa
+from .harmonics import DerivativeTerm, HarmonicIndex, eval_terms, kappa
 
 Rows = Tuple[Tuple[Fraction, ...], ...]
 
 
 @dataclass(frozen=True)
 class StarMatrix:
-    """Unit-lower-triangular coefficients ``entries[n][k]`` of the starred
-    harmonics at a fixed order ``m``."""
-
-    m: int
-    n_max: int
-    entries: Rows
-
-    def row(self, n: int) -> Tuple[Fraction, ...]:
-        return self.entries[n]
-
-
-@dataclass(frozen=True)
-class InverseStarMatrix:
-    """Inverse change of basis: plain harmonics in terms of starred ones."""
+    """Exact unit-lower-triangular matrix ``entries[n][k]`` at a fixed
+    order ``m``: the starred harmonics in terms of the plain ones
+    (:func:`star_matrix`), or the inverse change of basis
+    (:func:`inverse_matrix`)."""
 
     m: int
     n_max: int
@@ -85,7 +75,7 @@ def star_matrix(m: int, n_max: int) -> StarMatrix:
 
 
 @lru_cache(maxsize=None)
-def inverse_matrix(m: int, n_max: int) -> InverseStarMatrix:
+def inverse_matrix(m: int, n_max: int) -> StarMatrix:
     """Exact inverse of :func:`star_matrix` by back-substitution."""
     star = star_matrix(m, n_max).entries
     inv: List[List[Fraction]] = [[Fraction(0)] * (n + 1) for n in range(n_max + 1)]
@@ -93,7 +83,7 @@ def inverse_matrix(m: int, n_max: int) -> InverseStarMatrix:
         inv[n][n] = Fraction(1)
         for k in range(n - 1, -1, -1):
             inv[n][k] = -sum(star[j][k] * inv[n][j] for j in range(k + 1, n + 1))
-    return InverseStarMatrix(m, n_max, tuple(tuple(r) for r in inv))
+    return StarMatrix(m, n_max, tuple(tuple(r) for r in inv))
 
 
 def star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, Fraction]]:
@@ -110,18 +100,18 @@ def star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, Fraction]]:
     return out
 
 
+def _star_table(idx: HarmonicIndex) -> List[DerivativeTerm]:
+    return [DerivativeTerm(i, c) for i, c in star_terms(idx)]
+
+
 def eval_I_star(idx: HarmonicIndex, p: ToroidalPoint) -> float:
     """Pointwise value of the starred harmonic."""
-    return float(sum(float(c) * eval_I(i, p) for i, c in star_terms(idx)))
+    return float(eval_I_star_batch(idx, p.eta, p.theta, p.phi))
 
 
 def eval_I_star_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     """Vectorized starred-harmonic evaluation; ``q`` as in ``eval_I_batch``."""
-    total = None
-    for i, c in star_terms(idx):
-        v = float(c) * eval_I_batch(i, eta, theta, phi, q=q)
-        total = v if total is None else total + v
-    return total
+    return eval_terms(_star_table(idx), eta, theta, phi, q=q)
 
 
 def d0_star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, bool, Fraction]]:
@@ -155,11 +145,11 @@ def d0_star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, bool, Fractio
 def eval_d0_star(idx: HarmonicIndex, p: ToroidalPoint) -> float:
     """Pointwise value of ``d/dx0`` of the starred harmonic, via
     :func:`d0_star_terms` (no differencing)."""
-    total = 0.0
+    terms = []
     for tgt, starred, c in d0_star_terms(idx):
-        v = eval_I_star(tgt, p) if starred else eval_I(tgt, p)
-        total += float(c) * v
-    return total
+        parts = _star_table(tgt) if starred else [DerivativeTerm(tgt, Fraction(1))]
+        terms += [DerivativeTerm(t.index, c * t.coefficient) for t in parts]
+    return float(eval_terms(terms, p.eta, p.theta, p.phi))
 
 
 def reverse_appell_check(m: int, n_max: int) -> Tuple[bool, str]:
@@ -236,7 +226,6 @@ def j_coefficient_unit() -> float:
 
 __all__ = [
     "StarMatrix",
-    "InverseStarMatrix",
     "star_matrix",
     "inverse_matrix",
     "star_terms",

@@ -20,6 +20,7 @@ from .appell import (
     alpha_beta,
     eval_d0_star,
     eval_I_star,
+    eval_I_star_batch,
     inverse_matrix,
     j_coefficient_unit,
     reverse_appell_check,
@@ -315,7 +316,7 @@ def check_derivative_tables(n_max: int = 6, m_max: int = 6) -> CheckResult:
             fp = eval_I(idx, to_toroidal(CartesianPoint(x.x0 + d[0], x.x1 + d[1], x.x2 + d[2])))
             fm = eval_I(idx, to_toroidal(CartesianPoint(x.x0 - d[0], x.x1 - d[1], x.x2 - d[2])))
             fd = (fp - fm) / (2 * h)
-            an = eval_terms(table, p)
+            an = float(eval_terms(table, p.eta, p.theta, p.phi))
             worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
     return _result("derivative tables vs central differences", worst, 1e-6,
                    f"all sign combinations, n,m <= {n_max}")
@@ -390,19 +391,18 @@ def check_alpha_beta_transport(N: int = 25) -> List[CheckResult]:
     """
     alphas, betas, _ = alpha_beta(N)
     unit = j_coefficient_unit()
-    eta = np.linspace(1.5, 4.0, 7)
-    th = np.linspace(-math.pi, math.pi, 9, endpoint=False)
-    worst_a = 0.0
-    worst_b = 0.0
-    for e in eta:
-        for t in th:
-            p = ToroidalPoint(float(e), float(t), 0.3)
-            one = sum(unit * float(alphas[k]) * eval_I_star(HarmonicIndex(k, 0, 1, 1), p)
-                      for k in range(N + 1))
-            x0v = sum(unit * float(betas[k]) * eval_I_star(HarmonicIndex(k, 0, -1, 1), p)
-                      for k in range(1, N + 1))
-            worst_a = max(worst_a, abs(one - 1.0))
-            worst_b = max(worst_b, abs(x0v - to_cartesian(p).x0))
+    eta, th = (c.ravel() for c in np.meshgrid(
+        np.linspace(1.5, 4.0, 7), np.linspace(-math.pi, math.pi, 9, endpoint=False),
+        indexing="ij"))
+    q = q_half_grid(N, 0, np.cosh(eta))
+    one = sum(unit * float(alphas[k])
+              * eval_I_star_batch(HarmonicIndex(k, 0, 1, 1), eta, th, 0.3, q=q)
+              for k in range(N + 1))
+    x0v = sum(unit * float(betas[k])
+              * eval_I_star_batch(HarmonicIndex(k, 0, -1, 1), eta, th, 0.3, q=q)
+              for k in range(1, N + 1))
+    worst_a = float(np.max(np.abs(one - 1.0)))
+    worst_b = float(np.max(np.abs(x0v - cartesian_arrays(eta, th, 0.3)[0])))
     return [
         _result("starred expansion of 1 (alpha transport)", worst_a, 1e-6, f"joint depth {N}"),
         _result("starred expansion of x0 (beta transport)", worst_b, 1e-6, f"joint depth {N}"),
@@ -444,6 +444,7 @@ def check_T_monogenic(n_max: int = 4, m_max: int = 3) -> CheckResult:
     from .monogenics import t_term_tables
 
     pts = _random_interior_points(5, 1.0, 20240813)
+    coords = np.array([(p.eta, p.theta, p.phi) for p in pts]).T
     worst = 0.0
     for n in range(1, n_max + 1):
         for m in range(m_max + 1):
@@ -456,13 +457,14 @@ def check_T_monogenic(n_max: int = 4, m_max: int = 3) -> CheckResult:
                     d = {(i, j): _compose_terms(t, dd)
                          for i, t in enumerate((f0, f1, f2))
                          for j, dd in enumerate((d0_terms, d1_terms, d2_terms))}
-                    for p in pts:
-                        a0 = (eval_terms(d[0, 0], p) - eval_terms(d[1, 1], p)
-                              - eval_terms(d[2, 2], p))
-                        a1 = eval_terms(d[1, 0], p) + eval_terms(d[0, 1], p)
-                        a2 = eval_terms(d[2, 0], p) + eval_terms(d[0, 2], p)
-                        a3 = eval_terms(d[2, 1], p) - eval_terms(d[1, 2], p)
-                        worst = max(worst, math.hypot(a0, a1, a2, a3))
+                    v = {k: eval_terms(t, *coords) for k, t in d.items()}
+                    dbar = np.stack([
+                        v[0, 0] - v[1, 1] - v[2, 2],
+                        v[1, 0] + v[0, 1],
+                        v[2, 0] + v[0, 2],
+                        v[2, 1] - v[1, 2],
+                    ])
+                    worst = max(worst, float(np.max(np.linalg.norm(dbar, axis=0))))
     return _result("T monogenicity (analytic second derivatives)", worst, 1e-10)
 
 

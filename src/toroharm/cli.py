@@ -20,14 +20,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
-from .appell import eval_I_star, inverse_matrix, star_matrix
+from .appell import eval_I_star_batch, inverse_matrix, star_matrix
 from .checks import SUITES, CheckResult
 from .expansion import SCHEMA_VERSION
 from .geometry import (
@@ -37,16 +36,16 @@ from .geometry import (
     ToroidalPoint,
     cartesian_arrays,
     to_cartesian,
+    to_toroidal,
 )
-from .harmonics import HarmonicIndex, eval_I, eval_J, kappa, parse_sign
-from .monogenics import eval_T, eval_T0, eval_W, t_is_zero
+from .harmonics import HarmonicIndex, eval_I_batch, kappa, parse_sign
+from .monogenics import eval_T0_batch, eval_T_batch, eval_W_batch, t_is_zero
 
 GOLDEN_SCHEMA = 1
 
 _DEFAULT_CONFIG = {
     "eta0": 1.0,
     "tolerances": {},
-    "depths": {"expansion": 40, "starred_expansion": 25, "monogenic_expansion": 20},
     "grid": {"n_eta": 8, "n_theta": 14, "n_phi": 14, "margin": 0.3},
     "output": None,
     "format": "csv",
@@ -59,7 +58,6 @@ class RunConfig:
 
     eta0: float = 1.0
     tolerances: Dict[str, float] = field(default_factory=dict)
-    depths: Dict[str, int] = field(default_factory=lambda: dict(_DEFAULT_CONFIG["depths"]))
     grid: Dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_CONFIG["grid"]))
     output: Optional[str] = None
     format: str = "csv"
@@ -114,7 +112,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         return RunConfig(
             eta0=float(merged["eta0"]),
             tolerances={k: float(v) for k, v in merged["tolerances"].items()},
-            depths={k: int(v) for k, v in merged["depths"].items()},
             grid=merged["grid"],
             output=merged["output"],
             format=merged["format"],
@@ -144,10 +141,13 @@ def _parse_point(args: argparse.Namespace) -> CartesianPoint:
     raise UsageError("no evaluation point given (use --eta ... or --x ...)")
 
 
-def _eval_values(kind: str, index: Sequence[str], x: CartesianPoint):
-    """Returns (list of component values, provenance string)."""
-    from .geometry import to_toroidal
+def _eval_values(kind: str, index: Sequence[str], x, tor):
+    """Values of one basis function on 1-D coordinate arrays, given as
+    Cartesian ``x = (x0, x1, x2)`` and toroidal ``tor = (eta, theta, phi)``
+    (``None`` is fine for the planar kinds J and W).
 
+    Returns (array of shape (components, npts), provenance string).
+    """
     try:
         if kind in ("I", "Istar", "T"):
             n, m = int(index[0]), int(index[1])
@@ -160,31 +160,31 @@ def _eval_values(kind: str, index: Sequence[str], x: CartesianPoint):
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad index for kind {kind}: {exc}")
 
-    try:
-        if kind == "I":
-            return [eval_I(idx, to_toroidal(x))], "analytic (radial recurrences and trig)"
-        if kind == "Istar":
-            return [eval_I_star(idx, to_toroidal(x))], "analytic (exact star coefficients)"
-        if kind == "J":
-            return [eval_J(m, sgn, x)], "analytic (planar power)"
-        if kind == "W":
-            v = eval_W(m, sgn, x)
-            return [v.a0, v.a1, v.a2], "analytic (planar powers)"
-        if kind == "T":
-            v = eval_T(idx, to_toroidal(x))
-            prov = "analytic (derivative coefficient tables)"
-            if t_is_zero(idx.n, idx.m, idx.nu, idx.mu):
-                prov += "; identically zero slot"
-            return [v.a0, v.a1, v.a2], prov
-        v = eval_T0(m, mu, to_toroidal(x))
-        return [v.a0, v.a1, v.a2], "quadrature (planar transform and line integrals)"
-    except DegenerateLocusError as exc:
-        raise UsageError(str(exc))
+    if kind in ("J", "W"):
+        try:
+            w = eval_W_batch(m, sgn, x[1], x[2])
+        except DegenerateLocusError as exc:
+            raise UsageError(str(exc))
+        if kind == "J":  # J_m^sign is the e1 part of W_m^sign
+            return w[1:2], "analytic (planar power)"
+        return w, "analytic (planar powers)"
+    if not np.all(np.cosh(tor[0]) > 1.0):
+        raise UsageError("point so near the x0-axis that cosh(eta) rounds to 1")
+    if kind == "I":
+        return eval_I_batch(idx, *tor)[None], "analytic (radial recurrences and trig)"
+    if kind == "Istar":
+        return eval_I_star_batch(idx, *tor)[None], "analytic (exact star coefficients)"
+    if kind == "T":
+        prov = "analytic (derivative coefficient tables)"
+        if t_is_zero(idx.n, idx.m, idx.nu, idx.mu):
+            prov += "; identically zero slot"
+        return eval_T_batch(idx, *tor), prov
+    return eval_T0_batch(m, mu, *x), "quadrature (96-node Gauss-Legendre line integrals)"
 
 
-def _normalize(values: List[float]) -> List[float]:
+def _normalize(values: np.ndarray) -> np.ndarray:
     """Collapse negative zeros so output text is stable."""
-    return [v + 0.0 for v in values]
+    return values + 0.0
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -205,8 +205,15 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     else:
         x = _parse_point(args)
 
-    values, provenance = _eval_values(args.kind, args.index, x)
-    values = _normalize(values)
+    tor = None
+    if args.kind not in ("J", "W"):
+        try:
+            p = to_toroidal(x)
+        except DegenerateLocusError as exc:
+            raise UsageError(str(exc))
+        tor = ([p.eta], [p.theta], [p.phi])
+    values, provenance = _eval_values(args.kind, args.index, ([x.x0], [x.x1], [x.x2]), tor)
+    values = _normalize(values[:, 0]).tolist()
     print(" ".join(repr(v) for v in values))
     print(f"# kind={args.kind} index={' '.join(args.index)} "
           f"point=({x.x0!r}, {x.x1!r}, {x.x2!r})")
@@ -297,18 +304,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         if name not in SUITES:
             raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
 
-    # checks within a run are independent; run the suites concurrently but
-    # report in the requested order
-    with ThreadPoolExecutor(max_workers=min(4, len(names))) as pool:
-        futures = {name: pool.submit(SUITES[name]) for name in names}
-        results: Dict[str, List[CheckResult]] = {
-            name: futures[name].result() for name in names
-        }
-
     all_ok = True
     for name in names:
         print(f"== suite {name} ==")
-        for r in results[name]:
+        for r in SUITES[name]():
             if r.name in cfg.tolerances:
                 tol = cfg.tolerances[r.name]
                 r = CheckResult(r.name, r.residual <= tol, r.residual, tol,
@@ -323,7 +322,10 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # grid-export
 # ---------------------------------------------------------------------------
 
-def _grid_rows(args: argparse.Namespace, cfg: RunConfig):
+def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if len(args.index) != _KIND_INDEX_ARGS[args.kind]:
+        raise UsageError(
+            f"kind {args.kind} takes {_KIND_INDEX_ARGS[args.kind]} index arguments")
     g = cfg.grid
     n_eta = args.n_eta or int(g["n_eta"])
     n_theta = args.n_theta or int(g["n_theta"])
@@ -331,46 +333,32 @@ def _grid_rows(args: argparse.Namespace, cfg: RunConfig):
     margin = args.margin if args.margin is not None else float(g["margin"])
     if min(n_eta, n_theta, n_phi) < 1:
         raise UsageError("grid counts must be positive")
-    dom = TorusDomain(cfg.eta0)
-    eta0 = dom.eta0
+    if not margin >= 0:
+        raise UsageError(f"margin must be nonnegative, got {margin}")
+    eta0 = TorusDomain(cfg.eta0).eta0
     etas = eta0 + margin * eta0 + np.linspace(0.0, 2.0, n_eta)
     thetas = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-
-    rows = []
-    for e in etas:  # eta-major ordering, then theta, then phi
-        for t in thetas:
-            for p in phis:
-                x0, x1, x2 = cartesian_arrays(e, t, p)
-                x = CartesianPoint(float(x0), float(x1), float(x2))
-                vals, _ = _eval_values(args.kind, args.index, x)
-                rows.append((x.x0, x.x1, x.x2, float(e), float(t), float(p),
-                             _normalize(vals)))
-    return rows
-
-
-def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if len(args.index) != _KIND_INDEX_ARGS[args.kind]:
-        raise UsageError(
-            f"kind {args.kind} takes {_KIND_INDEX_ARGS[args.kind]} index arguments")
-    rows = _grid_rows(args, cfg)
-    n_comp = len(rows[0][6])
-    comp_names = ["value"] if n_comp == 1 else ["a0", "a1", "a2"]
+    # eta-major ordering, then theta, then phi
+    tor = [c.ravel() for c in np.meshgrid(etas, thetas, phis, indexing="ij")]
+    x = cartesian_arrays(*tor)
+    values, _ = _eval_values(args.kind, args.index, x, tor)
+    table = np.vstack(list(x) + tor + [_normalize(values)]).T.tolist()
+    comp_names = ["value"] if len(values) == 1 else ["a0", "a1", "a2"]
+    columns = ["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names
 
     if cfg.format == "json":
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": args.kind,
             "index": list(args.index),
-            "columns": ["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names,
-            "rows": [list(r[:6]) + list(r[6]) for r in rows],
+            "columns": columns,
+            "rows": table,
         }
         _emit(json.dumps(payload) + "\n", cfg.output)
     else:
-        header = ",".join(["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names)
-        body = "\n".join(
-            ",".join(repr(v) for v in list(r[:6]) + list(r[6])) for r in rows)
-        _emit(header + "\n" + body + "\n", cfg.output)
+        body = "\n".join(",".join(repr(v) for v in row) for row in table)
+        _emit(",".join(columns) + "\n" + body + "\n", cfg.output)
     return 0
 
 
@@ -435,7 +423,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-eta", type=int)
     p.add_argument("--n-theta", type=int)
     p.add_argument("--n-phi", type=int)
-    p.add_argument("--margin", type=float)
+    p.add_argument("--margin", type=float,
+                   help="nonnegative fraction of eta0; the grid starts at "
+                        "eta = eta0 * (1 + margin)")
     p.set_defaults(func=cmd_grid_export)
     return parser
 

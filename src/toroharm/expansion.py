@@ -32,13 +32,9 @@ from .geometry import (
 from .harmonics import HarmonicIndex, Sign, eval_I_batch, parse_sign, sign_char
 from .monogenics import (
     Quaternion,
-    ReducedQuaternion,
     as_quaternion,
-    eval_T,
-    eval_T0,
     eval_T0_batch,
     eval_T_batch,
-    eval_W,
     eval_W_batch,
     t_is_zero,
 )
@@ -148,39 +144,23 @@ def element_I_star(idx: HarmonicIndex) -> BasisElement:
 
 
 def _element_q_extent(el: BasisElement) -> Tuple[int, int]:
-    """(n_max, m_max) of the radial table needed to evaluate ``el``."""
-    if el.kind == "E3":
-        return _element_q_extent(el.inner)
-    if el.kind in ("ONE", "W"):
-        return (0, 0)
-    if el.kind == "T0":
-        return (1, el.m + 1)
+    """(n_max, m_max) of the radial table needed to evaluate a T, I or
+    ISTAR element."""
     if el.kind == "T":
         return (el.n, el.m + 1)
     return (el.n, el.m)
 
 
 def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
-    """Pointwise value of a basis element."""
-    if el.kind == "ONE":
-        return Quaternion(1.0, 0.0, 0.0, 0.0)
-    if el.kind == "W":
-        return eval_W(el.m, el.nu, x).to_quaternion()
-    if el.kind == "E3":
-        v = evaluate_element(el.inner, x)
-        return Quaternion(-v.a3, v.a2, -v.a1, v.a0)
-    p = to_toroidal(x)
-    if el.kind == "T":
-        return eval_T(HarmonicIndex(el.n, el.m, el.nu, el.mu), p).to_quaternion()
-    if el.kind == "T0":
-        return eval_T0(el.m, el.mu, p).to_quaternion()
-    idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
-    eta = np.array([p.eta])
-    if el.kind == "I":
-        val = float(eval_I_batch(idx, eta, p.theta, p.phi)[0])
-    else:
-        val = float(eval_I_star_batch(idx, eta, p.theta, p.phi)[0])
-    return Quaternion(val, 0.0, 0.0, 0.0)
+    """Pointwise value of a basis element: :func:`evaluate_element_grid`
+    on a one-point grid.  Raises :class:`DegenerateLocusError` where the
+    element needs the toroidal chart and ``x`` lies on the axis or the
+    limit circle."""
+    base = el.inner if el.kind == "E3" else el
+    if base.kind not in ("ONE", "W"):
+        to_toroidal(x)
+    grid = ExpansionGrid.from_samples([(x, 1.0)])
+    return Quaternion(*evaluate_element_grid(el, grid)[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -238,14 +218,14 @@ def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid) -> np.ndarray:
     if el.kind == "E3":
         v = evaluate_element_grid(el.inner, grid)
         return np.stack([-v[3], v[2], -v[1], v[0]])
+    if el.kind == "T0":
+        v = eval_T0_batch(el.m, el.mu, grid.x0, grid.x1, grid.x2)
+        return np.vstack([v, np.zeros((1, npts))])
     ne, me = _element_q_extent(el)
     q = grid.q_table(max(ne, 1), max(me, 1))
     if el.kind == "T":
         idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
         v = eval_T_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
-        return np.vstack([v, np.zeros((1, npts))])
-    if el.kind == "T0":
-        v = eval_T0_batch(el.m, el.mu, grid.x0, grid.x1, grid.x2)
         return np.vstack([v, np.zeros((1, npts))])
     idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
     out = np.zeros((4, npts))
@@ -289,11 +269,10 @@ def make_series(pairs, **meta) -> SeriesExpansion:
 
 
 def evaluate_series(s: SeriesExpansion, x: CartesianPoint) -> Quaternion:
-    """Value of the series at an interior point."""
-    total = Quaternion(0.0, 0.0, 0.0, 0.0)
-    for el, c in s.terms:
-        total = total + c * evaluate_element(el, x)
-    return total
+    """Value of the series at an interior point: :func:`evaluate_series_grid`
+    on a one-point grid."""
+    grid = ExpansionGrid.from_samples([(x, 1.0)])
+    return Quaternion(*evaluate_series_grid(s, grid)[:, 0].tolist())
 
 
 def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
@@ -363,12 +342,18 @@ def series_from_json(text: str) -> SeriesExpansion:
 # Gram projection
 # ---------------------------------------------------------------------------
 
+def _weighted_values(basis: Sequence[BasisElement], grid: ExpansionGrid):
+    """One row per element: its grid values times the square-root weights,
+    flattened over components and nodes; returned with those weights."""
+    sqw = np.sqrt(grid.weights)
+    M = np.stack([(evaluate_element_grid(el, grid) * sqw).reshape(-1) for el in basis])
+    return M, sqw
+
+
 def gram(basis: Sequence[BasisElement], grid: ExpansionGrid) -> np.ndarray:
     """Gram matrix of pairwise grid L2 inner products (Euclidean on the
     four quaternion components)."""
-    vals = [evaluate_element_grid(el, grid) for el in basis]
-    sqw = np.sqrt(grid.weights)
-    M = np.stack([(v * sqw).reshape(-1) for v in vals])
+    M, _ = _weighted_values(basis, grid)
     return M @ M.T
 
 
@@ -412,9 +397,7 @@ def project(
     :class:`IllConditionedGram`) when the Gram condition number exceeds
     the cap.
     """
-    vals = [evaluate_element_grid(el, grid) for el in basis]
-    sqw = np.sqrt(grid.weights)
-    M = np.stack([(v * sqw).reshape(-1) for v in vals])
+    M, sqw = _weighted_values(basis, grid)
     G = M @ M.T
     # normalize each element to unit grid norm before solving; the raw
     # basis mixes wildly different magnitudes
@@ -563,36 +546,6 @@ def known_expansion_one_in_T(N: int) -> SeriesExpansion:
     return make_series(pairs, target="1", truncation=N, family="T")
 
 
-def known_expansion_x0_in_star(N: int) -> SeriesExpansion:
-    """The coordinate x0 over the starred sine harmonics at joint depth
-    N (the transport of :func:`known_expansion_x0` through the inverse
-    star matrix)."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    _, betas, _ = alpha_beta(N)
-    unit = j_coefficient_unit()
-    pairs = [
-        (element_I_star(HarmonicIndex(k, 0, -1, 1)), unit * float(betas[k]))
-        for k in range(1, N + 1)
-        if betas[k] != 0
-    ]
-    return make_series(pairs, target="x0", truncation=N, family="ISTAR")
-
-
-def known_expansion_one_in_star(N: int) -> SeriesExpansion:
-    """The constant 1 over the starred cosine harmonics at joint depth N."""
-    if N < 1:
-        raise ValueError("N must be at least 1")
-    alphas, _, _ = alpha_beta(N)
-    unit = j_coefficient_unit()
-    pairs = [
-        (element_I_star(HarmonicIndex(k, 0, 1, 1)), unit * float(alphas[k]))
-        for k in range(N + 1)
-        if alphas[k] != 0
-    ]
-    return make_series(pairs, target="1", truncation=N, family="ISTAR")
-
-
 # ---------------------------------------------------------------------------
 # monogenic-constant Laurent analysis
 # ---------------------------------------------------------------------------
@@ -667,7 +620,5 @@ __all__ = [
     "known_expansion_one",
     "known_expansion_x0",
     "known_expansion_one_in_T",
-    "known_expansion_x0_in_star",
-    "known_expansion_one_in_star",
     "expand_monogenic_constant",
 ]

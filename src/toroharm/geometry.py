@@ -26,7 +26,8 @@ from .quadrature import torus_volume
 
 
 class DegenerateLocusError(ValueError):
-    """Input lies on the axis or limit circle, where (eta, theta, phi) is undefined."""
+    """Input lies on the axis or limit circle, where (eta, theta, phi) is
+    undefined (and, on the axis, the negative planar powers are singular)."""
 
 
 def _principal(angle: float) -> float:

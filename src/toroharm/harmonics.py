@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -244,9 +244,20 @@ def d2_terms(idx: HarmonicIndex) -> List[DerivativeTerm]:
     return _filtered_terms(raw)
 
 
-def eval_terms(terms: List[DerivativeTerm], p: ToroidalPoint) -> float:
-    """Evaluate a finite combination of harmonics at a point."""
-    return float(sum(float(t.coefficient) * eval_I(t.index, p) for t in terms))
+def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi, q=None) -> np.ndarray:
+    """Evaluate a finite combination of harmonics on coordinate arrays.
+
+    Unless ``q`` (as in :func:`eval_I_batch`) is given, one
+    ``q_half_grid`` table sized to the widest term serves every term.
+    """
+    eta = np.asarray(eta, dtype=float)
+    if terms and q is None:
+        q = q_half_grid(max(t.index.n for t in terms), max(t.index.m for t in terms),
+                        np.cosh(eta).ravel())
+    total = np.zeros(np.broadcast(eta, theta, phi).shape)
+    for t in terms:
+        total = total + float(t.coefficient) * eval_I_batch(t.index, eta, theta, phi, q=q)
+    return total
 
 
 # ---------------------------------------------------------------------------

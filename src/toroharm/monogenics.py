@@ -31,10 +31,10 @@ from numpy.polynomial import legendre as _legendre
 from .appell import star_terms
 from .geometry import (
     CartesianPoint,
+    DegenerateLocusError,
     ToroidalPoint,
     TorusDomain,
     to_cartesian,
-    to_toroidal,
     toroidal_arrays,
 )
 from .harmonics import (
@@ -44,9 +44,8 @@ from .harmonics import (
     d0_terms,
     d1_terms,
     d2_terms,
-    eval_I,
     eval_I_batch,
-    eval_J,
+    eval_terms,
     parse_sign,
 )
 from .quadrature import integrate_annulus
@@ -213,23 +212,23 @@ def eval_W(m: int, sign: Sign, x: CartesianPoint) -> ReducedQuaternion:
     """The monogenic constant ``W_m^+ = J_m^+ e1 - J_m^- e2`` or
     ``W_m^- = J_m^- e1 + J_m^+ e2``.  Scalar part is zero; the axis is
     excluded for m < 0."""
-    sign = parse_sign(sign)
-    jp = eval_J(m, 1, x)
-    jm = eval_J(m, -1, x)
-    if sign > 0:
-        return ReducedQuaternion(0.0, jp, -jm)
-    return ReducedQuaternion(0.0, jm, jp)
+    return ReducedQuaternion(*eval_W_batch(m, sign, x.x1, x.x2).tolist())
 
 
 def eval_W_batch(m: int, sign: Sign, x1, x2) -> np.ndarray:
-    """Vectorized W evaluation; returns an array of shape (3,) + x1.shape."""
+    """Vectorized W evaluation; returns an array of shape (3,) + x1.shape.
+
+    Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis.
+    """
     sign = parse_sign(sign)
     z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
+    if m < 0 and (z == 0).any():
+        raise DegenerateLocusError("negative powers are singular on the x0-axis")
     w = z**m
-    zero = np.zeros_like(w.real)
+    zero = np.zeros(np.shape(w))
     if sign > 0:
-        return np.stack([zero, w.real, -w.imag])
-    return np.stack([zero, w.imag, w.real])
+        return np.array([zero, w.real, -w.imag])
+    return np.array([zero, w.imag, w.real])
 
 
 # ---------------------------------------------------------------------------
@@ -278,20 +277,13 @@ def t_is_zero(n: int, m: int, nu: Sign, mu: Sign) -> bool:
 
 
 def eval_T(idx: HarmonicIndex, p: ToroidalPoint) -> ReducedQuaternion:
-    """Pointwise value of the exact toroidal monogenic ``T_idx`` (n >= 1).
-
-    Evaluated through the exact coefficient tables; no differencing.
-    """
-    tables = t_term_tables(idx.n, idx.m, idx.nu, idx.mu)
-    vals = [
-        sum(float(t.coefficient) * eval_I(t.index, p) for t in table)
-        for table in tables
-    ]
-    return ReducedQuaternion(*map(float, vals))
+    """Pointwise value of the exact toroidal monogenic ``T_idx`` (n >= 1)."""
+    return ReducedQuaternion(*eval_T_batch(idx, p.eta, p.theta, p.phi).tolist())
 
 
 def eval_T_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
-    """Vectorized T evaluation; returns shape (3,) + eta.shape.
+    """Vectorized T evaluation through the exact coefficient tables (no
+    differencing); returns shape (3,) + eta.shape.
 
     ``q`` is an optional precomputed ``q_half_grid`` table covering
     degrees up to ``idx.n`` and orders up to ``idx.m + 1`` on the
@@ -301,13 +293,7 @@ def eval_T_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     tables = t_term_tables(idx.n, idx.m, idx.nu, idx.mu)
     if q is None and any(tables):
         q = q_half_grid(idx.n, idx.m + 1, np.cosh(eta).ravel())
-    comps = []
-    for table in tables:
-        total = np.zeros(np.broadcast(eta, theta, phi).shape)
-        for t in table:
-            total = total + float(t.coefficient) * eval_I_batch(t.index, eta, theta, phi, q=q)
-        comps.append(total)
-    return np.stack(comps)
+    return np.stack([eval_terms(table, eta, theta, phi, q=q) for table in tables])
 
 
 # ---------------------------------------------------------------------------
@@ -449,99 +435,44 @@ def _t0_gradient_tables(m: int, mu: Sign):
     return tuple(d1_terms(idx)), tuple(d2_terms(idx))
 
 
-def _eval_table_at(terms, x0, x1, x2, q=None):
-    """Evaluate a term table at Cartesian arrays (vectorized)."""
-    eta, theta, phi = toroidal_arrays(x0, x1, x2)
-    total = np.zeros(np.broadcast(eta, theta, phi).shape)
-    for t in terms:
-        total = total + float(t.coefficient) * eval_I_batch(t.index, eta, theta, phi, q=q)
-    return total
+#: Gauss-Legendre nodes on the x0 segment of the T0 line integrals; the
+#: integrands are analytic, and against mpmath at interior points the rule
+#: is exact to a few 1e-16 relative to the largest component
+_T0_NODES = 96
 
 
-def _psi_of_I0(m: int, mu: Sign, x: CartesianPoint, tol: float) -> ReducedQuaternion:
-    """Completion of the degree-0 harmonic, with everything analytic.
-
-    The slice trace of its x0-derivative contains only sin(theta)
-    factors, which vanish identically at x0 = 0, so the Teodorescu term
-    drops out and only the two line integrals survive.
-    """
-    t1, t2 = _t0_gradient_tables(m, mu)
-    f0 = eval_I(HarmonicIndex(0, m, 1, mu), to_toroidal(x))
-    if x.x0 == 0.0:
-        return ReducedQuaternion(f0, 0.0, 0.0)
-    prev = None
-    for n in (24, 48, 96, 192):
-        u, wt = _legendre.leggauss(n)
-        t = 0.5 * x.x0 * (u + 1.0)
-        wt = 0.5 * x.x0 * wt
-        val = (
-            float(np.dot(_eval_table_at(t1, t, x.x1, x.x2), wt)),
-            float(np.dot(_eval_table_at(t2, t, x.x1, x.x2), wt)),
-        )
-        if prev is not None and max(abs(val[0] - prev[0]), abs(val[1] - prev[1])) < tol:
-            break
-        prev = val
-    return ReducedQuaternion(f0, -val[0], -val[1])
-
-
-@lru_cache(maxsize=None)
-def _t0_cohomology(m: int, mu: Sign) -> float:
-    # radius 0.9 avoids the degenerate core circle at radius 1, where the
-    # toroidal chart (and hence the scalar part) cannot be evaluated;
-    # the coefficient is radius-independent
-    return cohomology(lambda x: _psi_of_I0(m, mu, x, 1e-10), n_nodes=256, radius=0.9)
-
-
-def eval_T0(m: int, mu: Sign, p: ToroidalPoint, tol: float = 1e-8) -> ReducedQuaternion:
-    """The n = 0 toroidal monogenic: the completion of ``I_{0,m}^{+,mu}``
-    minus its cohomology coefficient times ``W_{-1}^-``.
-
-    The subtracted coefficient is computed numerically (and cached); it
-    vanishes analytically because the completion's e1/e2 parts are zero
-    on the slice plane.
-    """
-    mu = parse_sign(mu)
+def eval_T0(m: int, mu: Sign, p: ToroidalPoint) -> ReducedQuaternion:
+    """Pointwise value of the n = 0 toroidal monogenic; see
+    :func:`eval_T0_batch`."""
     x = to_cartesian(p)
-    val = _psi_of_I0(m, mu, x, tol)
-    coh = _t0_cohomology(m, mu)
-    if coh != 0.0:
-        val = val - coh * eval_W(-1, -1, x)
-    return val
+    return ReducedQuaternion(*eval_T0_batch(m, mu, [x.x0], [x.x1], [x.x2])[:, 0].tolist())
 
 
-def eval_T0_batch(m: int, mu: Sign, x0, x1, x2, n_nodes: int = 96) -> np.ndarray:
-    """Vectorized T0 over Cartesian arrays; returns shape (3, npts).
+def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
+    """The n = 0 toroidal monogenic, the completion of ``I_{0,m}^{+,mu}``,
+    over 1-D Cartesian arrays; returns shape (3, npts).
 
-    Fixed-order Gauss-Legendre on the x0-line integrals (adequate at
-    desk scale; the integrands are analytic).
+    The slice trace of the x0-derivative of ``I_{0,m}`` contains only
+    sin(theta) factors, which vanish at x0 = 0, so the Teodorescu term of
+    the completion drops out and only the two x0-line integrals remain
+    (fixed 96-node Gauss-Legendre).  The completion's e1/e2
+    parts are zero on the slice plane, so its cohomology coefficient
+    vanishes and no ``W_{-1}^-`` multiple is subtracted.
     """
     mu = parse_sign(mu)
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    t1, t2 = _t0_gradient_tables(m, mu)
-    eta, theta, phi = toroidal_arrays(x0, x1, x2)
-    q0 = q_half_grid(0, m, np.cosh(eta).ravel())
-    f0 = eval_I_batch(HarmonicIndex(0, m, 1, mu), eta, theta, phi, q=q0)
+    f0 = eval_I_batch(HarmonicIndex(0, m, 1, mu), *toroidal_arrays(x0, x1, x2))
 
-    u, wt = _legendre.leggauss(n_nodes)
+    u, wt = _legendre.leggauss(_T0_NODES)
     t = 0.5 * x0[:, None] * (u + 1.0)[None, :]
     wts = 0.5 * x0[:, None] * wt[None, :]
     eta_l, th_l, ph_l = toroidal_arrays(t, x1[:, None], x2[:, None])
     q = q_half_grid(1, m + 1, np.cosh(eta_l).ravel())
-    comps = [f0]
-    for table in (t1, t2):
-        total = np.zeros(t.shape)
-        for trm in table:
-            total = total + float(trm.coefficient) * eval_I_batch(
-                trm.index, eta_l, th_l, ph_l, q=q
-            )
-        comps.append(-np.sum(total * wts, axis=1))
-    coh = _t0_cohomology(m, mu)
-    if coh != 0.0:
-        wvals = eval_W_batch(-1, -1, x1, x2)
-        return np.stack(comps) - coh * wvals
-    return np.stack(comps)
+    lines = [-np.sum(eval_terms(table, eta_l, th_l, ph_l, q=q) * wts, axis=1)
+             for table in _t0_gradient_tables(m, mu)]
+    return np.stack([f0] + lines)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ are provided:
 
   (slow oracle; the substitution ``s = cos(psi)`` removes the endpoint
   singularity for half-integer degree).
-* ``legendre_q_half`` / ``legendre_q_table`` -- fast path: elliptic-integral
+* ``q_half_grid`` -- fast path on arrays of arguments: elliptic-integral
   seeds at degrees -1/2 and +1/2, backward (Miller) recurrence in the
   degree with a seed-consistency monitor, and the order-raising recurrence
   for m >= 2.  Backward recurrence is the stable direction because Q is
@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -43,26 +42,6 @@ _MILLER_MONITOR_TOL = 1e-9
 # ---------------------------------------------------------------------------
 # elliptic integrals (AGM)
 # ---------------------------------------------------------------------------
-
-def elliptic_K(k):
-    """Complete elliptic integral of the first kind, modulus convention.
-
-    ``K(k) = integral_0^{pi/2} (1 - k^2 sin^2 t)^(-1/2) dt`` for
-    ``0 <= k < 1``, via the arithmetic-geometric mean.  Accepts scalars or
-    arrays; relative error below 1e-14.
-    """
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0) or np.any(k >= 1):
-        raise ValueError("elliptic_K requires 0 <= k < 1")
-    a = np.ones_like(k)
-    b = np.sqrt(1.0 - k * k)
-    for _ in range(40):
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
-        if np.all(np.abs(a - b) <= 1e-17 * a):
-            break
-    out = np.pi / (2.0 * a)
-    return out if out.ndim else float(out)
-
 
 def _elliptic_K_csum(k: np.ndarray):
     """AGM mean and the tail ``sum_{n>=1} 2^(n-1) c_n^2`` of the E-series.
@@ -339,44 +318,3 @@ def q_half_grid(n_max: int, m_max: int, t) -> np.ndarray:
                     + (nu - m + 2) * (nu + m - 1) * q[n, m - 2, :]
                 )
     return q
-
-
-@dataclass(frozen=True)
-class LegendreQTable:
-    """Immutable table of ``Q_{n-1/2}^m(t)`` at a fixed argument ``t > 1``.
-
-    Attributes
-    ----------
-    eta_argument : float
-        The argument ``t = cosh(eta)``.
-    n_max, m_max : int
-        Table extents.
-    values : ndarray
-        Shape ``(n_max + 1, m_max + 1)``; entry ``[n, m]`` is
-        ``Q_{n-1/2}^m(t)``.
-    """
-
-    eta_argument: float
-    n_max: int
-    m_max: int
-    values: np.ndarray
-
-    def value(self, n: int, m: int) -> float:
-        if not (0 <= n <= self.n_max and 0 <= m <= self.m_max):
-            raise IndexError(f"(n={n}, m={m}) outside table extents")
-        return float(self.values[n, m])
-
-
-def legendre_q_table(n_max: int, m_max: int, t: float) -> LegendreQTable:
-    """Fill a :class:`LegendreQTable` at a single argument ``t > 1``."""
-    vals = q_half_grid(n_max, m_max, np.array([t]))[:, :, 0]
-    if not np.all(np.isfinite(vals)):
-        raise ArithmeticError(f"non-finite Legendre-Q entries at t={t}")
-    return LegendreQTable(float(t), n_max, m_max, vals)
-
-
-def legendre_q_half(n: int, m: int, t: float) -> float:
-    """Fast evaluation of a single ``Q_{n-1/2}^m(t)``, ``t > 1``."""
-    if n < 0 or m < 0:
-        raise ValueError("indices must be nonnegative")
-    return float(q_half_grid(n, m, np.array([float(t)]))[n, m, 0])

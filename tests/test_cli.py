@@ -173,3 +173,28 @@ def test_bad_config_file(capsys, tmp_path):
     cfg.write_text("{not json")
     code, _, err = run(capsys, "verify", "expansions", "--config", str(cfg))
     assert code == 2
+
+
+def test_config_depths_key_is_unknown(capsys, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"depths": {"expansion": 40}}))
+    code, _, err = run(capsys, "verify", "expansions", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key 'depths'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # cosh(1e-9) rounds to 1, where the radial functions are undefined
+    ("eval", "I", "0", "0", "+", "+", "--eta", "1e-9", "--theta", "0.5", "--phi", "0"),
+    # negative planar powers on the axis
+    ("eval", "J", "-1", "+", "--x", "1", "0", "0"),
+    ("eval", "W", "-2", "-", "--x", "0.5", "0", "0"),
+    # a margin below -1 would label rows with negative eta
+    ("grid-export", "I", "1", "0", "+", "+", "--n-eta", "2", "--n-theta", "2",
+     "--n-phi", "2", "--margin", "-1.5"),
+])
+def test_input_errors_exit_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1

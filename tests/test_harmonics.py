@@ -96,7 +96,7 @@ def test_derivative_tables_against_fd(maker, axis, n, m, nu, mu):
     fp = eval_I(idx, to_toroidal(CartesianPoint(x.x0 + d[0], x.x1 + d[1], x.x2 + d[2])))
     fm = eval_I(idx, to_toroidal(CartesianPoint(x.x0 - d[0], x.x1 - d[1], x.x2 - d[2])))
     fd = (fp - fm) / (2 * h)
-    assert_allclose(eval_terms(maker(idx), P), fd, rtol=2e-8, atol=1e-10)
+    assert_allclose(eval_terms(maker(idx), P.eta, P.theta, P.phi), fd, rtol=2e-8, atol=1e-10)
 
 
 def test_j_coefficient_against_quadrature():

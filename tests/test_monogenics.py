@@ -1,6 +1,8 @@
 import math
 
+import mpmath as mp
 import numpy as np
+import pytest
 from numpy.testing import assert_allclose
 
 from toroharm.geometry import (
@@ -22,7 +24,6 @@ from toroharm.monogenics import (
     cohomology,
     eval_T,
     eval_T0,
-    eval_T0_batch,
     eval_T_batch,
     eval_W,
     eval_W_batch,
@@ -138,10 +139,36 @@ def test_psi_preserves_scalar_part():
     assert_allclose(v.a0, eval_I(HarmonicIndex(0, m, 1, mu), P), atol=1e-10)
 
 
-def test_t0_batch_matches_pointwise():
-    v = eval_T0(1, -1, P)
-    batch = eval_T0_batch(1, -1, np.array([X.x0]), np.array([X.x1]), np.array([X.x2]))
-    assert_allclose(batch[:, 0], [v.a0, v.a1, v.a2], atol=1e-7)
+def _mp_I0(m, mu, x0, x1, x2):
+    """``I_{0,m}^{+,mu}`` at a Cartesian point, in mpmath."""
+    rho = mp.hypot(x1, x2)
+    far, near = (rho + 1) ** 2 + x0**2, (rho - 1) ** 2 + x0**2
+    t = (far + near) / (2 * mp.sqrt(far * near))  # cosh(eta)
+    cos_theta = (rho**2 + x0**2 - 1) / mp.sqrt(far * near)
+    q = mp.re(mp.legenq(-mp.mpf(1) / 2, m, t, type=3))
+    trig = mp.cos if mu > 0 else mp.sin
+    return mp.sqrt(t - cos_theta) * q * trig(m * mp.atan2(x2, x1))
+
+
+@pytest.mark.parametrize("m,mu", [(1, 1), (2, -1)])
+def test_t0_against_mpmath(m, mu):
+    # T0 = I_{0,m} - (int_0^x0 d1 I_{0,m} dt) e1 - (int_0^x0 d2 I_{0,m} dt) e2
+    pts = [ToroidalPoint(1.2, 0.7, 0.4), ToroidalPoint(1.6, -1.1, 2.0),
+           ToroidalPoint(0.9, 2.3, -0.8)]
+    for p in pts:
+        x = to_cartesian(p)
+        with mp.workdps(25):
+            ref = [
+                _mp_I0(m, mu, x.x0, x.x1, x.x2),
+                -mp.quad(lambda t: mp.diff(lambda s: _mp_I0(m, mu, t, s, x.x2), x.x1),
+                         [0, x.x0]),
+                -mp.quad(lambda t: mp.diff(lambda s: _mp_I0(m, mu, t, x.x1, s), x.x2),
+                         [0, x.x0]),
+            ]
+        ref = np.array([float(r) for r in ref])
+        v = eval_T0(m, mu, p)
+        err = np.max(np.abs(v.as_array() - ref)) / np.max(np.abs(ref))
+        assert err < 1e-12, (p, err)
 
 
 def test_cohomology_generator():
