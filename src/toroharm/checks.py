@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -68,15 +69,19 @@ from .harmonics import (
 )
 from .monogenics import (
     COH_ORIENTATION,
+    E3,
     Psi,
-    Quaternion,
     cohomology,
     decompose_H,
     eval_T,
     eval_T0,
-    eval_W,
+    eval_T0_batch,
+    eval_T_batch,
+    eval_W_batch,
+    field_values,
     fueter,
     fueter_bar,
+    qmul,
     teodorescu,
     t_is_zero,
 )
@@ -490,6 +495,16 @@ def check_T_scalar_part(n_max: int = 4, m_max: int = 3) -> CheckResult:
     return _result("Sc T matches degree-raising image", worst, 1e-10)
 
 
+def _w_field(m: int, s: int):
+    """``W_m^s`` as a field."""
+    return lambda x0, x1, x2: eval_W_batch(m, s, x1, x2)
+
+
+def _t_field(idx: HarmonicIndex):
+    """``T_idx`` as a field."""
+    return lambda x0, x1, x2: eval_T_batch(idx, *toroidal_arrays(x0, x1, x2))
+
+
 def check_W_constants(m_range=(-3, 3)) -> CheckResult:
     """W fields are monogenic constants (both operators vanish)."""
     worst = 0.0
@@ -497,11 +512,8 @@ def check_W_constants(m_range=(-3, 3)) -> CheckResult:
         x = to_cartesian(p)
         for m in range(m_range[0], m_range[1] + 1):
             for s in (1, -1):
-                worst = max(
-                    worst,
-                    fueter_bar(lambda y: eval_W(m, s, y), x).norm(),
-                    fueter(lambda y: eval_W(m, s, y), x).norm(),
-                )
+                worst = max(worst, fueter_bar(_w_field(m, s), x).norm(),
+                            fueter(_w_field(m, s), x).norm())
     return _result("W monogenic constants", worst, 1e-6)
 
 
@@ -530,7 +542,7 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
     out = []
 
     op1 = Psi(lambda x0, x1, x2: np.ones(np.broadcast(x0, x1, x2).shape),
-              dom, tol=1e-9, planar_source=0)
+              dom, tol=1e-9)
     opx = Psi(lambda x0, x1, x2: np.broadcast_arrays(np.asarray(x0, float), x1)[0],
               dom, tol=1e-9)
     worst_cf = 0.0
@@ -538,13 +550,13 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
     pts = _random_interior_points(6, eta0, 20240816)
     for p in pts:
         x = to_cartesian(p)
-        v1 = op1(x)
-        worst_cf = max(worst_cf, abs(v1.a0 - 1.0), abs(v1.a1), abs(v1.a2))
-        vx = opx(x)
+        v1 = op1(x.x0, x.x1, x.x2)
+        worst_cf = max(worst_cf, abs(v1[0] - 1.0), abs(v1[1]), abs(v1[2]))
+        vx = opx(x.x0, x.x1, x.x2)
         rho2 = x.x1**2 + x.x2**2
         f = 0.5 * (1.0 - r_in**2 / rho2)
-        worst_cf = max(worst_cf, abs(vx.a0 - x.x0),
-                       abs(vx.a1 - f * x.x1), abs(vx.a2 - f * x.x2))
+        worst_cf = max(worst_cf, abs(vx[0] - x.x0),
+                       abs(vx[1] - f * x.x1), abs(vx[2] - f * x.x2))
         worst_mono = max(worst_mono, fueter_bar(opx, x, h=1e-4).norm())
     out.append(_result("completion closed forms (1 and x0)", worst_cf, 1e-8))
     out.append(_result("completion of x0 monogenic", worst_mono, 1e-4))
@@ -560,7 +572,6 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
         base + [0, h, 0], base - [0, h, 0],
         base + [0, 0, h], base - [0, 0, h],
     ])
-    from .monogenics import eval_T0_batch
     for m in range(4):
         for mu in ((1,) if m == 0 else (1, -1)):
             v = eval_T0_batch(m, mu, stencil[:, 0], stencil[:, 1],
@@ -595,14 +606,12 @@ def check_decompose(eta0: float = 1.0) -> CheckResult:
     both reduced-quaternion outputs annihilate the Fueter operator.
     """
     dom = TorusDomain(eta0)
-    from .monogenics import E3
 
-    # cheap per-point evaluation matters: the slice transform samples F
-    # tens of thousands of times
-    def F(x: CartesianPoint) -> Quaternion:
-        return (eval_W(1, 1, x).to_quaternion() * E3
-                + Quaternion(1.0, 0.5, 0.0, 1.0)
-                + eval_W(-1, -1, x).to_quaternion())
+    def F(x0, x1, x2):
+        # W_1^+ e3 + (1 + 0.5 e1 + e3) + W_{-1}^-
+        w_plus, w_minus = (field_values(_w_field(m, s), x0, x1, x2) for m, s in ((1, 1), (-1, -1)))
+        const = np.multiply.outer([1.0, 0.5, 0.0, 1.0], np.ones(np.broadcast(x0, x1, x2).shape))
+        return qmul(w_plus, E3) + const + w_minus
 
     f, g = decompose_H(F, dom, tol=1e-6)
     worst = 0.0
@@ -630,7 +639,7 @@ def suite_monogenic() -> List[CheckResult]:
 
 def suite_coh() -> List[CheckResult]:
     out = []
-    v = cohomology(lambda x: eval_W(-1, -1, x))
+    v = cohomology(_w_field(-1, -1))
     out.append(_result("generator coefficient +1 (fixed convention)", abs(v - 1.0), 1e-8))
     out.append(_result("literal-orientation regression (constant = -1)",
                        abs(COH_ORIENTATION + 1.0), 0.0,
@@ -640,7 +649,7 @@ def suite_coh() -> List[CheckResult]:
         for s in (1, -1):
             if (m, s) == (-1, -1):
                 continue
-            worst = max(worst, abs(cohomology(lambda x: eval_W(m, s, x))))
+            worst = max(worst, abs(cohomology(_w_field(m, s))))
     out.append(_result("other W coefficients vanish", worst, 1e-8, "|m| <= 4"))
 
     worst = 0.0
@@ -651,24 +660,29 @@ def suite_coh() -> List[CheckResult]:
                     continue
                 for mu in ((1,) if m == 0 else (1, -1)):
                     idx = HarmonicIndex(n, m, nu, mu)
-                    worst = max(worst, abs(cohomology(
-                        lambda x: eval_T(idx, to_toroidal(x)), n_nodes=64, radius=0.9)))
+                    worst = max(worst, abs(cohomology(_t_field(idx), n_nodes=64, radius=0.9)))
     out.append(_result("exact T coefficients vanish", worst, 1e-6))
 
     worst = 0.0
     for m in range(3):
         for mu in ((1,) if m == 0 else (1, -1)):
             worst = max(worst, abs(cohomology(
-                lambda x: eval_T0(m, mu, to_toroidal(x)), n_nodes=32, radius=0.9)))
+                partial(eval_T0_batch, m, mu), n_nodes=32, radius=0.9)))
     out.append(_result("degree-0 monogenic coefficients vanish", worst, 1e-6))
 
-    a = cohomology(lambda x: eval_W(-1, -1, x), radius=0.8)
-    b = cohomology(lambda x: eval_W(-1, -1, x), radius=1.2)
+    a = cohomology(_w_field(-1, -1), radius=0.8)
+    b = cohomology(_w_field(-1, -1), radius=1.2)
     out.append(_result("radius independence of the coefficient", abs(a - b), 1e-8))
 
     idx = HarmonicIndex(2, 1, 1, 1)
-    v = cohomology(lambda x: fueter(lambda y: eval_I(idx, to_toroidal(y)), x),
-                   n_nodes=64, radius=0.9)
+
+    def d_of_I(x0, x1, x2):
+        # d I = d0 I - e1 d1 I - e2 d2 I from the exact derivative tables
+        tor = toroidal_arrays(x0, x1, x2)
+        return np.stack([s * eval_terms(table(idx), *tor)
+                         for s, table in ((1, d0_terms), (-1, d1_terms), (-1, d2_terms))])
+
+    v = cohomology(d_of_I, n_nodes=64, radius=0.9)
     out.append(_result("exact forms have zero coefficient", abs(v), 1e-8))
     return out
 

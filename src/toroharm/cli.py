@@ -94,7 +94,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 merged[key].update(val)
             else:
                 merged[key] = val
-    if args.eta0 is not None:
+    if getattr(args, "eta0", None) is not None:  # a grid-export flag
         merged["eta0"] = args.eta0
     for spec in args.tol or []:
         name, _, val = spec.partition("=")
@@ -327,9 +327,9 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(
             f"kind {args.kind} takes {_KIND_INDEX_ARGS[args.kind]} index arguments")
     g = cfg.grid
-    n_eta = args.n_eta or int(g["n_eta"])
-    n_theta = args.n_theta or int(g["n_theta"])
-    n_phi = args.n_phi or int(g["n_phi"])
+    n_eta = args.n_eta if args.n_eta is not None else int(g["n_eta"])
+    n_theta = args.n_theta if args.n_theta is not None else int(g["n_theta"])
+    n_phi = args.n_phi if args.n_phi is not None else int(g["n_phi"])
     margin = args.margin if args.margin is not None else float(g["margin"])
     if min(n_eta, n_theta, n_phi) < 1:
         raise UsageError("grid counts must be positive")
@@ -380,7 +380,6 @@ def _emit(text: str, path: Optional[str]) -> None:
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="JSON config file")
-    common.add_argument("--eta0", type=float, help="inner boundary parameter")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a named tolerance")
     common.add_argument("--output", help="write results to this path instead of stdout")
@@ -420,6 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="sample a function on a structured grid and export")
     p.add_argument("kind", choices=sorted(_KIND_INDEX_ARGS))
     p.add_argument("index", nargs="*")
+    p.add_argument("--eta0", type=float, help="inner boundary parameter of the solid torus")
     p.add_argument("--n-eta", type=int)
     p.add_argument("--n-theta", type=int)
     p.add_argument("--n-phi", type=int)

@@ -31,11 +31,13 @@ from .geometry import (
 )
 from .harmonics import HarmonicIndex, Sign, eval_I_batch, parse_sign, sign_char
 from .monogenics import (
+    E3,
     Quaternion,
-    as_quaternion,
     eval_T0_batch,
     eval_T_batch,
     eval_W_batch,
+    field_values,
+    qmul,
     t_is_zero,
 )
 from .special_functions import q_half_grid
@@ -216,8 +218,7 @@ def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid) -> np.ndarray:
         v = eval_W_batch(el.m, el.nu, grid.x1, grid.x2)
         return np.vstack([v, np.zeros((1, npts))])
     if el.kind == "E3":
-        v = evaluate_element_grid(el.inner, grid)
-        return np.stack([-v[3], v[2], -v[1], v[0]])
+        return qmul(evaluate_element_grid(el.inner, grid), E3)
     if el.kind == "T0":
         v = eval_T0_batch(el.m, el.mu, grid.x0, grid.x1, grid.x2)
         return np.vstack([v, np.zeros((1, npts))])
@@ -375,11 +376,7 @@ def _field_on_grid(f, grid: ExpansionGrid) -> np.ndarray:
         return evaluate_series_grid(f, grid)
     if isinstance(f, BasisElement):
         return evaluate_element_grid(f, grid)
-    out = np.zeros((4, len(grid)))
-    for i in range(len(grid)):
-        v = as_quaternion(f(CartesianPoint(grid.x0[i], grid.x1[i], grid.x2[i])))
-        out[:, i] = (v.a0, v.a1, v.a2, v.a3)
-    return out
+    return field_values(f, grid.x0, grid.x1, grid.x2)
 
 
 def project(
@@ -390,7 +387,7 @@ def project(
 ) -> Tuple[SeriesExpansion, float]:
     """Least-squares projection of a field onto a finite basis.
 
-    ``f`` may be a callable (point -> quaternion-like), a
+    ``f`` may be a field (see :func:`monogenics.field_values`), a
     :class:`SeriesExpansion`, a :class:`BasisElement`, or a values array
     of shape (4, npts).  Returns the coefficient series and the L2
     residual norm on the grid.  Refuses (raising
@@ -557,7 +554,8 @@ def expand_monogenic_constant(
     radius: float = 0.9,
     tol: float = 1e-6,
 ):
-    """Coefficients of a monogenic constant over {1, W_m^+-}.
+    """Coefficients of a monogenic constant, the field ``phi``, over
+    {1, W_m^+-}.
 
     The scalar part must be constant (checked; rejected otherwise); its
     value is the coefficient of 1.  The planar part phi1 - i phi2 is a
@@ -568,13 +566,9 @@ def expand_monogenic_constant(
     Returns ``(a0, {(m, sign): coefficient})`` for |m| <= m_max.
     """
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    sc = np.empty(n_nodes)
-    g = np.empty(n_nodes, dtype=complex)
-    for k, tk in enumerate(t):
-        v = as_quaternion(phi(CartesianPoint(0.0, radius * math.cos(tk),
-                                             radius * math.sin(tk))))
-        sc[k] = v.a0
-        g[k] = v.a1 - 1j * v.a2
+    v = field_values(phi, np.zeros(n_nodes), radius * np.cos(t), radius * np.sin(t))
+    sc = v[0]
+    g = v[1] - 1j * v[2]
     a0 = float(np.mean(sc))
     if float(np.max(np.abs(sc - a0))) > tol:
         raise ValueError(

@@ -15,6 +15,15 @@ Conventions.  e1 e2 = e3 (and cyclic).  The two first-order operators are
 
 acting on the left.  Applying ``d`` to a scalar harmonic produces a
 monogenic function with components (d0 h, -d1 h, -d2 h).
+
+Fields.  Every field argument, and every field made here (``Psi``
+instances, the parts returned by ``decompose_H``), is a callable
+``f(x0, x1, x2)`` on float arrays of Cartesian coordinates that
+broadcast together.  It returns their broadcast shape (scalar) or
+``(3|4,)`` plus that shape (reduced or full quaternion components); see
+:func:`field_values`.  Quaternion
+arithmetic on such values goes through :func:`qmul` on ``(4, ...)``
+arrays.
 """
 
 from __future__ import annotations
@@ -59,48 +68,21 @@ COH_ORIENTATION = -1.0
 
 
 # ---------------------------------------------------------------------------
-# quaternion algebra
+# quaternion algebra and fields
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Quaternion:
-    """A real quaternion a0 + a1 e1 + a2 e2 + a3 e3."""
+    """The value a0 + a1 e1 + a2 e2 + a3 e3 of a field at one point.
+
+    Arithmetic on quaternions goes through :func:`qmul` on component
+    arrays; this class only carries a point value.
+    """
 
     a0: float
     a1: float
     a2: float
     a3: float
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.a0 + other.a0, self.a1 + other.a1,
-            self.a2 + other.a2, self.a3 + other.a3,
-        )
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return self + (-1.0) * other
-
-    def __neg__(self) -> "Quaternion":
-        return (-1.0) * self
-
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            a, b = self, other
-            return Quaternion(
-                a.a0 * b.a0 - a.a1 * b.a1 - a.a2 * b.a2 - a.a3 * b.a3,
-                a.a0 * b.a1 + a.a1 * b.a0 + a.a2 * b.a3 - a.a3 * b.a2,
-                a.a0 * b.a2 - a.a1 * b.a3 + a.a2 * b.a0 + a.a3 * b.a1,
-                a.a0 * b.a3 + a.a1 * b.a2 - a.a2 * b.a1 + a.a3 * b.a0,
-            )
-        c = float(other)
-        return Quaternion(c * self.a0, c * self.a1, c * self.a2, c * self.a3)
-
-    def __rmul__(self, other) -> "Quaternion":
-        c = float(other)
-        return Quaternion(c * self.a0, c * self.a1, c * self.a2, c * self.a3)
-
-    def scalar(self) -> float:
-        return self.a0
 
     def norm(self) -> float:
         return math.sqrt(self.a0**2 + self.a1**2 + self.a2**2 + self.a3**2)
@@ -109,14 +91,9 @@ class Quaternion:
         return np.array([self.a0, self.a1, self.a2, self.a3])
 
 
-E1 = Quaternion(0.0, 1.0, 0.0, 0.0)
-E2 = Quaternion(0.0, 0.0, 1.0, 0.0)
-E3 = Quaternion(0.0, 0.0, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class ReducedQuaternion:
-    """An element a0 + a1 e1 + a2 e2 of the reduced-quaternion subspace."""
+    """The value a0 + a1 e1 + a2 e2 of a reduced-quaternion field at one point."""
 
     a0: float
     a1: float
@@ -125,20 +102,6 @@ class ReducedQuaternion:
     def to_quaternion(self) -> Quaternion:
         return Quaternion(self.a0, self.a1, self.a2, 0.0)
 
-    def __add__(self, other: "ReducedQuaternion") -> "ReducedQuaternion":
-        return ReducedQuaternion(
-            self.a0 + other.a0, self.a1 + other.a1, self.a2 + other.a2
-        )
-
-    def __sub__(self, other: "ReducedQuaternion") -> "ReducedQuaternion":
-        return ReducedQuaternion(
-            self.a0 - other.a0, self.a1 - other.a1, self.a2 - other.a2
-        )
-
-    def __rmul__(self, c) -> "ReducedQuaternion":
-        c = float(c)
-        return ReducedQuaternion(c * self.a0, c * self.a1, c * self.a2)
-
     def norm(self) -> float:
         return math.sqrt(self.a0**2 + self.a1**2 + self.a2**2)
 
@@ -146,62 +109,71 @@ class ReducedQuaternion:
         return np.array([self.a0, self.a1, self.a2])
 
 
-def as_quaternion(v) -> Quaternion:
-    """Coerce a scalar or reduced quaternion into a full quaternion."""
-    if isinstance(v, Quaternion):
-        return v
-    if isinstance(v, ReducedQuaternion):
-        return v.to_quaternion()
-    return Quaternion(float(v), 0.0, 0.0, 0.0)
+#: the imaginary units as (read-only) component arrays of shape (4,)
+_UNITS = np.eye(4)
+_UNITS.flags.writeable = False
+E1, E2, E3 = _UNITS[1:]
 
 
-@dataclass(frozen=True)
-class SampledAField:
-    """A reduced-quaternion field on a solid torus.
+def qmul(a, b) -> np.ndarray:
+    """Quaternion product ``a b`` of component arrays of shape ``(4, ...)``;
+    the trailing shapes broadcast."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return np.stack([
+        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
+        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
+        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
+        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
+    ])
 
-    ``evaluator`` maps an interior :class:`CartesianPoint` to a
-    :class:`ReducedQuaternion`; callers are responsible for staying
-    inside ``domain`` (with whatever margin the evaluator needs).
+
+def field_values(f, x0, x1, x2) -> np.ndarray:
+    """Values of the field ``f`` as quaternion components, shape ``(4,)``
+    plus the broadcast shape of the coordinates.
+
+    A field is a callable ``f(x0, x1, x2)`` on float arrays of Cartesian
+    coordinates that broadcast together (the operators here pass equal
+    shapes, except that the slice trace of :class:`Psi` passes its x0 as a
+    scalar).  It returns the broadcast shape (a scalar field) or ``(3,)``
+    / ``(4,)`` plus that shape (reduced or full quaternion components);
+    the missing components are zero.
     """
-
-    evaluator: Callable[[CartesianPoint], ReducedQuaternion]
-    domain: TorusDomain
-
-    def __call__(self, x: CartesianPoint) -> ReducedQuaternion:
-        return self.evaluator(x)
+    shape = np.broadcast_shapes(np.shape(x0), np.shape(x1), np.shape(x2))
+    v = np.asarray(f(x0, x1, x2), dtype=float)
+    if v.ndim == len(shape):
+        v = v[None]
+    out = np.zeros((4,) + shape)
+    out[:len(v)] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
 # finite-difference Fueter operators (verification path)
 # ---------------------------------------------------------------------------
 
-def _fd_partials(f, x: CartesianPoint, h: float) -> List[Quaternion]:
+def _fd_partials(f, x: CartesianPoint, h: float) -> np.ndarray:
+    """Central differences of the field ``f`` along x0, x1 and x2 at
+    ``x``, from one call on the six-point stencil; shape (3, 4)."""
     if not h > 0:
         raise ValueError("step h must be positive")
-    out = []
-    for i in range(3):
-        d = [0.0, 0.0, 0.0]
-        d[i] = h
-        fp = as_quaternion(f(CartesianPoint(x.x0 + d[0], x.x1 + d[1], x.x2 + d[2])))
-        fm = as_quaternion(f(CartesianPoint(x.x0 - d[0], x.x1 - d[1], x.x2 - d[2])))
-        out.append((1.0 / (2.0 * h)) * (fp - fm))
-    return out
+    stencil = np.array([x.x0, x.x1, x.x2]) + h * np.kron(np.eye(3), [[1.0], [-1.0]])
+    v = field_values(f, *stencil.T)
+    return ((v[:, 0::2] - v[:, 1::2]) / (2.0 * h)).T
 
 
 def fueter_bar(f, x: CartesianPoint, h: float = 1e-5) -> Quaternion:
-    """Central-difference dbar f = d0 f + e1 d1 f + e2 d2 f (left action).
-
-    ``f`` maps a CartesianPoint to a Quaternion, ReducedQuaternion, or
-    scalar.  Vanishes (to O(h^2)) exactly on monogenic fields.
-    """
+    """Central-difference dbar f = d0 f + e1 d1 f + e2 d2 f (left action)
+    of a field at a point.  Vanishes (to O(h^2)) exactly on monogenic
+    fields."""
     d0, d1, d2 = _fd_partials(f, x, h)
-    return d0 + E1 * d1 + E2 * d2
+    return Quaternion(*(d0 + qmul(E1, d1) + qmul(E2, d2)).tolist())
 
 
 def fueter(f, x: CartesianPoint, h: float = 1e-5) -> Quaternion:
     """Central-difference conjugate operator d = d0 - e1 d1 - e2 d2."""
     d0, d1, d2 = _fd_partials(f, x, h)
-    return d0 - E1 * d1 - E2 * d2
+    return Quaternion(*(d0 - qmul(E1, d1) - qmul(E2, d2)).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +293,24 @@ def teodorescu(
     return -res.value / math.pi
 
 
+#: Gauss-Legendre nodes of the x0 line rule shared by :class:`Psi` and
+#: :func:`eval_T0_batch`; the integrands are analytic, and against mpmath
+#: at interior points the T0 line integrals are exact to a few 1e-16
+#: relative to the largest component
+_T0_NODES = 96
+_LINE_NODES, _LINE_WEIGHTS = _legendre.leggauss(_T0_NODES)
+
+#: central-difference step for the partials of a completion's source
+_FD_STEP = 1e-5
+
+
+def _x0_line_rule(x0: np.ndarray):
+    """Nodes and weights of the shared rule on the segments from 0 to
+    ``x0``; both of shape ``x0.shape + (_T0_NODES,)``."""
+    half = 0.5 * x0[..., None]
+    return half * (_LINE_NODES + 1.0), half * _LINE_WEIGHTS
+
+
 class Psi:
     """Monogenic completion of a scalar harmonic field on a solid torus.
 
@@ -332,97 +322,90 @@ class Psi:
 
     where ``w = w1 + i w2`` is the Teodorescu transform of the trace of
     ``d0 f0`` on the slice plane x0 = 0.  The result is monogenic and
-    shares f0 as its scalar part.
+    shares f0 as its scalar part.  A ``Psi`` is itself a field:
+    ``Psi(f0, domain)(x0, x1, x2)`` returns ``(3,)`` plus the broadcast
+    shape of the coordinates.
 
     Parameters
     ----------
     f0 : callable
-        Vectorized scalar field: ``f0(x0, x1, x2)`` with array arguments.
+        Scalar field ``f0(x0, x1, x2)``.
     domain : TorusDomain
-        Sets the slice annulus for the Teodorescu transform and the
-        containment check on the integration segment.
+        Sets the slice annulus for the Teodorescu transform; evaluation
+        points must lie inside it.
     tol : float
-        Quadrature tolerance for both the planar transform and the
-        line integrals.
-    h : float
-        Step for the central differences of ``f0``.
-    planar_source : callable or None
-        Override for the slice trace of ``d0 f0`` (complex array ->
-        values).  ``0`` declares the trace identically zero and skips
-        the planar transform entirely; ``None`` (default) differences
-        ``f0`` across the slice.
+        Tolerance of the Teodorescu quadrature.  The line integrals use
+        the fixed ``_T0_NODES``-point Gauss-Legendre rule of
+        :func:`eval_T0_batch`.
 
     Notes
     -----
-    Teodorescu values are cached per (x1, x2); the cache only grows and
-    entries are never mutated, so concurrent reads are safe.
+    The partials of ``f0`` are central differences with step
+    ``_FD_STEP``.  Teodorescu values are cached per (x1, x2); the cache
+    only grows and entries are never mutated, so concurrent reads are
+    safe.
     """
 
-    def __init__(self, f0, domain: TorusDomain, tol: float = 1e-8,
-                 h: float = 1e-5, planar_source=None):
+    def __init__(self, f0, domain: TorusDomain, tol: float = 1e-8):
         self.f0 = f0
         self.domain = domain
         self.tol = tol
-        self.h = h
         self.r_in, self.r_out = domain.slice_radii()
-        if planar_source is None:
-            def planar_source(z):
-                return (f0(self.h, z.real, z.imag) - f0(-self.h, z.real, z.imag)) / (2.0 * self.h)
-            self._source = planar_source
-        elif planar_source == 0:
-            self._source = None
-        else:
-            self._source = planar_source
         self._w_cache: Dict[Tuple[float, float], complex] = {}
 
-    def _w(self, x1: float, x2: float) -> complex:
-        if self._source is None:
-            return 0.0j
-        key = (x1, x2)
-        if key not in self._w_cache:
-            self._w_cache[key] = teodorescu(
-                self._source, complex(x1, x2), self.r_in, self.r_out, self.tol
-            )
-        return self._w_cache[key]
+    def _slice_source(self, z: np.ndarray) -> np.ndarray:
+        """Trace of ``d0 f0`` on the slice plane, at complex points ``z``.
 
-    def _check_segment(self, x: CartesianPoint) -> None:
-        for s in (0.0, 0.5, 1.0):
-            probe = CartesianPoint(s * x.x0, x.x1, x.x2)
-            if not self.domain.contains(probe):
-                raise ValueError(
-                    f"integration segment leaves the domain at {probe}"
-                )
+        x0 = +-h goes in as a scalar: the quadrature samples millions of
+        points, and a full x0 array would make a source such as ``x0**3``
+        cost twice as much.
+        """
+        h = _FD_STEP
+        return (self.f0(h, z.real, z.imag) - self.f0(-h, z.real, z.imag)) / (2.0 * h)
 
-    def _line_integrals(self, x: CartesianPoint) -> Tuple[float, float]:
-        if x.x0 == 0.0:
-            return 0.0, 0.0
-        h = self.h
-        prev = None
-        for n in (24, 48, 96, 192):
-            u, wt = _legendre.leggauss(n)
-            t = 0.5 * x.x0 * (u + 1.0)
-            wt = 0.5 * x.x0 * wt
-            g1 = (self.f0(t, x.x1 + h, x.x2) - self.f0(t, x.x1 - h, x.x2)) / (2 * h)
-            g2 = (self.f0(t, x.x1, x.x2 + h) - self.f0(t, x.x1, x.x2 - h)) / (2 * h)
-            val = (float(np.dot(g1, wt)), float(np.dot(g2, wt)))
-            if prev is not None and max(
-                abs(val[0] - prev[0]), abs(val[1] - prev[1])
-            ) < self.tol:
-                return val
-            prev = val
-        return val
+    def _w(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        slice_pts, inverse = np.unique(np.stack([x1.ravel(), x2.ravel()], axis=1),
+                                       axis=0, return_inverse=True)
+        keys = [tuple(k) for k in slice_pts.tolist()]
+        # one adaptive quadrature per slice point not seen before
+        for key in keys:
+            if key not in self._w_cache:
+                self._w_cache[key] = teodorescu(
+                    self._slice_source, complex(*key), self.r_in, self.r_out, self.tol)
+        w = np.array([self._w_cache[key] for key in keys], dtype=complex)
+        return w[inverse.reshape(-1)].reshape(x1.shape)
 
-    def __call__(self, x: CartesianPoint) -> ReducedQuaternion:
-        self._check_segment(x)
-        L1, L2 = self._line_integrals(x)
-        w = self._w(x.x1, x.x2)
-        f0 = float(np.asarray(self.f0(x.x0, x.x1, x.x2)))
-        return ReducedQuaternion(f0, -L1 + w.real / 2.0, -L2 - w.imag / 2.0)
+    def _line_integrals(self, x0, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
+        t, wt = _x0_line_rule(x0)
+        t, s1, s2 = np.broadcast_arrays(t, x1[..., None], x2[..., None])
+        h = _FD_STEP
+        v = self.f0(np.stack([t, t, t, t]),
+                    np.stack([s1 + h, s1 - h, s1, s1]),
+                    np.stack([s2, s2, s2 + h, s2 - h]))
+        g1 = (v[0] - v[1]) / (2.0 * h)
+        g2 = (v[2] - v[3]) / (2.0 * h)
+        return np.sum(g1 * wt, axis=-1), np.sum(g2 * wt, axis=-1)
+
+    def __call__(self, x0, x1, x2) -> np.ndarray:
+        """The completion at coordinate arrays.  The scalar slot is ``f0``
+        called on the arguments as given, so it equals ``f0`` there bit
+        for bit."""
+        c0, c1, c2 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x0, x1, x2)))
+        # the cross-section of the torus is a disc centred on the slice
+        # plane, so the segment from (0, x1, x2) to x stays inside with x
+        with np.errstate(divide="ignore"):
+            eta = toroidal_arrays(c0, c1, c2)[0]
+        if not np.all(eta > self.domain.eta0):
+            raise ValueError("the completion is evaluated outside its domain")
+        L1, L2 = self._line_integrals(c0, c1, c2)
+        w = self._w(c1, c2)
+        f0 = np.broadcast_to(self.f0(x0, x1, x2), c0.shape)
+        return np.stack([f0, -L1 + w.real / 2.0, -L2 - w.imag / 2.0])
 
 
 def psi(f0, domain: TorusDomain, x: CartesianPoint, tol: float = 1e-8) -> ReducedQuaternion:
     """One-shot evaluation of the completion operator; see :class:`Psi`."""
-    return Psi(f0, domain, tol=tol)(x)
+    return ReducedQuaternion(*Psi(f0, domain, tol=tol)(x.x0, x.x1, x.x2).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -435,12 +418,6 @@ def _t0_gradient_tables(m: int, mu: Sign):
     return tuple(d1_terms(idx)), tuple(d2_terms(idx))
 
 
-#: Gauss-Legendre nodes on the x0 segment of the T0 line integrals; the
-#: integrands are analytic, and against mpmath at interior points the rule
-#: is exact to a few 1e-16 relative to the largest component
-_T0_NODES = 96
-
-
 def eval_T0(m: int, mu: Sign, p: ToroidalPoint) -> ReducedQuaternion:
     """Pointwise value of the n = 0 toroidal monogenic; see
     :func:`eval_T0_batch`."""
@@ -450,27 +427,23 @@ def eval_T0(m: int, mu: Sign, p: ToroidalPoint) -> ReducedQuaternion:
 
 def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     """The n = 0 toroidal monogenic, the completion of ``I_{0,m}^{+,mu}``,
-    over 1-D Cartesian arrays; returns shape (3, npts).
+    over equal-shape Cartesian arrays; returns shape (3,) + x0.shape.
 
     The slice trace of the x0-derivative of ``I_{0,m}`` contains only
     sin(theta) factors, which vanish at x0 = 0, so the Teodorescu term of
-    the completion drops out and only the two x0-line integrals remain
-    (fixed 96-node Gauss-Legendre).  The completion's e1/e2
-    parts are zero on the slice plane, so its cohomology coefficient
-    vanishes and no ``W_{-1}^-`` multiple is subtracted.
+    the completion drops out and only the two x0-line integrals remain,
+    on the exact derivative tables with the shared line rule.  The
+    completion's e1/e2 parts are zero on the slice plane, so its
+    cohomology coefficient vanishes and no ``W_{-1}^-`` multiple is
+    subtracted.
     """
     mu = parse_sign(mu)
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x0, x1, x2 = (np.asarray(c, dtype=float) for c in (x0, x1, x2))
     f0 = eval_I_batch(HarmonicIndex(0, m, 1, mu), *toroidal_arrays(x0, x1, x2))
-
-    u, wt = _legendre.leggauss(_T0_NODES)
-    t = 0.5 * x0[:, None] * (u + 1.0)[None, :]
-    wts = 0.5 * x0[:, None] * wt[None, :]
-    eta_l, th_l, ph_l = toroidal_arrays(t, x1[:, None], x2[:, None])
+    t, wts = _x0_line_rule(x0)
+    eta_l, th_l, ph_l = toroidal_arrays(t, x1[..., None], x2[..., None])
     q = q_half_grid(1, m + 1, np.cosh(eta_l).ravel())
-    lines = [-np.sum(eval_terms(table, eta_l, th_l, ph_l, q=q) * wts, axis=1)
+    lines = [-np.sum(eval_terms(table, eta_l, th_l, ph_l, q=q) * wts, axis=-1)
              for table in _t0_gradient_tables(m, mu)]
     return np.stack([f0] + lines)
 
@@ -482,76 +455,54 @@ def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
 def cohomology(f, n_nodes: int = 256, radius: float = 1.0) -> float:
     """Cohomology coefficient of a reduced-quaternion field.
 
-    Integrates the associated 1-form ``f0 dx0 - f1 dx1 - f2 dx2`` along
-    the circle of the given radius in the plane x0 = 0 (periodic
-    trapezoid rule, spectrally accurate), normalized by 2 pi and by the
-    orientation constant :data:`COH_ORIENTATION` so that the generator
-    ``W_{-1}^-`` has coefficient +1.  The value is radius-independent
-    for fields defined on the full slice annulus (the form is closed).
+    Integrates the associated 1-form ``f0 dx0 - f1 dx1 - f2 dx2`` of the
+    field ``f`` along the circle of the given radius in the plane x0 = 0
+    (periodic trapezoid rule, spectrally accurate), normalized by 2 pi
+    and by the orientation constant :data:`COH_ORIENTATION` so that the
+    generator ``W_{-1}^-`` has coefficient +1.  The value is
+    radius-independent for fields defined on the full slice annulus (the
+    form is closed).
     """
     if n_nodes < 4:
         raise ValueError("n_nodes too small for a meaningful rule")
     t = 2.0 * np.pi * np.arange(n_nodes) / n_nodes
-    total = 0.0
-    for tk in t:
-        v = f(CartesianPoint(0.0, radius * math.cos(tk), radius * math.sin(tk)))
-        v = as_quaternion(v)
-        # pull-back of the form: -f1 dx1 - f2 dx2 along the circle
-        total += radius * (v.a1 * math.sin(tk) - v.a2 * math.cos(tk))
-    literal = total / n_nodes
-    return COH_ORIENTATION * literal
+    cos, sin = np.cos(t), np.sin(t)
+    v = field_values(f, np.zeros(n_nodes), radius * cos, radius * sin)
+    # pull-back of the form: -f1 dx1 - f2 dx2 along the circle
+    literal = radius * np.mean(v[1] * sin - v[2] * cos)
+    return COH_ORIENTATION * float(literal)
 
 
 # ---------------------------------------------------------------------------
 # full-quaternion decomposition
 # ---------------------------------------------------------------------------
 
-def decompose_H(
-    F: Callable[[CartesianPoint], Quaternion],
-    domain: TorusDomain,
-    tol: float = 1e-8,
-) -> Tuple[SampledAField, SampledAField]:
+def decompose_H(F, domain: TorusDomain, tol: float = 1e-8):
     """Split a monogenic quaternion field as ``F = f + g e3`` with both
     parts reduced-quaternion valued and monogenic.
 
-    ``g`` is the completion of the e3 component; ``f`` collects the
-    remainder, which has no e3 part because the completion preserves
-    its scalar argument.
+    ``F`` is a field; so are the two parts returned, ``(f, g)``.  ``g``
+    is the completion of the e3 component; ``f`` collects the remainder,
+    which has no e3 part because the completion preserves its scalar
+    argument.
     """
-    def f3(x0, x1, x2):
-        x0, x1, x2 = np.broadcast_arrays(
-            np.asarray(x0, float), np.asarray(x1, float), np.asarray(x2, float)
-        )
-        flat = [F(CartesianPoint(a, b, c)).a3 for a, b, c in
-                zip(x0.ravel(), x1.ravel(), x2.ravel())]
-        return np.array(flat).reshape(x0.shape)
+    g = Psi(lambda x0, x1, x2: field_values(F, x0, x1, x2)[3], domain, tol=tol)
 
-    g_op = Psi(f3, domain, tol=tol)
+    def f(x0, x1, x2):
+        return (field_values(F, x0, x1, x2) - qmul(field_values(g, x0, x1, x2), E3))[:3]
 
-    def g_eval(x: CartesianPoint) -> ReducedQuaternion:
-        return g_op(x)
-
-    def f_eval(x: CartesianPoint) -> ReducedQuaternion:
-        Fv = F(x)
-        g = g_op(x)
-        # F - g e3: (g0 + g1 e1 + g2 e2) e3 = g0 e3 + g2 e1 - g1 e2
-        return ReducedQuaternion(Fv.a0, Fv.a1 - g.a2, Fv.a2 + g.a1)
-
-    return (
-        SampledAField(f_eval, domain),
-        SampledAField(g_eval, domain),
-    )
+    return f, g
 
 
 __all__ = [
     "COH_ORIENTATION",
     "Quaternion",
     "ReducedQuaternion",
-    "SampledAField",
     "E1",
     "E2",
     "E3",
-    "as_quaternion",
+    "qmul",
+    "field_values",
     "fueter_bar",
     "fueter",
     "eval_W",

@@ -17,6 +17,7 @@ All routines are pure functions and hold no shared state.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -240,6 +241,14 @@ def torus_volume(eta0: float) -> float:
     return 2.0 * np.pi**2 / (np.tanh(eta0) * np.sinh(eta0) ** 2)
 
 
+#: integrate_torus refuses to start a level with more nodes than this
+#: (level 4 has 25.2M; level 5 would need 1.6 GB per float64 array)
+_TORUS_NODE_BUDGET = 2**25
+#: integrate_torus evaluates each level in slabs along eta of at most
+#: this many nodes
+_TORUS_SLAB_NODES = 2**20
+
+
 def integrate_torus(
     f: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
     eta0: float,
@@ -250,40 +259,46 @@ def integrate_torus(
     The radial coordinate is substituted as ``u = exp(eta0 - eta)`` so the
     unbounded ``eta`` range becomes ``u in (0, 1)`` (Gauss-Legendre); the
     two angles use the periodic trapezoid rule.  ``f`` must accept numpy
-    arrays of Cartesian coordinates and be bounded on the domain.
+    arrays of Cartesian coordinates and be bounded on the domain.  Each
+    level doubles the nodes per axis; a level over ``_TORUS_NODE_BUDGET``
+    nodes raises :class:`QuadratureError` with the last estimate attached.
     """
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
 
     evaluations = 0
-    prev = None
-    for level in range(7):
+    value, err = None, np.inf
+    for level in itertools.count():
         n_u = 24 * 2**level
         n_ang = 16 * 2**level
+        if n_u * n_ang**2 > _TORUS_NODE_BUDGET:
+            break
         gl, glw = _gauss_legendre(n_u)
         u, wu = _map_gauss(gl, glw, 0.0, 1.0)
         eta = eta0 - np.log(u)
-        theta = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        phi = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        w_ang = (2.0 * np.pi / n_ang) ** 2
-
-        E, T, P = np.meshgrid(eta, theta, phi, indexing="ij")
-        denom = np.cosh(E) - np.cos(T)
-        x0 = np.sin(T) / denom
-        rho = np.sinh(E) / denom
-        x1 = rho * np.cos(P)
-        x2 = rho * np.sin(P)
-        vals = f(x0, x1, x2)
         # d(eta) = -du/u; the 1/u is absorbed into the weight
-        jac = np.sinh(E) / denom**3
-        value = float(np.sum(vals * jac * (wu / u)[:, None, None]) * w_ang)
-        evaluations += E.size
-        if prev is not None and abs(value - prev) < tol:
-            return QuadratureResult(value, abs(value - prev), evaluations)
-        prev = value
+        w_eta = wu / u
+        angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
+        T, P = np.meshgrid(angles, angles, indexing="ij")
+        cos_t, sin_t, cos_p, sin_p = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
+        rows = max(1, _TORUS_SLAB_NODES // n_ang**2)
+        total = 0.0
+        for i in range(0, n_u, rows):
+            E = eta[i:i + rows, None, None]
+            denom = np.cosh(E) - cos_t
+            rho = np.sinh(E) / denom
+            vals = f(sin_t / denom, rho * cos_p, rho * sin_p)
+            jac = np.sinh(E) / denom**3
+            total += np.sum(vals * jac * w_eta[i:i + rows, None, None])
+        prev, value = value, float(total * (2.0 * np.pi / n_ang) ** 2)
+        evaluations += n_u * n_ang**2
+        if prev is not None:
+            err = abs(value - prev)
+            if err < tol:
+                return QuadratureResult(value, err, evaluations)
 
-    err = abs(value - prev)
     raise QuadratureError(
-        f"integrate_torus did not reach tol={tol:g} (last change {err:g})",
-        QuadratureResult(value, err, evaluations),
+        f"integrate_torus did not reach tol={tol:g} within {_TORUS_NODE_BUDGET} "
+        f"nodes per level (last change {err:g})",
+        QuadratureResult(value, err, evaluations) if value is not None else None,
     )

@@ -192,9 +192,21 @@ def test_config_depths_key_is_unknown(capsys, tmp_path):
     # a margin below -1 would label rows with negative eta
     ("grid-export", "I", "1", "0", "+", "+", "--n-eta", "2", "--n-theta", "2",
      "--n-phi", "2", "--margin", "-1.5"),
+    # an explicit zero count is an error, not a fall-back to the config value
+    ("grid-export", "I", "0", "0", "+", "+", "--n-eta", "0", "--n-theta", "1", "--n-phi", "1"),
+    ("grid-export", "I", "0", "0", "+", "+", "--n-eta", "1", "--n-theta", "0", "--n-phi", "1"),
+    ("grid-export", "I", "0", "0", "+", "+", "--n-eta", "1", "--n-theta", "1", "--n-phi", "0"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_eta0_is_a_grid_export_flag(capsys):
+    # only grid-export reads eta0; elsewhere the flag is unknown
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "coh", "--eta0", "7"])
+    assert exc.value.code == 2
+    assert "--eta0" in capsys.readouterr().err

@@ -31,7 +31,7 @@ from toroharm.expansion import (
     w_family,
 )
 from toroharm.geometry import TorusDomain, sample_grid, to_cartesian, ToroidalPoint
-from toroharm.monogenics import ReducedQuaternion, eval_W
+from toroharm.monogenics import eval_W
 
 X = to_cartesian(ToroidalPoint(1.5, 0.6, 0.4))
 
@@ -143,10 +143,9 @@ def test_expansion_of_one_in_monogenics(grid):
 
 
 def test_expand_monogenic_constant_recovers():
-    def phi(x):
-        z = complex(x.x1, x.x2)
-        return ReducedQuaternion(
-            0.0, 3.0 + 0.5 * (z**2).real, -0.5 * (z**2).imag)
+    def phi(x0, x1, x2):
+        z2 = (x1 + 1j * x2) ** 2
+        return np.stack([np.zeros_like(x0), 3.0 + 0.5 * z2.real, -0.5 * z2.imag])
 
     a0, coeffs = expand_monogenic_constant(phi, m_max=3)
     assert abs(a0) < 1e-10
@@ -157,8 +156,8 @@ def test_expand_monogenic_constant_recovers():
 
 
 def test_expand_monogenic_constant_rejects_nonconstant_scalar():
-    def bad(x):
-        return ReducedQuaternion(x.x1, 1.0, 0.0)
+    def bad(x0, x1, x2):
+        return np.stack([x1, np.ones_like(x0), np.zeros_like(x0)])
 
     with pytest.raises(ValueError):
         expand_monogenic_constant(bad)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from toroharm import quadrature
 from toroharm.quadrature import (
     QuadratureError,
     QuadratureResult,
@@ -76,3 +77,24 @@ def test_torus_volume_closed_form(eta0):
 def test_integrate_torus_odd_function_vanishes():
     val = integrate_torus(lambda x0, x1, x2: x0, 1.0, tol=1e-10)
     assert abs(val.value) < 1e-10
+
+
+def test_integrate_torus_node_budget(monkeypatch):
+    # with the budget at the size of level 1, an integrand that never
+    # converges stops before level 2 and carries the level-1 estimate
+    monkeypatch.setattr(quadrature, "_TORUS_NODE_BUDGET", 48 * 32**2)
+    rng = np.random.default_rng(7)
+    with pytest.raises(QuadratureError) as exc:
+        integrate_torus(lambda x0, x1, x2: rng.standard_normal(x0.shape), 1.0)
+    assert exc.value.partial.evaluations == 24 * 16**2 + 48 * 32**2
+    assert exc.value.partial.error_estimate > 0
+
+
+def test_integrate_torus_slabs_keep_the_value(monkeypatch):
+    def f(x0, x1, x2):
+        return x0**2 + x1
+    ref = integrate_torus(f, 1.0, tol=1e-6)
+    monkeypatch.setattr(quadrature, "_TORUS_SLAB_NODES", 1000)  # a few eta rows each
+    val = integrate_torus(f, 1.0, tol=1e-6)
+    assert val.evaluations == ref.evaluations
+    assert_allclose(val.value, ref.value, rtol=1e-13)
