@@ -54,6 +54,7 @@ from .geometry import (
     toroidal_arrays,
 )
 from .harmonics import (
+    DerivativeTerm,
     HarmonicIndex,
     d0_terms,
     d1_terms,
@@ -84,6 +85,7 @@ from .monogenics import (
     qmul,
     teodorescu,
     t_is_zero,
+    t_term_tables,
 )
 from .quadrature import integrate_torus, torus_volume
 from .special_functions import legendre_q_quadrature, q_half_grid
@@ -142,8 +144,9 @@ def _all_indices(n_max: int, m_max: int) -> List[HarmonicIndex]:
 def check_legendre_recurrences(n_max: int = 30, m_max: int = 10) -> CheckResult:
     """Degree and order recurrences of the radial functions, relative
     residual over t in [1.1, 10]."""
-    t = np.linspace(1.1, 10.0, 45)
-    q = q_half_grid(n_max + 1, m_max, t)
+    eta = np.arccosh(np.linspace(1.1, 10.0, 45))
+    t = np.cosh(eta)
+    q = q_half_grid(n_max + 1, m_max, eta)
     worst = 0.0
     for m in range(m_max + 1):
         for n in range(1, n_max + 1):
@@ -172,11 +175,55 @@ def check_legendre_oracle(n_points: int = 125) -> CheckResult:
         n = int(rng.integers(0, 13))
         m = int(rng.integers(0, 7))
         t = float(1.05 + 9.0 * rng.random())
-        fast = float(q_half_grid(n, m, np.array([t]))[n, m, 0])
+        fast = float(q_half_grid(n, m, np.array([math.acosh(t)]))[n, m, 0])
         slow = legendre_q_quadrature(n, m, t)
         worst = max(worst, abs(fast - slow) / max(abs(slow), 1e-300))
     return _result("radial fast path vs integral oracle", worst, 1e-8,
                    f"{n_points} sampled triples")
+
+
+def check_legendre_mpmath() -> CheckResult:
+    """The radial evaluator over eta in [1e-6, 40], n <= 60 and m <= 20
+    (absolute error where ``|Q| < 1e-290``), and ``I`` and ``T`` near the
+    axis and the limit circle (relative to the largest component), against
+    mpmath ``legenq`` at 30 digits."""
+    import mpmath as mp
+
+    def q_mp(n, m, eta):
+        return mp.re(mp.legenq(n - mp.mpf(1) / 2, m, mp.cosh(mp.mpf(eta)), type=3))
+
+    theta, phi = 0.7, 0.4
+
+    def i_mp(idx, eta):
+        def trig(sign, k, angle):
+            return mp.cos(k * angle) if sign > 0 else mp.sin(k * angle)
+        return (mp.sqrt(mp.cosh(mp.mpf(eta)) - mp.cos(theta)) * q_mp(idx.n, idx.m, eta)
+                * trig(idx.nu, idx.n, theta) * trig(idx.mu, idx.m, phi))
+
+    etas = np.logspace(-6.0, math.log10(40.0), 9)
+    q = q_half_grid(60, 20, etas)
+    pts = np.array([1e-6, 1e-3, 20.0, 35.0])
+    worst = 0.0
+    with mp.workdps(30):
+        for i, eta in enumerate(etas):
+            for n in (0, 1, 2, 13, 60):
+                for m in (0, 1, 6, 20):
+                    ref = q_mp(n, m, eta)
+                    err = abs(q[n, m, i] - ref)
+                    worst = max(worst, float(err if abs(ref) < 1e-290 else err / abs(ref)))
+        # I as a one-term table, T through its exact term tables
+        cases = [(eval_I_batch(idx, pts, theta, phi)[None], [[DerivativeTerm(idx, Fraction(1))]])
+                 for idx in (HarmonicIndex(3, 2, 1, -1), HarmonicIndex(0, 1, 1, 1))]
+        cases += [(eval_T_batch(idx, pts, theta, phi), t_term_tables(idx.n, idx.m, idx.nu, idx.mu))
+                  for idx in (HarmonicIndex(2, 1, 1, -1), HarmonicIndex(4, 2, -1, -1))]
+        for got, tables in cases:
+            for j, eta in enumerate(pts):
+                ref = [mp.fsum(mp.mpf(t.coefficient.numerator) / t.coefficient.denominator
+                               * i_mp(t.index, eta) for t in table) for table in tables]
+                err = max(abs(got[s, j] - r) for s, r in enumerate(ref))
+                worst = max(worst, float(err / max(abs(r) for r in ref)))
+    return _result("radial evaluator, I and T vs mpmath", worst, 1e-11,
+                   "eta in [1e-6, 40], n <= 60, m <= 20")
 
 
 def check_torus_volume() -> CheckResult:
@@ -193,6 +240,7 @@ def suite_legendre() -> List[CheckResult]:
     return [
         check_legendre_recurrences(),
         check_legendre_oracle(),
+        check_legendre_mpmath(),
         check_torus_volume(),
     ]
 
@@ -399,7 +447,7 @@ def check_alpha_beta_transport(N: int = 25) -> List[CheckResult]:
     eta, th = (c.ravel() for c in np.meshgrid(
         np.linspace(1.5, 4.0, 7), np.linspace(-math.pi, math.pi, 9, endpoint=False),
         indexing="ij"))
-    q = q_half_grid(N, 0, np.cosh(eta))
+    q = q_half_grid(N, 0, eta)
     one = sum(unit * float(alphas[k])
               * eval_I_star_batch(HarmonicIndex(k, 0, 1, 1), eta, th, 0.3, q=q)
               for k in range(N + 1))

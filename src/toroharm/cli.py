@@ -76,6 +76,15 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
+def _check_tol_names(args: argparse.Namespace, read) -> None:
+    """Reject ``--tol`` names that no check of this run reads."""
+    unread = sorted({spec.partition("=")[0] for spec in args.tol or []} - set(read))
+    if unread:
+        valid = ", ".join(repr(n) for n in sorted(read)) or "none"
+        raise UsageError(f"--tol names {unread} are read by no check of this run; "
+                         f"valid names: {valid}")
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional config file, and command-line flags."""
     merged = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
@@ -90,6 +99,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for key, val in data.items():
             if key not in merged:
                 raise UsageError(f"unknown config key {key!r}")
+            if key in ("eta0", "grid") and args.command != "grid-export":
+                raise UsageError(f"config key {key!r} is read only by grid-export")
             if isinstance(merged[key], dict):
                 merged[key].update(val)
             else:
@@ -168,8 +179,6 @@ def _eval_values(kind: str, index: Sequence[str], x, tor):
         if kind == "J":  # J_m^sign is the e1 part of W_m^sign
             return w[1:2], "analytic (planar power)"
         return w, "analytic (planar powers)"
-    if not np.all(np.cosh(tor[0]) > 1.0):
-        raise UsageError("point so near the x0-axis that cosh(eta) rounds to 1")
     if kind == "I":
         return eval_I_batch(idx, *tor)[None], "analytic (radial recurrences and trig)"
     if kind == "Istar":
@@ -204,6 +213,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         x = CartesianPoint(*golden["point"])
     else:
         x = _parse_point(args)
+    _check_tol_names(args, ["golden"] if golden is not None else [])
 
     tor = None
     if args.kind not in ("J", "W"):
@@ -258,6 +268,7 @@ def _frac(x: Fraction) -> str:
 
 
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
+    _check_tol_names(args, [])
     m, n_max = args.m, args.n_max
     if m < 0 or n_max < 0:
         raise UsageError("m and n_max must be nonnegative")
@@ -305,15 +316,19 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             raise UsageError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
 
     all_ok = True
+    read = []
     for name in names:
         print(f"== suite {name} ==")
         for r in SUITES[name]():
+            read.append(r.name)
             if r.name in cfg.tolerances:
                 tol = cfg.tolerances[r.name]
                 r = CheckResult(r.name, r.residual <= tol, r.residual, tol,
                                 r.detail + " [tolerance overridden]")
             print("  " + r.line())
             all_ok &= r.passed
+    # check names are known only once their suites have run
+    _check_tol_names(args, read)
     print("verify: " + ("ALL PASS" if all_ok else "FAILURES PRESENT"))
     return 0 if all_ok else 1
 
@@ -326,6 +341,7 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     if len(args.index) != _KIND_INDEX_ARGS[args.kind]:
         raise UsageError(
             f"kind {args.kind} takes {_KIND_INDEX_ARGS[args.kind]} index arguments")
+    _check_tol_names(args, [])
     g = cfg.grid
     n_eta = args.n_eta if args.n_eta is not None else int(g["n_eta"])
     n_theta = args.n_theta if args.n_theta is not None else int(g["n_theta"])

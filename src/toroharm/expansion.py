@@ -200,7 +200,7 @@ class ExpansionGrid:
             return self._q_cache[key]
         new_key = (n_max, m_max)
         self._q_cache.clear()
-        self._q_cache[new_key] = q_half_grid(n_max, m_max, np.cosh(self.eta))
+        self._q_cache[new_key] = q_half_grid(n_max, m_max, self.eta)
         return self._q_cache[new_key]
 
     def __len__(self) -> int:

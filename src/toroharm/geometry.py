@@ -89,15 +89,6 @@ class TorusDomain:
         """Inner and outer radii of the annulus cut by the plane x0 = 0."""
         return math.tanh(self.eta0 / 2.0), 1.0 / math.tanh(self.eta0 / 2.0)
 
-    def contains(self, x: CartesianPoint, margin: float = 0.0) -> bool:
-        try:
-            p = to_toroidal(x)
-        except DegenerateLocusError:
-            # the limit circle is the eta -> inf core of every torus;
-            # the axis is outside all of them
-            return x.rho() > 0.5
-        return p.eta > self.eta0 + margin
-
 
 def to_cartesian(p: ToroidalPoint) -> CartesianPoint:
     """Map toroidal to Cartesian coordinates."""
@@ -115,17 +106,18 @@ def to_toroidal(x: CartesianPoint) -> ToroidalPoint:
     Uses the bipolar representation in the meridian half-plane: with
     ``rho = sqrt(x1^2 + x2^2)``, ``eta`` is the log-ratio of distances from
     ``(rho, x0)`` to the foci ``(1, 0)`` and ``(-1, 0)``, and ``theta`` is
-    the angle subtended.  Raises :class:`DegenerateLocusError` on the axis
-    (rho = 0) and on the limit circle (rho = 1, x0 = 0).
+    the angle subtended.  The squared ratio is ``1 + 4 rho / d_near^2``, so
+    ``eta = log1p(4 rho / d_near^2) / 2`` keeps full precision near the
+    axis, where the ratio tends to 1.  Raises :class:`DegenerateLocusError`
+    on the axis (rho = 0) and on the limit circle (rho = 1, x0 = 0).
     """
     rho = x.rho()
     if rho == 0.0:
         raise DegenerateLocusError("point lies on the x0-axis")
-    d_far2 = (rho + 1.0) ** 2 + x.x0 * x.x0
     d_near2 = (rho - 1.0) ** 2 + x.x0 * x.x0
     if d_near2 == 0.0:
         raise DegenerateLocusError("point lies on the limit circle")
-    eta = 0.5 * math.log(d_far2 / d_near2)
+    eta = 0.5 * math.log1p(4.0 * rho / d_near2)
     if eta <= 0.0:
         raise DegenerateLocusError(
             "point lies on the boundary sheet eta = 0 (outside every torus)"
@@ -139,13 +131,12 @@ def toroidal_arrays(x0, x1, x2):
     """Vectorized inverse map returning ``(eta, theta, phi)`` arrays.
 
     No degeneracy checks; intended for grids known to avoid the axis and
-    limit circle.
+    limit circle.  ``eta`` as in :func:`to_toroidal`.
     """
     x0 = np.asarray(x0, dtype=float)
     rho = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    d_far2 = (rho + 1.0) ** 2 + x0 * x0
     d_near2 = (rho - 1.0) ** 2 + x0 * x0
-    eta = 0.5 * np.log(d_far2 / d_near2)
+    eta = 0.5 * np.log1p(4.0 * rho / d_near2)
     theta = np.arctan2(2.0 * x0, rho * rho + x0 * x0 - 1.0)
     phi = np.arctan2(x2, x1)
     return eta, theta, phi

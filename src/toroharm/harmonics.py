@@ -119,12 +119,11 @@ def eval_I_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     flattened ``eta`` points with extents covering ``(idx.n, idx.m)``.
     """
     eta = np.asarray(eta, dtype=float)
-    t = np.cosh(eta)
     if q is None:
-        q = q_half_grid(idx.n, idx.m, t.ravel())
+        q = q_half_grid(idx.n, idx.m, eta.ravel())
     radial = q[idx.n, idx.m].reshape(eta.shape)
     return (
-        np.sqrt(t - np.cos(theta))
+        np.sqrt(np.cosh(eta) - np.cos(theta))
         * radial
         * _trig(idx.n, idx.nu, theta)
         * _trig(idx.m, idx.mu, phi)
@@ -253,7 +252,7 @@ def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi, q=None) -> np.n
     eta = np.asarray(eta, dtype=float)
     if terms and q is None:
         q = q_half_grid(max(t.index.n for t in terms), max(t.index.m for t in terms),
-                        np.cosh(eta).ravel())
+                        eta.ravel())
     total = np.zeros(np.broadcast(eta, theta, phi).shape)
     for t in terms:
         total = total + float(t.coefficient) * eval_I_batch(t.index, eta, theta, phi, q=q)
@@ -320,7 +319,7 @@ def j_coefficient_quadrature(n: int, m: int, sign: Sign, eta: float) -> float:
     """
     sign = parse_sign(sign)
     a = fourier_cosine_coefficients(m, eta, n)[n]
-    q = q_half_grid(n, abs(m), np.array([math.cosh(eta)]))[n, abs(m), 0]
+    q = q_half_grid(n, abs(m), np.array([eta]))[n, abs(m), 0]
     value = a * math.sinh(eta) ** m / q
     return value if m >= 0 else sign * value
 
@@ -340,7 +339,7 @@ def fourier_power_check(m: int, eta: float, N: int) -> float:
     if m < 0:
         raise ValueError("m must be nonnegative")
     a = fourier_cosine_coefficients(m, eta, N)
-    q = q_half_grid(N, m, np.array([math.cosh(eta)]))[:, m, 0]
+    q = q_half_grid(N, m, np.array([eta]))[:, m, 0]
     neumann = np.where(np.arange(N + 1) == 0, 1.0, 2.0)
     predicted = (
         math.sqrt(2.0 / math.pi) / gamma_half(m) * neumann

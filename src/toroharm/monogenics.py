@@ -264,7 +264,7 @@ def eval_T_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     tables = t_term_tables(idx.n, idx.m, idx.nu, idx.mu)
     if q is None and any(tables):
-        q = q_half_grid(idx.n, idx.m + 1, np.cosh(eta).ravel())
+        q = q_half_grid(idx.n, idx.m + 1, eta.ravel())
     return np.stack([eval_terms(table, eta, theta, phi, q=q) for table in tables])
 
 
@@ -442,7 +442,7 @@ def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     f0 = eval_I_batch(HarmonicIndex(0, m, 1, mu), *toroidal_arrays(x0, x1, x2))
     t, wts = _x0_line_rule(x0)
     eta_l, th_l, ph_l = toroidal_arrays(t, x1[..., None], x2[..., None])
-    q = q_half_grid(1, m + 1, np.cosh(eta_l).ravel())
+    q = q_half_grid(1, m + 1, eta_l.ravel())
     lines = [-np.sum(eval_terms(table, eta_l, th_l, ph_l, q=q) * wts, axis=-1)
              for table in _t0_gradient_tables(m, mu)]
     return np.stack([f0] + lines)

@@ -1,10 +1,21 @@
 """Special functions: elliptic integrals, half-integer Gamma values, and
 associated Legendre functions of the second kind at half-integer degree.
 
-The central object is ``Q_{n-1/2}^m(t)`` for ``t = cosh(eta) > 1``, the
-radial factor of every interior toroidal harmonic.  Two evaluation paths
-are provided:
+The central object is ``Q_{n-1/2}^m(cosh(eta))`` for ``eta > 0``, the
+radial factor of every interior toroidal harmonic.  It is a function of
+``eta``, not of ``t = cosh(eta)``: near the axis ``t - 1`` keeps only the
+digits of ``eta^2 / 2``, so ``eta`` is the argument throughout.
 
+* ``q_half_grid`` -- the evaluator, on arrays of ``eta``.  Elliptic
+  integrals of modulus ``k = 1/cosh(eta/2)``, with ``k' = tanh(eta/2)`` fed
+  straight to the AGM, seed degrees -1/2 and +1/2 at orders 0 and 1.  Where
+  ``n_max * eta <= 1`` the degree recurrence runs upward from the seeds;
+  elsewhere the backward ratio recurrence (Q is its recessive solution)
+  runs from degree ``n_max + ceil(22 / min(eta)) + 10`` and
+  ``Q_n = Q_0 * prod(ratios)``.  The order recurrence raises ``m``.
+  Stated accuracy (suite ``legendre``, against mpmath): relative error at
+  most 1e-11 for ``eta`` in [1e-6, 40], ``n <= 60`` and ``m <= 20``,
+  wherever ``|Q| >= 1e-290``.
 * ``legendre_q_quadrature`` -- direct adaptive quadrature of the integral
   representation
 
@@ -13,20 +24,14 @@ are provided:
 
   (slow oracle; the substitution ``s = cos(psi)`` removes the endpoint
   singularity for half-integer degree).
-* ``q_half_grid`` -- fast path on arrays of arguments: elliptic-integral
-  seeds at degrees -1/2 and +1/2, backward (Miller) recurrence in the
-  degree with a seed-consistency monitor, and the order-raising recurrence
-  for m >= 2.  Backward recurrence is the stable direction because Q is
-  the recessive solution of the degree recurrence for t > 1.
 
 Sign convention: the ``(-1)^m`` prefactor of the integral representation is
-kept throughout, so ``Q_{n-1/2}^m(t)`` has sign ``(-1)^m``.
+kept throughout, so ``Q_{n-1/2}^m`` has sign ``(-1)^m``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -34,24 +39,21 @@ from scipy import special as _special
 
 from .quadrature import integrate_1d
 
-#: relative mismatch between the Miller-normalized degree-1 value and the
-#: elliptic seed above which the recurrence is declared unstable
-_MILLER_MONITOR_TOL = 1e-9
-
 
 # ---------------------------------------------------------------------------
 # elliptic integrals (AGM)
 # ---------------------------------------------------------------------------
 
-def _elliptic_K_csum(k: np.ndarray):
-    """AGM mean and the tail ``sum_{n>=1} 2^(n-1) c_n^2`` of the E-series.
+def _elliptic_K_csum(k: np.ndarray, kp: np.ndarray):
+    """AGM mean and the tail ``sum_{n>=1} 2^(n-1) c_n^2`` of the E-series,
+    for modulus ``k`` and complementary modulus ``kp = sqrt(1 - k^2)``.
 
     With ``K = pi / (2 agm)`` the second-kind integral is
     ``E = K (1 - k^2/2 - csum_tail)``.  The tail is a sum of positive
     terms, so it stays accurate where the direct ``E`` formula cancels.
     """
     a = np.ones_like(k)
-    b = np.sqrt(np.maximum(1.0 - k * k, 0.0))
+    b = kp
     tail = np.zeros_like(a)
     pow2 = 1.0
     # once a and b agree to an ulp the remaining c's are rounding noise with
@@ -59,7 +61,7 @@ def _elliptic_K_csum(k: np.ndarray):
     active = np.ones_like(a, dtype=bool)
     for i in range(40):
         if i == 0:
-            # (1 - sqrt(1-k^2))/2 cancels for tiny k; use the stable form
+            # (1 - kp)/2 cancels for tiny k; use the stable form
             c = k * k / (2.0 * (1.0 + b))
         else:
             c = 0.5 * (a - b)
@@ -81,7 +83,7 @@ def elliptic_E(k):
     k = np.asarray(k, dtype=float)
     if np.any(k < 0) or np.any(k > 1):
         raise ValueError("elliptic_E requires 0 <= k <= 1")
-    agm, tail = _elliptic_K_csum(k)
+    agm, tail = _elliptic_K_csum(k, np.sqrt(1.0 - k * k))
     out = np.pi / (2.0 * agm) * (1.0 - 0.5 * k * k - tail)
     # K diverges at k=1 but E(1) = 1 is finite; patch the limit explicitly
     out = np.where(k == 1.0, 1.0, out)
@@ -125,21 +127,23 @@ def gamma_half_ratio(n: int, m: int) -> Fraction:
 # Legendre Q: quadrature oracle
 # ---------------------------------------------------------------------------
 
-def legendre_q_integral(nu: float, m: int, t: float, tol: float = 1e-12) -> float:
-    """Legendre function of the second kind by direct quadrature.
+def legendre_q_quadrature(n: int, m: int, t: float, tol: float = 1e-12) -> float:
+    """Oracle value of ``Q_{n-1/2}^m(t)`` by adaptive quadrature of the
+    integral representation.  Slow.
 
-    Evaluates the integral representation at arbitrary real degree
-    ``nu > -1`` and integer order ``m >= 0``.  Slow; intended as an oracle.
+    With degree ``n - 1/2`` the substituted integrand is
+    ``sin(psi)^(2n) / (t - cos(psi))^(n+m+1/2)``, smooth on ``[0, pi]``.
     """
     if t <= 1:
-        raise ValueError("legendre_q_integral requires t > 1")
-    if m < 0:
-        raise ValueError("order m must be nonnegative")
+        raise ValueError("legendre_q_quadrature requires t > 1")
+    if n < 0 or m < 0:
+        raise ValueError("degree index n and order m must be nonnegative")
 
+    nu = n - 0.5
     power = nu + m + 1
 
     def integrand(psi: float) -> float:
-        return math.sin(psi) ** (2 * nu + 1) / (t - math.cos(psi)) ** power
+        return math.sin(psi) ** (2 * n) / (t - math.cos(psi)) ** power
 
     # At large degree/order the integrand peak is tiny and the adaptive
     # routine's absolute tolerance would swamp it; rescale to O(1) so the
@@ -158,163 +162,103 @@ def legendre_q_integral(nu: float, m: int, t: float, tol: float = 1e-12) -> floa
     return pref * res.value * peak
 
 
-def legendre_q_quadrature(n: int, m: int, t: float, tol: float = 1e-12) -> float:
-    """Oracle value of ``Q_{n-1/2}^m(t)`` by adaptive quadrature.
-
-    With degree ``n - 1/2`` the substituted integrand is
-    ``sin(psi)^(2n) / (t - cos(psi))^(n+m+1/2)``, smooth on ``[0, pi]``.
-    """
-    if n < 0:
-        raise ValueError("degree index n must be nonnegative")
-    return legendre_q_integral(n - 0.5, m, t, tol=tol)
-
-
 # ---------------------------------------------------------------------------
-# Legendre Q: fast path
+# Legendre Q: the evaluator
 # ---------------------------------------------------------------------------
 
-def _seeds(t: np.ndarray):
-    """``Q_{-1/2}(t)`` and ``Q_{1/2}(t)`` from complete elliptic integrals.
+def _seeds(eta: np.ndarray) -> np.ndarray:
+    """``Q_{n-1/2}^m(cosh(eta))`` for ``n, m`` in {0, 1}, indexed ``[n, m]``.
 
-    With modulus ``k = sqrt(2/(1+t))``, ``Q_{-1/2} = k K(k)`` and
-    ``Q_{1/2} = t k K(k) - sqrt(2(1+t)) E(k)``.  The second formula
-    cancels catastrophically for large ``t``; substituting the AGM series
-    for ``E`` collapses it to ``sqrt(2(1+t)) K(k) * csum_tail``, a product
-    of positive well-scaled factors.
+    With ``k = 1/cosh(eta/2)``, ``Q_{-1/2} = k K(k)`` and
+    ``Q_{1/2} = cosh(eta) k K(k) - (2/k) E(k)``.  The second formula
+    cancels catastrophically for large ``eta``; substituting the AGM series
+    for ``E`` collapses it to ``(2/k) K(k) * csum_tail``, a product of
+    positive well-scaled factors.  Order 1 follows from
+    ``Q_nu^1 = nu (cosh(eta) Q_nu - Q_{nu-1}) / sinh(eta)`` with
+    ``Q_{-3/2} = Q_{1/2}``.
     """
-    k = np.sqrt(2.0 / (1.0 + t))
-    agm, tail = _elliptic_K_csum(k)
+    k = 2.0 * np.exp(-0.5 * eta) / (1.0 + np.exp(-eta))
+    agm, tail = _elliptic_K_csum(k, np.tanh(0.5 * eta))
     K = np.pi / (2.0 * agm)
-    q_m = k * K
-    q_p = np.sqrt(2.0 * (1.0 + t)) * K * tail
-    return q_m, q_p
+    q0 = k * K
+    # the tail is below k^4, so it is 0 wherever k < 1e-300 (toward eta = inf)
+    q1 = 2.0 * K * tail / np.maximum(k, 1e-300)
+    coth = 1.0 / np.tanh(eta)
+    csch = 2.0 * np.exp(-eta) / -np.expm1(-2.0 * eta)
+    return np.array([[q0, -0.5 * (coth * q0 - csch * q1)],
+                     [q1, 0.5 * (coth * q1 - csch * q0)]])
 
 
-def _miller_column(m: int, q0: np.ndarray, q1: np.ndarray, n_max: int, t: np.ndarray):
-    """Backward-recurrence fill of ``Q_{n-1/2}^m(t)`` for ``n = 0..n_max``.
-
-    The degree recurrence (degrees shifted to ``n - 1/2``) reads
-
-    ``(n - m + 1/2) q_{n+1} = 2 n t q_n - (n + m - 1/2) q_{n-1}``.
-
-    Downward iteration from a trial vector converges to the recessive
-    (Q) solution; the result is normalized against the ``n = 0`` seed and
-    checked against the ``n = 1`` seed.  Occasional rescaling guards
-    against overflow for large ``t``.
-    """
-    npts = t.shape[0]
-    out = np.empty((n_max + 1, npts))
-    if n_max == 0:
-        out[0] = q0
-        return out
-
-    eta = np.arccosh(np.minimum(t, 1e300))
-    buffer = int(np.ceil(22.0 / max(np.min(eta), 1e-3))) + 10
-    N = n_max + buffer
-
-    y_next = np.zeros(npts)  # trial value at degree N + 1
-    y = np.ones(npts)
-    stored = np.full((n_max + 1, npts), np.nan)
-    # rescale early enough that one more step (factor ~ 2 N t) cannot overflow
-    big_cut = min(1e250, 1e290 / (2.0 * N * float(np.max(t))))
-    for n in range(N, 0, -1):
-        if n <= n_max:
-            stored[n] = y
-        y_prev = (2.0 * n * t * y - (n - m + 0.5) * y_next) / (n + m - 0.5)
-        y_next, y = y, y_prev
-        big = np.abs(y) > big_cut
-        if np.any(big):
-            y[big] *= 1e-250
-            y_next[big] *= 1e-250
-            stored[:, big] *= 1e-250
-    stored[0] = y
-
-    scale = q0 / stored[0]
-    out = stored * scale
-
-    mismatch = np.max(np.abs(out[1] - q1) / np.maximum(np.abs(q1), 1e-300))
-    if mismatch > _MILLER_MONITOR_TOL:
-        raise ArithmeticError(
-            f"backward recurrence monitor failed for order m={m}: "
-            f"seed mismatch {mismatch:.3g}"
-        )
-    return out
-
-
-def q_half_grid(n_max: int, m_max: int, t) -> np.ndarray:
-    """Vectorized table of ``Q_{n-1/2}^m(t)``.
+def q_half_grid(n_max: int, m_max: int, eta) -> np.ndarray:
+    """Vectorized table of ``Q_{n-1/2}^m(cosh(eta))``, by the method and to
+    the accuracy stated in the module docstring.
 
     Parameters
     ----------
     n_max, m_max : int
         Largest degree index and order required.
-    t : array_like
-        Points ``t > 1``; the limit circle ``t -> inf`` is fine (values
+    eta : array_like
+        Points ``eta > 0``; the limit circle ``eta = inf`` is fine (values
         underflow to 0 gracefully).
 
     Returns
     -------
-    ndarray of shape ``(n_max + 1, m_max + 1, len(t))``.
+    ndarray of shape ``(n_max + 1, m_max + 1, len(eta))``.
+
+    The backward recurrence, run only where ``n_max * eta > 1``, starts at
+    most ``23 n_max + 10`` degrees deep; its ratios are at most 1, so their
+    product cannot overflow.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t <= 1):
-        raise ValueError("q_half_grid requires t > 1")
+    eta = np.atleast_1d(np.asarray(eta, dtype=float))
+    if not np.all(eta > 0):
+        raise ValueError("q_half_grid requires eta > 0")
+    q = np.empty((n_max + 1, m_max + 1, eta.shape[0]))
+    seeds = _seeds(eta)[:, : m_max + 1]
+    cols = q[:, : seeds.shape[1]]  # the order 0 and 1 columns, a view
+    cols[:2] = seeds[: n_max + 1]
+    m = np.arange(seeds.shape[1])[:, None]
 
-    # beyond this the leading large-t asymptotic is exact to double precision
-    # (relative error O(t^-2)) and the recurrence machinery would overflow
-    far = t > 1e8
-    if np.any(far):
-        q = np.empty((n_max + 1, m_max + 1, t.shape[0]))
-        near = ~far
-        if np.any(near):
-            q[:, :, near] = q_half_grid(n_max, m_max, t[near])
-        logt = np.log(t[far])
-        for n in range(n_max + 1):
-            for m in range(m_max + 1):
-                logq = (
-                    0.5 * math.log(math.pi)
-                    + _special.gammaln(n + m + 0.5)
-                    - _special.gammaln(n + 1)
-                    - (n + 0.5) * (math.log(2.0) + logt)
-                )
-                q[n, m, far] = (-1.0) ** m * np.exp(logq)
-        return q
+    if n_max >= 2:
+        up = n_max * eta <= 1.0
+        if np.any(up):
+            # recur on the differences d_n = Q_n - Q_{n-1}:
+            # (n - m + 1/2) d_{n+1} = 2 n (cosh(eta) - 1) Q_n + (n + m - 1/2) d_n.
+            # Near the axis Q_n barely moves with n, and the growing solution
+            # enters only through errors in d, not in Q
+            e = eta[up]
+            tm1 = 2.0 * np.sinh(0.5 * e) ** 2
+            up_cols = np.empty((n_max + 1, seeds.shape[1], e.shape[0]))
+            up_cols[:2] = seeds[:, :, up]
+            d = up_cols[1] - up_cols[0]
+            if seeds.shape[1] > 1:
+                # the order-1 difference in closed form, free of cancellation
+                d[1] = 0.5 * np.tanh(0.5 * e) * (up_cols[0, 0] + up_cols[1, 0])
+            for n in range(1, n_max):
+                d = (2.0 * n * tm1 * up_cols[n] + (n + m - 0.5) * d) / (n - m + 0.5)
+                up_cols[n + 1] = up_cols[n] + d
+            cols[..., up] = up_cols
+        down = ~up
+        if np.any(down):
+            e = eta[down]
+            # toward the limit circle cosh overflows to inf, where every
+            # ratio, and so Q_n for n >= 1, is 0
+            with np.errstate(over="ignore"):
+                t = np.cosh(e)
+                depth = n_max + int(np.ceil(22.0 / np.min(e))) + 10
+                ratios = np.empty((n_max, seeds.shape[1], t.shape[0]))
+                r = np.zeros_like(ratios[0])
+                for n in range(depth, 0, -1):
+                    r = (n + m - 0.5) / (2.0 * n * t - (n - m + 0.5) * r)
+                    if n <= n_max:
+                        ratios[n - 1] = r
+            cols[1:, :, down] = seeds[0][:, down] * np.cumprod(ratios, axis=0)
 
-    q = np.empty((n_max + 1, m_max + 1, t.shape[0]))
-    q0, q1 = _seeds(t)
-
-    try:
-        col0 = _miller_column(0, q0, q1, n_max, t)
-    except ArithmeticError:
-        warnings.warn("falling back to quadrature oracle for Legendre-Q (m=0)")
-        col0 = np.array([[legendre_q_quadrature(n, 0, ti) for ti in t]
-                         for n in range(n_max + 1)])
-    q[:, 0, :] = col0
-
-    if m_max >= 1:
-        s = np.sqrt(t * t - 1.0)
-        # Q_nu^1 = nu (t Q_nu - Q_{nu-1}) / sqrt(t^2-1); note Q_{-3/2} = Q_{1/2}
-        q0_1 = -0.5 * (t * q0 - q1) / s
-        q1_1 = 0.5 * (t * q1 - q0) / s
-        if n_max == 0:
-            q[:, 1, :] = q0_1[None, :]
-        else:
-            try:
-                q[:, 1, :] = _miller_column(1, q0_1, q1_1, n_max, t)
-            except ArithmeticError:
-                warnings.warn("falling back to quadrature oracle for Legendre-Q (m=1)")
-                q[:, 1, :] = np.array([[legendre_q_quadrature(n, 1, ti) for ti in t]
-                                       for n in range(n_max + 1)])
-
-    # raise the order: Q_nu^m = -2(m-1) t / sqrt(t^2-1) Q_nu^{m-1}
+    # raise the order: Q_nu^m = -2(m-1) coth(eta) Q_nu^{m-1}
     #                           + (nu - m + 2)(nu + m - 1) Q_nu^{m-2}
     if m_max >= 2:
-        s = np.sqrt(t * t - 1.0)
-        for m in range(2, m_max + 1):
-            for n in range(n_max + 1):
-                nu = n - 0.5
-                q[n, m, :] = (
-                    -2.0 * (m - 1) * t / s * q[n, m - 1, :]
-                    + (nu - m + 2) * (nu + m - 1) * q[n, m - 2, :]
-                )
+        coth = 1.0 / np.tanh(eta)
+        nu = np.arange(n_max + 1)[:, None] - 0.5
+        for mm in range(2, m_max + 1):
+            q[:, mm] = (-2.0 * (mm - 1) * coth * q[:, mm - 1]
+                        + (nu - mm + 2) * (nu + mm - 1) * q[:, mm - 2])
     return q

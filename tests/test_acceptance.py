@@ -12,6 +12,7 @@ from toroharm.checks import (
     check_harmonicity,
     check_j_coefficients,
     check_known_expansions,
+    check_legendre_mpmath,
     check_legendre_oracle,
     check_legendre_recurrences,
     check_matrix_inverse,
@@ -43,8 +44,8 @@ def _gate(label, results, max_seconds=None, elapsed=None):
 
 def test_criterion_01_legendre_recurrences_and_oracle():
     t0 = time.perf_counter()
-    results = [check_legendre_recurrences(), check_legendre_oracle()]
-    _gate("criterion 01 half-integer Legendre recurrences + quadrature oracle",
+    results = [check_legendre_recurrences(), check_legendre_oracle(), check_legendre_mpmath()]
+    _gate("criterion 01 half-integer Legendre recurrences + quadrature oracle + mpmath",
           results, max_seconds=60.0, elapsed=time.perf_counter() - t0)
 
 

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import mpmath as mp
 import numpy as np
 from numpy.testing import assert_allclose
 
@@ -25,7 +26,7 @@ def test_eval_I_seed_value(capsys):
     assert code == 0
     t = math.cosh(1.0)
     ref = math.sqrt(t - math.cos(1.5707963)) * float(
-        q_half_grid(0, 0, np.array([t]))[0, 0, 0])
+        q_half_grid(0, 0, np.array([math.acosh(t)]))[0, 0, 0])
     assert_allclose(float(out.splitlines()[0]), ref, rtol=1e-12)
     assert "provenance" in out
 
@@ -162,6 +163,13 @@ def test_verify_suite_and_exit_codes(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_rejects_unread_tol_name(capsys):
+    # check names are known once the suites have run; the error lists them
+    code, _, err = run(capsys, "verify", "coh", "--tol", "nosuch=1e-3")
+    assert code == 2
+    assert "'nosuch'" in err and "'radius independence of the coefficient'" in err
+
+
 def test_unknown_suite_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "nope")
     assert code == 2
@@ -183,9 +191,23 @@ def test_config_depths_key_is_unknown(capsys, tmp_path):
     assert "unknown config key 'depths'" in err
 
 
+def test_eval_near_axis_matches_mpmath(capsys):
+    # cosh(1e-9) rounds to 1, but the radial functions take eta itself
+    code, out, _ = run(capsys, "eval", "I", "0", "0", "+", "+",
+                       "--eta", "1e-9", "--theta", "0.5", "--phi", "0")
+    assert code == 0
+    x0, x1, x2 = (mp.mpf(v) for v in
+                  out.splitlines()[1].split("point=(")[1].rstrip(")").split(", "))
+    with mp.workdps(30):
+        rho = mp.hypot(x1, x2)
+        far, near = (rho + 1) ** 2 + x0**2, (rho - 1) ** 2 + x0**2
+        t = (far + near) / (2 * mp.sqrt(far * near))  # cosh(eta)
+        cos_theta = (rho**2 + x0**2 - 1) / mp.sqrt(far * near)
+        ref = mp.sqrt(t - cos_theta) * mp.re(mp.legenq(-mp.mpf(1) / 2, 0, t, type=3))
+    assert_allclose(float(out.split()[0]), float(ref), rtol=1e-13)
+
+
 @pytest.mark.parametrize("argv", [
-    # cosh(1e-9) rounds to 1, where the radial functions are undefined
-    ("eval", "I", "0", "0", "+", "+", "--eta", "1e-9", "--theta", "0.5", "--phi", "0"),
     # negative planar powers on the axis
     ("eval", "J", "-1", "+", "--x", "1", "0", "0"),
     ("eval", "W", "-2", "-", "--x", "0.5", "0", "0"),
@@ -196,8 +218,18 @@ def test_config_depths_key_is_unknown(capsys, tmp_path):
     ("grid-export", "I", "0", "0", "+", "+", "--n-eta", "0", "--n-theta", "1", "--n-phi", "1"),
     ("grid-export", "I", "0", "0", "+", "+", "--n-eta", "1", "--n-theta", "0", "--n-phi", "1"),
     ("grid-export", "I", "0", "0", "+", "+", "--n-eta", "1", "--n-theta", "1", "--n-phi", "0"),
+    # a tolerance that no check of the run reads
+    ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--tol", "nosuch=1e-3"),
+    # grid-export's config keys given to another subcommand
+    ("eval", "W", "1", "+", "--x", "0.1", "0.9", "0.2", "--config", {"eta0": 7}),
 ])
-def test_input_errors_exit_2_with_one_line(capsys, argv):
+def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
+    argv = list(argv)
+    for i, a in enumerate(argv):
+        if isinstance(a, dict):  # the contents of a config file
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(a))
+            argv[i] = str(path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""

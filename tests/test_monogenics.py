@@ -144,6 +144,16 @@ def test_psi_of_constant():
     assert_allclose([v.a0, v.a1, v.a2], [1.0, 0.0, 0.0], atol=1e-9)
 
 
+def test_psi_domain_membership():
+    # Psi holds the membership rule eta > eta0; the axis lies outside
+    op = Psi(lambda x0, x1, x2: np.ones(np.broadcast(x0, x1, x2).shape), TorusDomain(1.0))
+    inside = to_cartesian(ToroidalPoint(1.5, 0.3, 0.1))
+    assert_allclose(op(inside.x0, inside.x1, inside.x2), [1.0, 0.0, 0.0], atol=1e-9)
+    for x in (to_cartesian(ToroidalPoint(0.5, 0.3, 0.1)), CartesianPoint(2.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match="outside its domain"):
+            op(x.x0, x.x1, x.x2)
+
+
 def test_psi_of_x0_closed_form():
     dom = TorusDomain(1.0)
     r_in, _ = dom.slice_radii()

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -16,14 +17,15 @@ from toroharm.special_functions import (
 )
 
 
-def _mp_q(n, m, t):
-    return float(mp.re(mp.legenq(n - mp.mpf(1) / 2, m, mp.mpf(t), type=3)))
+def _mp_q(n, m, eta):
+    return float(mp.re(mp.legenq(n - mp.mpf(1) / 2, m, mp.cosh(mp.mpf(eta)), type=3)))
 
 
 def test_elliptic_against_scipy():
     k = np.linspace(0.01, 0.99, 25)
     # the K that the Legendre-Q seeds use
-    assert_allclose(np.pi / (2 * _elliptic_K_csum(k)[0]), special.ellipk(k**2), rtol=1e-13)
+    assert_allclose(np.pi / (2 * _elliptic_K_csum(k, np.sqrt(1 - k**2))[0]),
+                    special.ellipk(k**2), rtol=1e-13)
     assert_allclose(elliptic_E(k), special.ellipe(k**2), rtol=1e-13)
 
 
@@ -38,9 +40,10 @@ def test_gamma_half_values():
 
 @pytest.mark.parametrize("t", [1.0001, 1.1, 2.0, 10.0, 500.0])
 def test_seeds_against_mpmath(t):
-    q = q_half_grid(1, 0, np.array([t]))
-    assert_allclose(q[0, 0, 0], _mp_q(0, 0, t), rtol=1e-13)
-    assert_allclose(q[1, 0, 0], _mp_q(1, 0, t), rtol=1e-13)
+    eta = math.acosh(t)
+    q = q_half_grid(1, 0, np.array([eta]))
+    assert_allclose(q[0, 0, 0], _mp_q(0, 0, eta), rtol=1e-13)
+    assert_allclose(q[1, 0, 0], _mp_q(1, 0, eta), rtol=1e-13)
 
 
 @pytest.mark.parametrize("n,m,t", [
@@ -48,28 +51,39 @@ def test_seeds_against_mpmath(t):
     (8, 2, 1.05), (3, 1, 100.0), (12, 4, 2.2),
 ])
 def test_grid_against_mpmath(n, m, t):
-    got = float(q_half_grid(n, m, np.array([t]))[n, m, 0])
-    assert_allclose(got, _mp_q(n, m, t), rtol=5e-12)
+    eta = math.acosh(t)
+    got = float(q_half_grid(n, m, np.array([eta]))[n, m, 0])
+    assert_allclose(got, _mp_q(n, m, eta), rtol=5e-12)
 
 
 def test_large_argument_branch():
-    # the recurrence would overflow here; the asymptotic branch takes over
-    t = 1e10
-    got = float(q_half_grid(2, 1, np.array([t]))[2, 1, 0])
-    ref = _mp_q(2, 1, t)
+    # far from the axis: the seeds and the ratios shrink like powers of
+    # exp(-eta), with no overflow on the way
+    eta = math.acosh(1e10)
+    got = float(q_half_grid(2, 1, np.array([eta]))[2, 1, 0])
+    ref = _mp_q(2, 1, eta)
     assert_allclose(got, ref, rtol=1e-8)
+
+
+def test_limit_circle_is_zero():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q = q_half_grid(4, 3, np.array([np.inf, 1.0]))
+    assert np.all(q[:, :, 0] == 0.0)
+    assert np.all(q[:, :, 1] != 0.0)
 
 
 def test_quadrature_oracle_matches_fast_path():
     for n, m, t in [(0, 0, 1.3), (4, 2, 2.7), (11, 6, 7.6913), (9, 4, 6.99)]:
-        fast = float(q_half_grid(n, m, np.array([t]))[n, m, 0])
+        fast = float(q_half_grid(n, m, np.array([math.acosh(t)]))[n, m, 0])
         slow = legendre_q_quadrature(n, m, t)
         assert_allclose(fast, slow, rtol=1e-9)
 
 
 def test_degree_recurrence_on_grid():
-    t = np.linspace(1.1, 10.0, 31)
-    q = q_half_grid(16, 5, t)
+    eta = np.arccosh(np.linspace(1.1, 10.0, 31))
+    t = np.cosh(eta)
+    q = q_half_grid(16, 5, eta)
     for m in range(6):
         for n in range(1, 15):
             lhs = (n - m + 0.5) * q[n + 1, m]
@@ -79,6 +93,9 @@ def test_degree_recurrence_on_grid():
 
 
 def test_rejects_bad_arguments():
+    for eta in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            q_half_grid(2, 1, np.array([eta]))
     with pytest.raises(ValueError):
         legendre_q_quadrature(2, 1, 0.9)
     with pytest.raises(ValueError):
