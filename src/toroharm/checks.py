@@ -52,6 +52,7 @@ from .geometry import (
     to_cartesian,
     to_toroidal,
     toroidal_arrays,
+    torus_volume,
 )
 from .harmonics import (
     DerivativeTerm,
@@ -87,7 +88,7 @@ from .monogenics import (
     t_is_zero,
     t_term_tables,
 )
-from .quadrature import integrate_torus, torus_volume
+from .quadrature import integrate_torus
 from .special_functions import legendre_q_quadrature, q_half_grid
 
 
@@ -743,11 +744,10 @@ def _margin_grid(eta0: float, margin: float) -> ExpansionGrid:
     eta = np.linspace(eta0 + margin, eta0 + 3.0, 9)
     th = np.linspace(-math.pi, math.pi, 11, endpoint=False)
     ph = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-    E, T, P = np.meshgrid(eta, th, ph, indexing="ij")
-    x0, x1, x2 = cartesian_arrays(E, T, P)
-    pts = [(CartesianPoint(a, b, c), 1.0)
-           for a, b, c in zip(x0.ravel(), x1.ravel(), x2.ravel())]
-    return ExpansionGrid.from_samples(pts)
+    x = [c.ravel() for c in cartesian_arrays(*np.meshgrid(eta, th, ph, indexing="ij"))]
+    # each node's toroidal coordinates are those of its Cartesian point, so
+    # the Cartesian (T0, W) and the toroidal kinds see the same points
+    return ExpansionGrid(*x, *toroidal_arrays(*x), np.ones(x[0].size))
 
 
 def check_known_expansions(N: int = 40) -> List[CheckResult]:

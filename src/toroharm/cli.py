@@ -20,15 +20,23 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .appell import eval_I_star_batch, inverse_matrix, star_matrix
+from .appell import inverse_matrix, star_matrix
 from .checks import SUITES, CheckResult
-from .expansion import SCHEMA_VERSION
+from .expansion import (
+    SCHEMA_VERSION,
+    BasisElement,
+    ExpansionGrid,
+    element_T0,
+    element_W,
+    evaluate_element,
+    evaluate_element_grid,
+)
 from .geometry import (
     CartesianPoint,
     DegenerateLocusError,
@@ -36,10 +44,9 @@ from .geometry import (
     ToroidalPoint,
     cartesian_arrays,
     to_cartesian,
-    to_toroidal,
 )
-from .harmonics import HarmonicIndex, eval_I_batch, kappa, parse_sign
-from .monogenics import eval_T0_batch, eval_T_batch, eval_W_batch, t_is_zero
+from .harmonics import kappa, parse_sign
+from .monogenics import _T0_NODES, t_is_zero
 
 GOLDEN_SCHEMA = 1
 
@@ -51,16 +58,25 @@ _DEFAULT_CONFIG = {
     "format": "csv",
 }
 
+#: config keys that only some subcommands read; the flags of the same
+#: names exist on those subcommands only
+_KEY_READERS = {
+    "eta0": ("grid-export",),
+    "grid": ("grid-export",),
+    "output": ("coeffs", "grid-export"),
+    "format": ("coeffs", "grid-export"),
+}
+
 
 @dataclass
 class RunConfig:
-    """Resolved runtime configuration."""
+    """Resolved runtime configuration; the defaults are ``_DEFAULT_CONFIG``."""
 
-    eta0: float = 1.0
-    tolerances: Dict[str, float] = field(default_factory=dict)
-    grid: Dict[str, float] = field(default_factory=lambda: dict(_DEFAULT_CONFIG["grid"]))
-    output: Optional[str] = None
-    format: str = "csv"
+    eta0: float
+    tolerances: Dict[str, float]
+    grid: Dict[str, float]
+    output: Optional[str]
+    format: str
 
     def __post_init__(self) -> None:
         if not self.eta0 > 0:
@@ -99,14 +115,17 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         for key, val in data.items():
             if key not in merged:
                 raise UsageError(f"unknown config key {key!r}")
-            if key in ("eta0", "grid") and args.command != "grid-export":
-                raise UsageError(f"config key {key!r} is read only by grid-export")
+            readers = _KEY_READERS.get(key)
+            if readers and args.command not in readers:
+                raise UsageError(
+                    f"config key {key!r} is read only by {' and '.join(readers)}")
             if isinstance(merged[key], dict):
                 merged[key].update(val)
             else:
                 merged[key] = val
-    if getattr(args, "eta0", None) is not None:  # a grid-export flag
-        merged["eta0"] = args.eta0
+    for key in ("eta0", "output", "format"):  # flags of some subcommands only
+        if getattr(args, key, None) is not None:
+            merged[key] = getattr(args, key)
     for spec in args.tol or []:
         name, _, val = spec.partition("=")
         if not _ or not name:
@@ -115,10 +134,6 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
             merged["tolerances"][name] = float(val)
         except ValueError:
             raise UsageError(f"--tol value for {name!r} is not a number: {val!r}")
-    if args.output is not None:
-        merged["output"] = args.output
-    if args.format is not None:
-        merged["format"] = args.format
     try:
         return RunConfig(
             eta0=float(merged["eta0"]),
@@ -135,7 +150,39 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
 # eval
 # ---------------------------------------------------------------------------
 
-_KIND_INDEX_ARGS = {"I": 4, "Istar": 4, "T": 4, "J": 2, "W": 2, "T0": 2}
+#: CLI kind -> (basis-element kind, number of index arguments, rows of the
+#: element's (4, npts) values that are printed, provenance)
+_KINDS = {
+    "I": ("I", 4, slice(0, 1), "analytic (radial recurrences and trig)"),
+    "Istar": ("ISTAR", 4, slice(0, 1), "analytic (exact star coefficients)"),
+    "T": ("T", 4, slice(0, 3), "analytic (derivative coefficient tables)"),
+    "T0": ("T0", 2, slice(0, 3),
+           f"quadrature ({_T0_NODES}-node Gauss-Legendre line integrals)"),
+    "W": ("W", 2, slice(0, 3), "analytic (planar powers)"),
+    # J_m^sign is the e1 part of W_m^sign
+    "J": ("W", 2, slice(1, 2), "analytic (planar power)"),
+}
+
+
+def _element(kind: str, index: Sequence[str]) -> Tuple[BasisElement, slice, str]:
+    """The basis element that a CLI kind and its index arguments name (T's
+    identically zero slots allowed), its printed rows and its provenance."""
+    el_kind, n_args, rows, provenance = _KINDS[kind]
+    if len(index) != n_args:
+        raise UsageError(f"kind {kind} takes {n_args} index arguments")
+    try:
+        if n_args == 2:
+            make = element_T0 if el_kind == "T0" else element_W
+            el = make(int(index[0]), index[1])
+        else:
+            el = BasisElement(el_kind, int(index[0]), int(index[1]),
+                              parse_sign(index[2]), parse_sign(index[3]),
+                              allow_excluded=True)
+    except (ValueError, TypeError) as exc:
+        raise UsageError(f"bad index for kind {kind}: {exc}")
+    if el.kind == "T" and t_is_zero(el.n, el.m, el.nu, el.mu):
+        provenance += "; identically zero slot"
+    return el, rows, provenance
 
 
 def _parse_point(args: argparse.Namespace) -> CartesianPoint:
@@ -148,47 +195,11 @@ def _parse_point(args: argparse.Namespace) -> CartesianPoint:
     if have_tor:
         if args.eta is None:
             raise UsageError("--theta/--phi need --eta as well")
-        return to_cartesian(ToroidalPoint(args.eta, args.theta or 0.0, args.phi or 0.0))
-    raise UsageError("no evaluation point given (use --eta ... or --x ...)")
-
-
-def _eval_values(kind: str, index: Sequence[str], x, tor):
-    """Values of one basis function on 1-D coordinate arrays, given as
-    Cartesian ``x = (x0, x1, x2)`` and toroidal ``tor = (eta, theta, phi)``
-    (``None`` is fine for the planar kinds J and W).
-
-    Returns (array of shape (components, npts), provenance string).
-    """
-    try:
-        if kind in ("I", "Istar", "T"):
-            n, m = int(index[0]), int(index[1])
-            nu, mu = parse_sign(index[2]), parse_sign(index[3])
-            idx = HarmonicIndex(n, m, nu, mu)
-        elif kind in ("J", "W"):
-            m, sgn = int(index[0]), parse_sign(index[1])
-        else:  # T0
-            m, mu = int(index[0]), parse_sign(index[1])
-    except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad index for kind {kind}: {exc}")
-
-    if kind in ("J", "W"):
         try:
-            w = eval_W_batch(m, sgn, x[1], x[2])
-        except DegenerateLocusError as exc:
-            raise UsageError(str(exc))
-        if kind == "J":  # J_m^sign is the e1 part of W_m^sign
-            return w[1:2], "analytic (planar power)"
-        return w, "analytic (planar powers)"
-    if kind == "I":
-        return eval_I_batch(idx, *tor)[None], "analytic (radial recurrences and trig)"
-    if kind == "Istar":
-        return eval_I_star_batch(idx, *tor)[None], "analytic (exact star coefficients)"
-    if kind == "T":
-        prov = "analytic (derivative coefficient tables)"
-        if t_is_zero(idx.n, idx.m, idx.nu, idx.mu):
-            prov += "; identically zero slot"
-        return eval_T_batch(idx, *tor), prov
-    return eval_T0_batch(m, mu, *x), "quadrature (96-node Gauss-Legendre line integrals)"
+            return to_cartesian(ToroidalPoint(args.eta, args.theta or 0.0, args.phi or 0.0))
+        except ValueError as exc:  # eta <= 0, or cosh(eta) overflows
+            raise UsageError(f"bad toroidal point: {exc}")
+    raise UsageError("no evaluation point given (use --eta ... or --x ...)")
 
 
 def _normalize(values: np.ndarray) -> np.ndarray:
@@ -197,9 +208,7 @@ def _normalize(values: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if len(args.index) != _KIND_INDEX_ARGS[args.kind]:
-        raise UsageError(
-            f"kind {args.kind} takes {_KIND_INDEX_ARGS[args.kind]} index arguments")
+    el, rows, provenance = _element(args.kind, args.index)
 
     golden = None
     if args.golden and not args.update_golden:
@@ -215,15 +224,10 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         x = _parse_point(args)
     _check_tol_names(args, ["golden"] if golden is not None else [])
 
-    tor = None
-    if args.kind not in ("J", "W"):
-        try:
-            p = to_toroidal(x)
-        except DegenerateLocusError as exc:
-            raise UsageError(str(exc))
-        tor = ([p.eta], [p.theta], [p.phi])
-    values, provenance = _eval_values(args.kind, args.index, ([x.x0], [x.x1], [x.x2]), tor)
-    values = _normalize(values[:, 0]).tolist()
+    try:
+        values = _normalize(evaluate_element(el, x).as_array()[rows]).tolist()
+    except DegenerateLocusError as exc:
+        raise UsageError(str(exc))
     print(" ".join(repr(v) for v in values))
     print(f"# kind={args.kind} index={' '.join(args.index)} "
           f"point=({x.x0!r}, {x.x1!r}, {x.x2!r})")
@@ -338,9 +342,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if len(args.index) != _KIND_INDEX_ARGS[args.kind]:
-        raise UsageError(
-            f"kind {args.kind} takes {_KIND_INDEX_ARGS[args.kind]} index arguments")
+    el, rows, _ = _element(args.kind, args.index)
     _check_tol_names(args, [])
     g = cfg.grid
     n_eta = args.n_eta if args.n_eta is not None else int(g["n_eta"])
@@ -357,9 +359,13 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     # eta-major ordering, then theta, then phi
     tor = [c.ravel() for c in np.meshgrid(etas, thetas, phis, indexing="ij")]
-    x = cartesian_arrays(*tor)
-    values, _ = _eval_values(args.kind, args.index, x, tor)
-    table = np.vstack(list(x) + tor + [_normalize(values)]).T.tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = cartesian_arrays(*tor)
+    if not np.all(np.isfinite(x)):
+        raise UsageError(f"cosh(eta) overflows on this grid (eta up to {etas[-1]:g})")
+    grid = ExpansionGrid(*x, *tor, np.ones(tor[0].size))
+    values = _normalize(evaluate_element_grid(el, grid)[rows])
+    table = np.vstack(list(x) + tor + [values]).T.tolist()
     comp_names = ["value"] if len(values) == 1 else ["a0", "a1", "a2"]
     columns = ["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names
 
@@ -398,8 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="JSON config file")
     common.add_argument("--tol", action="append", metavar="NAME=VALUE",
                         help="override a named tolerance")
-    common.add_argument("--output", help="write results to this path instead of stdout")
-    common.add_argument("--format", choices=("csv", "json"), help="output format")
+    # the flags read only by coeffs and grid-export
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", help="write results to this path instead of stdout")
+    output.add_argument("--format", choices=("csv", "json"), help="output format")
 
     parser = argparse.ArgumentParser(
         prog="toroharm",
@@ -408,7 +416,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", parents=[common],
                        help="evaluate one basis function at a point")
-    p.add_argument("kind", choices=sorted(_KIND_INDEX_ARGS))
+    p.add_argument("kind", choices=sorted(_KINDS))
     p.add_argument("index", nargs="*", help="index arguments, e.g. n m + -")
     p.add_argument("--eta", type=float)
     p.add_argument("--theta", type=float)
@@ -419,7 +427,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="regenerate the golden file (never done implicitly)")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("coeffs", parents=[common],
+    p = sub.add_parser("coeffs", parents=[common, output],
                        help="dump exact rational coefficient tables")
     p.add_argument("m", type=int)
     p.add_argument("n_max", type=int)
@@ -431,9 +439,9 @@ def _build_parser() -> argparse.ArgumentParser:
                    help=f"suites to run (default: all of {sorted(SUITES)})")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("grid-export", parents=[common],
+    p = sub.add_parser("grid-export", parents=[common, output],
                        help="sample a function on a structured grid and export")
-    p.add_argument("kind", choices=sorted(_KIND_INDEX_ARGS))
+    p.add_argument("kind", choices=sorted(_KINDS))
     p.add_argument("index", nargs="*")
     p.add_argument("--eta0", type=float, help="inner boundary parameter of the solid torus")
     p.add_argument("--n-eta", type=int)

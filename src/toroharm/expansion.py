@@ -145,12 +145,17 @@ def element_I_star(idx: HarmonicIndex) -> BasisElement:
     return BasisElement("ISTAR", idx.n, idx.m, idx.nu, idx.mu)
 
 
-def _element_q_extent(el: BasisElement) -> Tuple[int, int]:
-    """(n_max, m_max) of the radial table needed to evaluate a T, I or
-    ISTAR element."""
-    if el.kind == "T":
-        return (el.n, el.m + 1)
-    return (el.n, el.m)
+def _radial_table(elements: Sequence[BasisElement], grid: ExpansionGrid):
+    """One ``q_half_grid`` table on the grid's ``eta``, sized to the widest
+    T, I or ISTAR element (e3 multiples by their inner element); ``None``
+    when no element needs one."""
+    bases = [el.inner if el.kind == "E3" else el for el in elements]
+    # T's derivative tables reach one order above its own
+    extents = [(el.n, el.m + 1 if el.kind == "T" else el.m) for el in bases
+               if el.kind in ("T", "I", "ISTAR")]
+    if not extents:
+        return None
+    return q_half_grid(max(n for n, _ in extents), max(m for _, m in extents), grid.eta)
 
 
 def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
@@ -161,7 +166,8 @@ def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
     base = el.inner if el.kind == "E3" else el
     if base.kind not in ("ONE", "W"):
         to_toroidal(x)
-    grid = ExpansionGrid.from_samples([(x, 1.0)])
+    with np.errstate(divide="ignore"):  # eta is inf on the limit circle
+        grid = ExpansionGrid.from_samples([(x, 1.0)])
     return Quaternion(*evaluate_element_grid(el, grid)[:, 0].tolist())
 
 
@@ -171,12 +177,8 @@ def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
 
 @dataclass
 class ExpansionGrid:
-    """Flattened quadrature nodes and weights for Gram assembly.
-
-    Built from the (point, weight) pairs of ``geometry.sample_grid``;
-    caches the shared radial table so that repeated element evaluations
-    do not redo the backward recurrences.
-    """
+    """Flattened quadrature nodes and weights for Gram assembly, in both
+    coordinate systems."""
 
     x0: np.ndarray
     x1: np.ndarray
@@ -185,30 +187,24 @@ class ExpansionGrid:
     theta: np.ndarray
     phi: np.ndarray
     weights: np.ndarray
-    _q_cache: dict = field(default_factory=dict, repr=False)
 
     @classmethod
     def from_samples(cls, samples) -> "ExpansionGrid":
+        """From the (point, weight) pairs of ``geometry.sample_grid``."""
         pts = np.array([(p.x0, p.x1, p.x2, w) for p, w in samples])
         eta, theta, phi = toroidal_arrays(pts[:, 0], pts[:, 1], pts[:, 2])
         return cls(pts[:, 0], pts[:, 1], pts[:, 2], eta, theta, phi, pts[:, 3])
-
-    def q_table(self, n_max: int, m_max: int):
-        key = max([k for k in self._q_cache if k[0] >= n_max and k[1] >= m_max],
-                  default=None)
-        if key is not None:
-            return self._q_cache[key]
-        new_key = (n_max, m_max)
-        self._q_cache.clear()
-        self._q_cache[new_key] = q_half_grid(n_max, m_max, self.eta)
-        return self._q_cache[new_key]
 
     def __len__(self) -> int:
         return self.x0.size
 
 
-def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid) -> np.ndarray:
-    """Element values on all grid nodes, shape (4, npts)."""
+def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid, q=None) -> np.ndarray:
+    """Element values on all grid nodes, shape (4, npts).
+
+    ``q``, if given, is a :func:`_radial_table` on the grid covering the
+    element; callers that evaluate many elements build one and pass it.
+    """
     npts = len(grid)
     if el.kind == "ONE":
         out = np.zeros((4, npts))
@@ -218,17 +214,16 @@ def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid) -> np.ndarray:
         v = eval_W_batch(el.m, el.nu, grid.x1, grid.x2)
         return np.vstack([v, np.zeros((1, npts))])
     if el.kind == "E3":
-        return qmul(evaluate_element_grid(el.inner, grid), E3)
+        return qmul(evaluate_element_grid(el.inner, grid, q), E3)
     if el.kind == "T0":
         v = eval_T0_batch(el.m, el.mu, grid.x0, grid.x1, grid.x2)
         return np.vstack([v, np.zeros((1, npts))])
-    ne, me = _element_q_extent(el)
-    q = grid.q_table(max(ne, 1), max(me, 1))
+    if q is None:
+        q = _radial_table([el], grid)
+    idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
     if el.kind == "T":
-        idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
         v = eval_T_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
         return np.vstack([v, np.zeros((1, npts))])
-    idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
     out = np.zeros((4, npts))
     if el.kind == "I":
         out[0] = eval_I_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
@@ -277,9 +272,10 @@ def evaluate_series(s: SeriesExpansion, x: CartesianPoint) -> Quaternion:
 
 
 def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
+    q = _radial_table([el for el, _ in s.terms], grid)
     total = np.zeros((4, len(grid)))
     for el, c in s.terms:
-        total += c * evaluate_element_grid(el, grid)
+        total += c * evaluate_element_grid(el, grid, q)
     return total
 
 
@@ -347,7 +343,8 @@ def _weighted_values(basis: Sequence[BasisElement], grid: ExpansionGrid):
     """One row per element: its grid values times the square-root weights,
     flattened over components and nodes; returned with those weights."""
     sqw = np.sqrt(grid.weights)
-    M = np.stack([(evaluate_element_grid(el, grid) * sqw).reshape(-1) for el in basis])
+    q = _radial_table(basis, grid)
+    M = np.stack([(evaluate_element_grid(el, grid, q) * sqw).reshape(-1) for el in basis])
     return M, sqw
 
 

@@ -22,8 +22,6 @@ from typing import List, Tuple
 import numpy as np
 from numpy.polynomial import legendre as _legendre
 
-from .quadrature import torus_volume
-
 
 class DegenerateLocusError(ValueError):
     """Input lies on the axis or limit circle, where (eta, theta, phi) is
@@ -72,6 +70,17 @@ class CartesianPoint:
         return math.hypot(self.x1, self.x2)
 
 
+def torus_volume(eta0: float) -> float:
+    """Closed-form volume of the solid torus ``{eta > eta0}``.
+
+    Pappus' theorem with tube radius ``1/sinh(eta0)`` and center-circle
+    radius ``coth(eta0)``.
+    """
+    if eta0 <= 0:
+        raise ValueError("eta0 must be positive")
+    return 2.0 * np.pi**2 / (np.tanh(eta0) * np.sinh(eta0) ** 2)
+
+
 @dataclass(frozen=True)
 class TorusDomain:
     """The open solid torus ``{eta > eta0}``."""
@@ -91,47 +100,45 @@ class TorusDomain:
 
 
 def to_cartesian(p: ToroidalPoint) -> CartesianPoint:
-    """Map toroidal to Cartesian coordinates."""
-    denom = math.cosh(p.eta) - math.cos(p.theta)
-    return CartesianPoint(
-        math.sin(p.theta) / denom,
-        math.sinh(p.eta) * math.cos(p.phi) / denom,
-        math.sinh(p.eta) * math.sin(p.phi) / denom,
-    )
+    """Map toroidal to Cartesian coordinates: :func:`cartesian_arrays` at
+    one point.  Raises ``ValueError`` where ``cosh(eta)`` overflows (eta
+    above about 710)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = cartesian_arrays(p.eta, p.theta, p.phi)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"cosh(eta) overflows at eta = {p.eta}")
+    return CartesianPoint(*map(float, x))
 
 
 def to_toroidal(x: CartesianPoint) -> ToroidalPoint:
-    """Inverse coordinate map.
+    """Inverse coordinate map: :func:`toroidal_arrays` at one point.
+
+    Raises :class:`DegenerateLocusError` on the axis (rho = 0), on the
+    limit circle (rho = 1, x0 = 0) and where ``eta`` rounds to 0.
+    """
+    if x.rho() == 0.0:
+        raise DegenerateLocusError("point lies on the x0-axis")
+    with np.errstate(all="ignore"):  # d_near^2 is 0 on the limit circle
+        eta, theta, phi = toroidal_arrays(x.x0, x.x1, x.x2)
+    if eta == math.inf:
+        raise DegenerateLocusError("point lies on the limit circle")
+    if not eta > 0.0:
+        raise DegenerateLocusError(
+            "point lies on the boundary sheet eta = 0 (outside every torus)"
+        )
+    return ToroidalPoint(float(eta), float(theta), float(phi))
+
+
+def toroidal_arrays(x0, x1, x2):
+    """Vectorized inverse map returning ``(eta, theta, phi)`` arrays.
 
     Uses the bipolar representation in the meridian half-plane: with
     ``rho = sqrt(x1^2 + x2^2)``, ``eta`` is the log-ratio of distances from
     ``(rho, x0)`` to the foci ``(1, 0)`` and ``(-1, 0)``, and ``theta`` is
     the angle subtended.  The squared ratio is ``1 + 4 rho / d_near^2``, so
     ``eta = log1p(4 rho / d_near^2) / 2`` keeps full precision near the
-    axis, where the ratio tends to 1.  Raises :class:`DegenerateLocusError`
-    on the axis (rho = 0) and on the limit circle (rho = 1, x0 = 0).
-    """
-    rho = x.rho()
-    if rho == 0.0:
-        raise DegenerateLocusError("point lies on the x0-axis")
-    d_near2 = (rho - 1.0) ** 2 + x.x0 * x.x0
-    if d_near2 == 0.0:
-        raise DegenerateLocusError("point lies on the limit circle")
-    eta = 0.5 * math.log1p(4.0 * rho / d_near2)
-    if eta <= 0.0:
-        raise DegenerateLocusError(
-            "point lies on the boundary sheet eta = 0 (outside every torus)"
-        )
-    theta = math.atan2(2.0 * x.x0, rho * rho + x.x0 * x.x0 - 1.0)
-    phi = math.atan2(x.x2, x.x1)
-    return ToroidalPoint(eta, theta, phi)
-
-
-def toroidal_arrays(x0, x1, x2):
-    """Vectorized inverse map returning ``(eta, theta, phi)`` arrays.
-
-    No degeneracy checks; intended for grids known to avoid the axis and
-    limit circle.  ``eta`` as in :func:`to_toroidal`.
+    axis, where the ratio tends to 1.  No degeneracy checks; intended for
+    grids known to avoid the axis and limit circle (see :func:`to_toroidal`).
     """
     x0 = np.asarray(x0, dtype=float)
     rho = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
@@ -154,6 +161,35 @@ def cartesian_arrays(eta, theta, phi):
     )
 
 
+def _torus_rule(eta_in: float, n_eta: int, n_theta: int, n_phi: int):
+    """One-dimensional factors of the tensor rule on the solid torus
+    ``{eta > eta_in}``.
+
+    Gauss-Legendre in the substituted radial variable ``u = exp(eta_in -
+    eta)``, which maps the unbounded ``eta`` range to ``u in (0, 1)``, and
+    uniform (periodic trapezoid) nodes in both angles.  Returns ``(eta,
+    w_eta, theta, phi)``; ``w_eta`` is the radial weight, with ``d(eta) =
+    -du/u``, times the angular weight.  :func:`_torus_mesh` expands them.
+    """
+    gl, glw = _legendre.leggauss(n_eta)
+    u = 0.5 * (gl + 1.0)
+    w_eta = 0.5 * glw / u * ((2.0 * np.pi) ** 2 / (n_theta * n_phi))
+    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
+    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    return eta_in - np.log(u), w_eta, theta, phi
+
+
+def _torus_mesh(eta, w_eta, theta, phi):
+    """Cartesian nodes ``(x0, x1, x2)`` and weights of a :func:`_torus_rule`
+    on the mesh ``eta x theta x phi``, each of shape ``(eta.size,
+    theta.size, phi.size)``.  The weights carry the volume element
+    ``sinh(eta) (cosh(eta) - cos(theta))^-3``."""
+    E, T = eta[:, None, None], theta[:, None]
+    x = np.broadcast_arrays(*cartesian_arrays(E, T, phi))
+    w = w_eta[:, None, None] * np.sinh(E) / (np.cosh(E) - np.cos(T)) ** 3
+    return x, np.broadcast_to(w, x[0].shape)
+
+
 def sample_grid(
     domain: TorusDomain,
     n_eta: int,
@@ -163,37 +199,14 @@ def sample_grid(
 ) -> List[Tuple[CartesianPoint, float]]:
     """Quadrature nodes and weights on the shrunken torus ``{eta >= eta0 + margin}``.
 
-    Gauss-Legendre in the substituted radial variable ``u = exp(eta_in - eta)``
-    and uniform (trapezoid) nodes in both angles, weighted with the volume
-    element ``sinh(eta) (cosh(eta) - cos(theta))^-3``.  The weights sum to
-    the volume of the sampled region, so Gram matrices built on the grid
-    approximate L2 inner products.
+    The nodes of :func:`_torus_rule`, ordered eta-major, then theta, then
+    phi.  The weights sum to the volume of the sampled region, so Gram
+    matrices built on the grid approximate L2 inner products.
     """
     if n_eta < 1 or n_theta < 1 or n_phi < 1:
         raise ValueError("grid counts must be positive")
     if margin <= 0:
         raise ValueError("margin must be positive")
-    eta_in = domain.eta0 + margin
-
-    gl, glw = _legendre.leggauss(n_eta)
-    u = 0.5 * (gl + 1.0)
-    wu = 0.5 * glw
-    eta = eta_in - np.log(u)
-    theta = 2.0 * np.pi * np.arange(n_theta) / n_theta
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
-    w_ang = (2.0 * np.pi) ** 2 / (n_theta * n_phi)
-
-    out: List[Tuple[CartesianPoint, float]] = []
-    for i in range(n_eta):
-        ch, sh = math.cosh(eta[i]), math.sinh(eta[i])
-        for th in theta:
-            denom = ch - math.cos(th)
-            jac = sh / denom**3
-            weight = (wu[i] / u[i]) * jac * w_ang
-            x0 = math.sin(th) / denom
-            rho = sh / denom
-            for ph in phi:
-                out.append(
-                    (CartesianPoint(x0, rho * math.cos(ph), rho * math.sin(ph)), weight)
-                )
-    return out
+    x, w = _torus_mesh(*_torus_rule(domain.eta0 + margin, n_eta, n_theta, n_phi))
+    points = map(CartesianPoint, *(c.ravel().tolist() for c in x))
+    return list(zip(points, w.ravel().tolist()))

@@ -25,6 +25,8 @@ import numpy as np
 from numpy.polynomial import legendre as _legendre
 from scipy import integrate as _integrate
 
+from .geometry import _torus_mesh, _torus_rule
+
 
 @dataclass(frozen=True)
 class QuadratureResult:
@@ -230,17 +232,6 @@ def integrate_annulus(
     )
 
 
-def torus_volume(eta0: float) -> float:
-    """Closed-form volume of the solid torus ``{eta > eta0}``.
-
-    Pappus' theorem with tube radius ``1/sinh(eta0)`` and center-circle
-    radius ``coth(eta0)``.
-    """
-    if eta0 <= 0:
-        raise ValueError("eta0 must be positive")
-    return 2.0 * np.pi**2 / (np.tanh(eta0) * np.sinh(eta0) ** 2)
-
-
 #: integrate_torus refuses to start a level with more nodes than this
 #: (level 4 has 25.2M; level 5 would need 1.6 GB per float64 array)
 _TORUS_NODE_BUDGET = 2**25
@@ -256,12 +247,12 @@ def integrate_torus(
 ) -> QuadratureResult:
     """Integrate ``f(x0, x1, x2)`` over the solid torus ``{eta > eta0}``.
 
-    The radial coordinate is substituted as ``u = exp(eta0 - eta)`` so the
-    unbounded ``eta`` range becomes ``u in (0, 1)`` (Gauss-Legendre); the
-    two angles use the periodic trapezoid rule.  ``f`` must accept numpy
-    arrays of Cartesian coordinates and be bounded on the domain.  Each
-    level doubles the nodes per axis; a level over ``_TORUS_NODE_BUDGET``
-    nodes raises :class:`QuadratureError` with the last estimate attached.
+    Uses the rule of ``geometry.sample_grid`` (Gauss-Legendre in ``u =
+    exp(eta0 - eta)``, periodic trapezoid in both angles).  ``f`` must
+    accept numpy arrays of Cartesian coordinates and be bounded on the
+    domain.  Each level doubles the nodes per axis; a level over
+    ``_TORUS_NODE_BUDGET`` nodes raises :class:`QuadratureError` with the
+    last estimate attached.
     """
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
@@ -273,24 +264,13 @@ def integrate_torus(
         n_ang = 16 * 2**level
         if n_u * n_ang**2 > _TORUS_NODE_BUDGET:
             break
-        gl, glw = _gauss_legendre(n_u)
-        u, wu = _map_gauss(gl, glw, 0.0, 1.0)
-        eta = eta0 - np.log(u)
-        # d(eta) = -du/u; the 1/u is absorbed into the weight
-        w_eta = wu / u
-        angles = 2.0 * np.pi * np.arange(n_ang) / n_ang
-        T, P = np.meshgrid(angles, angles, indexing="ij")
-        cos_t, sin_t, cos_p, sin_p = np.cos(T), np.sin(T), np.cos(P), np.sin(P)
+        eta, w_eta, theta, phi = _torus_rule(eta0, n_u, n_ang, n_ang)
         rows = max(1, _TORUS_SLAB_NODES // n_ang**2)
         total = 0.0
         for i in range(0, n_u, rows):
-            E = eta[i:i + rows, None, None]
-            denom = np.cosh(E) - cos_t
-            rho = np.sinh(E) / denom
-            vals = f(sin_t / denom, rho * cos_p, rho * sin_p)
-            jac = np.sinh(E) / denom**3
-            total += np.sum(vals * jac * w_eta[i:i + rows, None, None])
-        prev, value = value, float(total * (2.0 * np.pi / n_ang) ** 2)
+            x, w = _torus_mesh(eta[i:i + rows], w_eta[i:i + rows], theta, phi)
+            total += np.sum(f(*x) * w)
+        prev, value = value, float(total)
         evaluations += n_u * n_ang**2
         if prev is not None:
             err = abs(value - prev)

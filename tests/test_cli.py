@@ -222,6 +222,17 @@ def test_eval_near_axis_matches_mpmath(capsys):
     ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--tol", "nosuch=1e-3"),
     # grid-export's config keys given to another subcommand
     ("eval", "W", "1", "+", "--x", "0.1", "0.9", "0.2", "--config", {"eta0": 7}),
+    # output keys given to a subcommand that writes no file
+    ("eval", "W", "1", "+", "--x", "0.1", "0.9", "0.2", "--config", {"format": "json"}),
+    ("verify", "coh", "--config", {"output": "v.txt"}),
+    # indices that name no T or T0 element
+    ("eval", "T0", "-1", "+", "--eta", "1", "--theta", "0.3", "--phi", "0.2"),
+    ("eval", "T", "0", "0", "+", "+", "--eta", "1", "--theta", "0.3", "--phi", "0.2"),
+    ("grid-export", "T0", "-2", "+", "--n-eta", "1", "--n-theta", "1", "--n-phi", "1"),
+    # cosh(eta) overflows
+    ("eval", "I", "0", "0", "+", "+", "--eta", "800", "--theta", "0.5", "--phi", "0"),
+    ("grid-export", "I", "0", "0", "+", "+", "--eta0", "800", "--n-eta", "1",
+     "--n-theta", "2", "--n-phi", "1"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = list(argv)
@@ -242,3 +253,17 @@ def test_eta0_is_a_grid_export_flag(capsys):
         main(["verify", "coh", "--eta0", "7"])
     assert exc.value.code == 2
     assert "--eta0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "W", "0", "+", "--x", "0", "1", "0", "--output", "o.txt"),
+    ("eval", "W", "0", "+", "--x", "0", "1", "0", "--format", "json"),
+    ("verify", "coh", "--output", "v.txt"),
+    ("verify", "coh", "--format", "json"),
+])
+def test_output_and_format_are_coeffs_and_grid_export_flags(capsys, argv):
+    # eval and verify write no file and have one format; the flags are unknown
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert argv[-2] in capsys.readouterr().err

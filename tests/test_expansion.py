@@ -122,6 +122,20 @@ def test_projection_round_trip(grid):
     assert res < 1e-8
 
 
+def test_project_builds_one_grid_radial_table(monkeypatch):
+    # every T element of the basis reads the same grid table
+    from toroharm import expansion
+    from toroharm.checks import _gram_grid
+
+    grid = _gram_grid()
+    calls = []
+    real = expansion.q_half_grid
+    monkeypatch.setattr(expansion, "q_half_grid",
+                        lambda *args: calls.append(args) or real(*args))
+    project(lambda x0, x1, x2: x0, basis_A_second(4, 3), grid)
+    assert len(calls) == 1
+
+
 def test_projection_refuses_ill_conditioned(grid):
     basis = [element_W(1, 1), element_W(1, 1)]  # exactly dependent
     with pytest.raises(IllConditionedGram):

@@ -11,8 +11,8 @@ from toroharm.quadrature import (
     integrate_1d,
     integrate_annulus,
     integrate_torus,
-    torus_volume,
 )
+from toroharm.geometry import torus_volume
 
 
 def test_integrate_1d_polynomial():
