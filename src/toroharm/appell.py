@@ -25,7 +25,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .geometry import ToroidalPoint
-from .harmonics import DerivativeTerm, HarmonicIndex, eval_terms, kappa
+from .harmonics import DerivativeTerm, HarmonicIndex, _combine, eval_terms, kappa
 
 Rows = Tuple[Tuple[Fraction, ...], ...]
 
@@ -142,14 +142,12 @@ def d0_star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, bool, Fractio
     return out
 
 
-def eval_d0_star(idx: HarmonicIndex, p: ToroidalPoint) -> float:
-    """Pointwise value of ``d/dx0`` of the starred harmonic, via
+def eval_d0_star(idx: HarmonicIndex, eta, theta, phi) -> np.ndarray:
+    """``d/dx0`` of the starred harmonic on coordinate arrays, via
     :func:`d0_star_terms` (no differencing)."""
-    terms = []
-    for tgt, starred, c in d0_star_terms(idx):
-        parts = _star_table(tgt) if starred else [DerivativeTerm(tgt, Fraction(1))]
-        terms += [DerivativeTerm(t.index, c * t.coefficient) for t in parts]
-    return float(eval_terms(terms, p.eta, p.theta, p.phi))
+    terms = _combine((c, _star_table(tgt) if starred else [DerivativeTerm(tgt, Fraction(1))])
+                     for tgt, starred, c in d0_star_terms(idx))
+    return eval_terms(terms, eta, theta, phi)
 
 
 def reverse_appell_check(m: int, n_max: int) -> Tuple[bool, str]:

@@ -5,6 +5,11 @@ passes when its residual is within its tolerance (exact checks report
 residual 0 or 1).  The suites back both the command-line ``verify``
 subcommand and the acceptance test battery, so everything here is
 deterministic: random points come from fixed-seed generators.
+
+The checks evaluate through the library's own array forms (coordinate
+arrays in, component arrays out), with its finite-difference stencil and
+its Fueter-operator assembly; the independent oracles are mpmath, exact
+rational arithmetic and adaptive quadrature.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -20,7 +26,6 @@ import numpy as np
 from .appell import (
     alpha_beta,
     eval_d0_star,
-    eval_I_star,
     eval_I_star_batch,
     inverse_matrix,
     j_coefficient_unit,
@@ -44,48 +49,40 @@ from .expansion import (
     t_family,
 )
 from .geometry import (
-    CartesianPoint,
     TorusDomain,
-    ToroidalPoint,
     cartesian_arrays,
     sample_grid,
-    to_cartesian,
-    to_toroidal,
     toroidal_arrays,
     torus_volume,
 )
 from .harmonics import (
     DerivativeTerm,
     HarmonicIndex,
+    _combine,
     d0_terms,
     d1_terms,
     d2_terms,
-    eval_I,
     eval_I_batch,
     eval_terms,
-    fourier_cosine_coefficients,
     index_is_valid,
     j_coefficient,
     j_coefficient_quadrature,
-    kappa,
 )
 from .monogenics import (
     COH_ORIENTATION,
     E3,
     Psi,
+    _dbar,
+    _fd_partials,
+    _stencil,
     cohomology,
     decompose_H,
-    eval_T,
-    eval_T0,
     eval_T0_batch,
     eval_T_batch,
     eval_W_batch,
     field_values,
-    fueter,
-    fueter_bar,
     qmul,
     teodorescu,
-    t_is_zero,
     t_term_tables,
 )
 from .quadrature import integrate_torus
@@ -114,28 +111,56 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
     return CheckResult(name, residual <= tol, float(residual), tol, detail)
 
 
-def _random_interior_points(n: int, eta0: float, seed: int,
-                            margin: float = 0.3) -> List[ToroidalPoint]:
-    rng = np.random.default_rng(seed)
-    pts = []
-    for _ in range(n):
-        pts.append(ToroidalPoint(
-            eta0 + margin + 2.5 * rng.random(),
-            2.0 * math.pi * rng.random() - math.pi,
-            2.0 * math.pi * rng.random() - math.pi,
-        ))
-    return pts
+def _random_interior_points(n: int, eta0: float, seed: int, margin: float = 0.3):
+    """``(eta, theta, phi)`` arrays of ``n`` seeded points with ``eta`` in
+    ``[eta0 + margin, eta0 + margin + 2.5)`` and principal angles."""
+    r = np.random.default_rng(seed).random((n, 3))
+    return (eta0 + margin + 2.5 * r[:, 0],
+            2.0 * math.pi * r[:, 1] - math.pi,
+            2.0 * math.pi * r[:, 2] - math.pi)
+
+
+def _point(eta: float, theta: float, phi: float):
+    """One point as length-1 ``(eta, theta, phi)`` arrays."""
+    return np.array([eta]), np.array([theta]), np.array([phi])
+
+
+def _chart_field(fn, *args):
+    """The field ``fn(*args, eta, theta, phi)`` of an array form that reads
+    toroidal coordinates."""
+    return lambda x0, x1, x2: fn(*args, *toroidal_arrays(x0, x1, x2))
+
+
+def _w_field(m: int, s: int):
+    """``W_m^s`` as a field."""
+    return lambda x0, x1, x2: eval_W_batch(m, s, x1, x2)
+
+
+def _table_partials(tables, eta, theta, phi) -> np.ndarray:
+    """The partials ``(d0 f, d1 f, d2 f)`` of the field whose components
+    are the term tables, through the exact derivative tables (no
+    differencing); shape ``(3, 4)`` plus the shape of ``eta``."""
+    out = np.zeros((3, 4) + np.shape(eta))
+    for j, dd in enumerate((d0_terms, d1_terms, d2_terms)):
+        for i, table in enumerate(tables):
+            out[j, i] = eval_terms(_combine((t.coefficient, dd(t.index)) for t in table),
+                                   eta, theta, phi)
+    return out
+
+
+def _max_rel(fd: np.ndarray, an: np.ndarray) -> float:
+    """Largest ``|fd - an|``, relative where ``|an| > 1``."""
+    return float(np.max(np.abs(fd - an) / np.maximum(1.0, np.abs(an))))
+
+
+def _max_norm(q: np.ndarray) -> float:
+    """Largest Euclidean norm over the points of component arrays."""
+    return float(np.max(np.linalg.norm(q, axis=0)))
 
 
 def _all_indices(n_max: int, m_max: int) -> List[HarmonicIndex]:
-    out = []
-    for n in range(n_max + 1):
-        for m in range(m_max + 1):
-            for nu in (1, -1):
-                for mu in (1, -1):
-                    if index_is_valid(n, m, nu, mu):
-                        out.append(HarmonicIndex(n, m, nu, mu))
-    return out
+    return [HarmonicIndex(*k) for k in product(range(n_max + 1), range(m_max + 1), (1, -1), (1, -1))
+            if index_is_valid(*k)]
 
 
 # ---------------------------------------------------------------------------
@@ -250,20 +275,6 @@ def suite_legendre() -> List[CheckResult]:
 # derivatives suite
 # ---------------------------------------------------------------------------
 
-def _laplacian_fd(idx: HarmonicIndex, pts: np.ndarray, h: float) -> float:
-    """Max FD Laplacian residual of a harmonic over Cartesian points."""
-    stencil = np.concatenate([
-        pts,
-        pts + [h, 0, 0], pts - [h, 0, 0],
-        pts + [0, h, 0], pts - [0, h, 0],
-        pts + [0, 0, h], pts - [0, 0, h],
-    ])
-    eta, th, ph = toroidal_arrays(stencil[:, 0], stencil[:, 1], stencil[:, 2])
-    vals = eval_I_batch(idx, eta, th, ph).reshape(7, -1)
-    lap = (vals[1:].sum(axis=0) - 6.0 * vals[0]) / h**2
-    return float(np.max(np.abs(lap)))
-
-
 def _point_data_mp(x0: float, x1: float, x2: float, n_max: int, m_max: int):
     """Everything needed to assemble any harmonic at one Cartesian point
     in extended precision: metric prefactor, radial table, angular trig
@@ -304,34 +315,27 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
     """
     import mpmath as mp
 
-    pts = np.array([
-        [x.x0, x.x1, x.x2]
-        for x in map(to_cartesian, _random_interior_points(n_points, 1.0, 20240812))
-    ])
+    pts = cartesian_arrays(*_random_interior_points(n_points, 1.0, 20240812))
     worst = {1e-3: 0.0, 1e-4: 0.0}
     for idx in _all_indices(n_max, m_max):
         for h in worst:
-            worst[h] = max(worst[h], _laplacian_fd(idx, pts, h))
+            # the centre (step 0) and x +- h e_i on each axis i
+            v = eval_I_batch(idx, *toroidal_arrays(*_stencil(*pts, h, (0, 1, -1))))
+            lap = (v[:, 1:].reshape(6, -1).sum(axis=0) - 6.0 * v[0, 0]) / h**2
+            worst[h] = max(worst[h], float(np.max(np.abs(lap))))
     decay = worst[1e-3] / max(worst[1e-4], 1e-300)
 
     h = 1e-4
-    offsets = [(0, 0)]
-    for ax in range(3):
-        for k in (-2, -1, 1, 2):
-            offsets.append((ax, k))
+    steps = (-2, -1, 1, 2)
+    # per point: the centre, then x + k h e_i axis by axis
+    coords = np.concatenate([np.stack(pts)[:, None],
+                             _stencil(*pts, h, steps).reshape(3, 3 * len(steps), -1)], axis=1)
     with mp.workdps(35):
         hh = mp.mpf(h)
         w1, w2, w0 = 16 / (12 * hh * hh), -1 / (12 * hh * hh), -90 / (12 * hh * hh)
-        data = []
-        for p in pts:
-            row = []
-            for ax, k in offsets:
-                d = [0.0, 0.0, 0.0]
-                if k:
-                    d[ax] = k * h
-                row.append(_point_data_mp(p[0] + d[0], p[1] + d[1], p[2] + d[2],
-                                          n_max, m_max))
-            data.append(row)
+        weights = [w0] + [w1 if abs(k) == 1 else w2 for _ in range(3) for k in steps]
+        data = [[_point_data_mp(*coords[:, s, j], n_max, m_max) for s in range(len(weights))]
+                for j in range(n_points)]
 
         def val(pd, idx):
             pref, q, ct, st, cp, sp = pd
@@ -342,9 +346,7 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
         worst_hi = 0.0
         for idx in _all_indices(n_max, m_max):
             for row in data:
-                lap = w0 * val(row[0], idx)
-                for j, (_, k) in enumerate(offsets[1:], start=1):
-                    lap += (w1 if abs(k) == 1 else w2) * val(row[j], idx)
+                lap = sum((w * val(pd, idx) for w, pd in zip(weights, row)), mp.mpf(0))
                 worst_hi = max(worst_hi, abs(float(lap)))
 
     return [
@@ -358,20 +360,15 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
 
 def check_derivative_tables(n_max: int = 6, m_max: int = 6) -> CheckResult:
     """Analytic coefficient expansions of the three Cartesian partials
-    against central differences."""
-    p = ToroidalPoint(1.35, 0.85, 0.55)
-    x = to_cartesian(p)
-    h = 1e-5
+    against fourth-order central differences at h = 2e-4, where both the
+    truncation and the rounding error of the differences sit near 1e-9."""
+    p = _point(1.35, 0.85, 0.55)
+    x = cartesian_arrays(*p)
     worst = 0.0
     for idx in _all_indices(n_max, m_max):
-        for axis, table in ((0, d0_terms(idx)), (1, d1_terms(idx)), (2, d2_terms(idx))):
-            d = [0.0, 0.0, 0.0]
-            d[axis] = h
-            fp = eval_I(idx, to_toroidal(CartesianPoint(x.x0 + d[0], x.x1 + d[1], x.x2 + d[2])))
-            fm = eval_I(idx, to_toroidal(CartesianPoint(x.x0 - d[0], x.x1 - d[1], x.x2 - d[2])))
-            fd = (fp - fm) / (2 * h)
-            an = float(eval_terms(table, p.eta, p.theta, p.phi))
-            worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
+        fd = _fd_partials(_chart_field(eval_I_batch, idx), *x, 2e-4, order=4)[:, 0]
+        an = np.stack([eval_terms(table(idx), *p) for table in (d0_terms, d1_terms, d2_terms)])
+        worst = max(worst, _max_rel(fd, an))
     return _result("derivative tables vs central differences", worst, 1e-6,
                    f"all sign combinations, n,m <= {n_max}")
 
@@ -417,20 +414,13 @@ def check_reverse_appell_numeric(n_max: int = 6, m_max: int = 3) -> CheckResult:
     family carries the zero-slot correction term (see
     ``appell.d0_star_terms``), which is what is verified here.
     """
-    p = ToroidalPoint(1.4, 0.8, 0.5)
-    x = to_cartesian(p)
-    h = 1e-5
+    p = _point(1.4, 0.8, 0.5)
+    x = cartesian_arrays(*p)
     worst = 0.0
-    for m in range(m_max + 1):
-        for n in range(1, n_max + 1):
-            for nu in (1, -1):
-                for mu in ((1,) if m == 0 else (1, -1)):
-                    idx = HarmonicIndex(n, m, nu, mu)
-                    fp = eval_I_star(idx, to_toroidal(CartesianPoint(x.x0 + h, x.x1, x.x2)))
-                    fm = eval_I_star(idx, to_toroidal(CartesianPoint(x.x0 - h, x.x1, x.x2)))
-                    fd = (fp - fm) / (2 * h)
-                    an = eval_d0_star(idx, p)
-                    worst = max(worst, abs(fd - an) / max(1.0, abs(an)))
+    for idx in _all_indices(n_max, m_max):
+        if idx.n >= 1:
+            fd = _fd_partials(_chart_field(eval_I_star_batch, idx), *x, 1e-5)[0, 0]
+            worst = max(worst, _max_rel(fd, eval_d0_star(idx, *p)))
     return _result("reverse-Appell numeric (degree raising)", worst, 1e-6,
                    "cosine family single-term; sine family with zero-slot correction")
 
@@ -475,19 +465,6 @@ def suite_appell() -> List[CheckResult]:
 # monogenic suite
 # ---------------------------------------------------------------------------
 
-def _compose_terms(table, dfun) -> list:
-    """Apply a derivative-table map to every term of an expansion and
-    collect like harmonics."""
-    from .harmonics import DerivativeTerm
-
-    acc: Dict[HarmonicIndex, Fraction] = {}
-    for t in table:
-        for s in dfun(t.index):
-            c = acc.get(s.index, Fraction(0)) + t.coefficient * s.coefficient
-            acc[s.index] = c
-    return [DerivativeTerm(k, v) for k, v in acc.items() if v != 0]
-
-
 def check_T_monogenic(n_max: int = 4, m_max: int = 3) -> CheckResult:
     """Fueter-operator residual of the exact monogenics T.
 
@@ -495,30 +472,12 @@ def check_T_monogenic(n_max: int = 4, m_max: int = 3) -> CheckResult:
     so its partials are obtained by composing the coefficient tables
     twice; no finite differences enter.
     """
-    from .monogenics import t_term_tables
-
     pts = _random_interior_points(5, 1.0, 20240813)
-    coords = np.array([(p.eta, p.theta, p.phi) for p in pts]).T
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for m in range(m_max + 1):
-            for nu in (1, -1):
-                if t_is_zero(n, m, nu, 1):
-                    continue
-                for mu in ((1,) if m == 0 else (1, -1)):
-                    f0, f1, f2 = t_term_tables(n, m, nu, mu)
-                    # dbar(f0 + f1 e1 + f2 e2) componentwise
-                    d = {(i, j): _compose_terms(t, dd)
-                         for i, t in enumerate((f0, f1, f2))
-                         for j, dd in enumerate((d0_terms, d1_terms, d2_terms))}
-                    v = {k: eval_terms(t, *coords) for k, t in d.items()}
-                    dbar = np.stack([
-                        v[0, 0] - v[1, 1] - v[2, 2],
-                        v[1, 0] + v[0, 1],
-                        v[2, 0] + v[0, 2],
-                        v[2, 1] - v[1, 2],
-                    ])
-                    worst = max(worst, float(np.max(np.linalg.norm(dbar, axis=0))))
+    for el in t_family(n_max, m_max):
+        if el.kind == "T":
+            tables = t_term_tables(el.n, el.m, el.nu, el.mu)
+            worst = max(worst, _max_norm(_dbar(_table_partials(tables, *pts))))
     return _result("T monogenicity (analytic second derivatives)", worst, 1e-10)
 
 
@@ -529,40 +488,24 @@ def check_T_scalar_part(n_max: int = 4, m_max: int = 3) -> CheckResult:
     the starred harmonic; for the cosine family it is the negative
     multiple plus the zero-slot correction.
     """
-    p = ToroidalPoint(1.3, 0.7, 0.4)
+    p = _point(1.3, 0.7, 0.4)
     worst = 0.0
-    for n in range(1, n_max + 1):
-        for m in range(m_max + 1):
-            for nu in (1, -1):
-                for mu in ((1,) if m == 0 else (1, -1)):
-                    if t_is_zero(n, m, nu, 1):
-                        continue
-                    idx = HarmonicIndex(n, m, nu, mu)
-                    sc = eval_T(idx, p).a0
-                    ref = eval_d0_star(HarmonicIndex(n - 1, m, -nu, mu), p)
-                    worst = max(worst, abs(sc - ref) / max(1.0, abs(ref)))
+    for el in t_family(n_max, m_max):
+        if el.kind == "T":
+            sc = eval_T_batch(HarmonicIndex(el.n, el.m, el.nu, el.mu), *p)[0]
+            ref = eval_d0_star(HarmonicIndex(el.n - 1, el.m, -el.nu, el.mu), *p)
+            worst = max(worst, _max_rel(sc, ref))
     return _result("Sc T matches degree-raising image", worst, 1e-10)
-
-
-def _w_field(m: int, s: int):
-    """``W_m^s`` as a field."""
-    return lambda x0, x1, x2: eval_W_batch(m, s, x1, x2)
-
-
-def _t_field(idx: HarmonicIndex):
-    """``T_idx`` as a field."""
-    return lambda x0, x1, x2: eval_T_batch(idx, *toroidal_arrays(x0, x1, x2))
 
 
 def check_W_constants(m_range=(-3, 3)) -> CheckResult:
     """W fields are monogenic constants (both operators vanish)."""
+    x = cartesian_arrays(*_random_interior_points(3, 1.0, 20240814))
     worst = 0.0
-    for p in _random_interior_points(3, 1.0, 20240814):
-        x = to_cartesian(p)
-        for m in range(m_range[0], m_range[1] + 1):
-            for s in (1, -1):
-                worst = max(worst, fueter_bar(_w_field(m, s), x).norm(),
-                            fueter(_w_field(m, s), x).norm())
+    for m in range(m_range[0], m_range[1] + 1):
+        for s in (1, -1):
+            partials = _fd_partials(_w_field(m, s), *x, 1e-5)
+            worst = max(worst, _max_norm(_dbar(partials)), _max_norm(_dbar(partials, -1)))
     return _result("W monogenic constants", worst, 1e-6)
 
 
@@ -594,55 +537,24 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
               dom, tol=1e-9)
     opx = Psi(lambda x0, x1, x2: np.broadcast_arrays(np.asarray(x0, float), x1)[0],
               dom, tol=1e-9)
-    worst_cf = 0.0
-    worst_mono = 0.0
-    pts = _random_interior_points(6, eta0, 20240816)
-    for p in pts:
-        x = to_cartesian(p)
-        v1 = op1(x.x0, x.x1, x.x2)
-        worst_cf = max(worst_cf, abs(v1[0] - 1.0), abs(v1[1]), abs(v1[2]))
-        vx = opx(x.x0, x.x1, x.x2)
-        rho2 = x.x1**2 + x.x2**2
-        f = 0.5 * (1.0 - r_in**2 / rho2)
-        worst_cf = max(worst_cf, abs(vx[0] - x.x0),
-                       abs(vx[1] - f * x.x1), abs(vx[2] - f * x.x2))
-        worst_mono = max(worst_mono, fueter_bar(opx, x, h=1e-4).norm())
-    out.append(_result("completion closed forms (1 and x0)", worst_cf, 1e-8))
+    x0, x1, x2 = cartesian_arrays(*_random_interior_points(6, eta0, 20240816))
+    f = 0.5 * (1.0 - r_in**2 / (x1**2 + x2**2))
+    err = np.concatenate([op1(x0, x1, x2) - [[1.0], [0.0], [0.0]],
+                          opx(x0, x1, x2) - np.stack([x0, f * x1, f * x2])])
+    out.append(_result("completion closed forms (1 and x0)", float(np.max(np.abs(err))), 1e-8))
+    worst_mono = _max_norm(_dbar(_fd_partials(opx, x0, x1, x2, 1e-4)))
     out.append(_result("completion of x0 monogenic", worst_mono, 1e-4))
 
-    worst = 0.0
-    pts20 = _random_interior_points(20, eta0, 20240817)
-    base = np.array([[x.x0, x.x1, x.x2]
-                     for x in map(to_cartesian, pts20[:5])])
-    h = 1e-4
-    stencil = np.concatenate([
-        base,
-        base + [h, 0, 0], base - [h, 0, 0],
-        base + [0, h, 0], base - [0, h, 0],
-        base + [0, 0, h], base - [0, 0, h],
-    ])
-    for m in range(4):
-        for mu in ((1,) if m == 0 else (1, -1)):
-            v = eval_T0_batch(m, mu, stencil[:, 0], stencil[:, 1],
-                              stencil[:, 2]).reshape(3, 7, -1)
-            d = [(v[:, 2 * i + 1] - v[:, 2 * i + 2]) / (2 * h) for i in range(3)]
-            dbar = np.stack([
-                d[0][0] - d[1][1] - d[2][2],
-                d[0][1] + d[1][0],
-                d[0][2] + d[2][0],
-                d[1][2] - d[2][1],
-            ])
-            worst = max(worst, float(np.max(np.linalg.norm(dbar, axis=0))))
+    pts = _random_interior_points(5, eta0, 20240817)
+    x = cartesian_arrays(*pts)
+    worst = worst_sc = 0.0
+    for el in t_family(0, 3):
+        field = partial(eval_T0_batch, el.m, el.mu)
+        worst = max(worst, _max_norm(_dbar(_fd_partials(field, *x, 1e-4))))
+        ref = eval_I_batch(HarmonicIndex(0, el.m, 1, el.mu), *pts)
+        worst_sc = max(worst_sc, float(np.max(np.abs(field(*x)[0] - ref))))
     out.append(_result("completion of degree-0 harmonics monogenic", worst, 1e-4,
                        "m <= 3, random interior points, batched stencil"))
-
-    worst_sc = 0.0
-    for m in range(4):
-        for mu in ((1,) if m == 0 else (1, -1)):
-            for p in pts20[:5]:
-                sc = eval_T0(m, mu, p).a0
-                ref = eval_I(HarmonicIndex(0, m, 1, mu), p)
-                worst_sc = max(worst_sc, abs(sc - ref))
     out.append(_result("degree-0 monogenics preserve scalar part", worst_sc, 1e-8))
     return out
 
@@ -663,11 +575,8 @@ def check_decompose(eta0: float = 1.0) -> CheckResult:
         return qmul(w_plus, E3) + const + w_minus
 
     f, g = decompose_H(F, dom, tol=1e-6)
-    worst = 0.0
-    for p in _random_interior_points(2, eta0, 20240818):
-        x = to_cartesian(p)
-        worst = max(worst, fueter_bar(g, x, h=1e-4).norm(),
-                    fueter_bar(f, x, h=1e-4).norm())
+    x = cartesian_arrays(*_random_interior_points(2, eta0, 20240818))
+    worst = max(_max_norm(_dbar(_fd_partials(part, *x, 1e-4))) for part in (g, f))
     return _result("quaternion decomposition yields monogenic parts", worst, 1e-4)
 
 
@@ -701,35 +610,25 @@ def suite_coh() -> List[CheckResult]:
             worst = max(worst, abs(cohomology(_w_field(m, s))))
     out.append(_result("other W coefficients vanish", worst, 1e-8, "|m| <= 4"))
 
-    worst = 0.0
-    for n in range(1, 4):
-        for m in range(3):
-            for nu in (1, -1):
-                if t_is_zero(n, m, nu, 1):
-                    continue
-                for mu in ((1,) if m == 0 else (1, -1)):
-                    idx = HarmonicIndex(n, m, nu, mu)
-                    worst = max(worst, abs(cohomology(_t_field(idx), n_nodes=64, radius=0.9)))
+    family = t_family(3, 2)
+    worst = max(abs(cohomology(_chart_field(eval_T_batch, HarmonicIndex(el.n, el.m, el.nu, el.mu)),
+                               n_nodes=64, radius=0.9))
+                for el in family if el.kind == "T")
     out.append(_result("exact T coefficients vanish", worst, 1e-6))
 
-    worst = 0.0
-    for m in range(3):
-        for mu in ((1,) if m == 0 else (1, -1)):
-            worst = max(worst, abs(cohomology(
-                partial(eval_T0_batch, m, mu), n_nodes=32, radius=0.9)))
+    worst = max(abs(cohomology(partial(eval_T0_batch, el.m, el.mu), n_nodes=32, radius=0.9))
+                for el in family if el.kind == "T0")
     out.append(_result("degree-0 monogenic coefficients vanish", worst, 1e-6))
 
     a = cohomology(_w_field(-1, -1), radius=0.8)
     b = cohomology(_w_field(-1, -1), radius=1.2)
     out.append(_result("radius independence of the coefficient", abs(a - b), 1e-8))
 
-    idx = HarmonicIndex(2, 1, 1, 1)
+    table = [DerivativeTerm(HarmonicIndex(2, 1, 1, 1), Fraction(1))]
 
     def d_of_I(x0, x1, x2):
         # d I = d0 I - e1 d1 I - e2 d2 I from the exact derivative tables
-        tor = toroidal_arrays(x0, x1, x2)
-        return np.stack([s * eval_terms(table(idx), *tor)
-                         for s, table in ((1, d0_terms), (-1, d1_terms), (-1, d2_terms))])
+        return _dbar(_table_partials([table], *toroidal_arrays(x0, x1, x2)), -1)
 
     v = cohomology(d_of_I, n_nodes=64, radius=0.9)
     out.append(_result("exact forms have zero coefficient", abs(v), 1e-8))

@@ -23,12 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .appell import alpha_beta, eval_I_star_batch, j_coefficient_unit
-from .geometry import (
-    CartesianPoint,
-    TorusDomain,
-    to_toroidal,
-    toroidal_arrays,
-)
+from .geometry import CartesianPoint, to_toroidal, toroidal_arrays
 from .harmonics import HarmonicIndex, Sign, eval_I_batch, parse_sign, sign_char
 from .monogenics import (
     E3,
@@ -158,17 +153,22 @@ def _radial_table(elements: Sequence[BasisElement], grid: ExpansionGrid):
     return q_half_grid(max(n for n, _ in extents), max(m for _, m in extents), grid.eta)
 
 
+def _point_grid(elements: Sequence[BasisElement], x: CartesianPoint) -> ExpansionGrid:
+    """A one-point grid at ``x``.  Raises :class:`DegenerateLocusError`
+    where one of the elements needs the toroidal chart and ``x`` lies on
+    the axis or the limit circle."""
+    if any((el.inner if el.kind == "E3" else el).kind not in ("ONE", "W") for el in elements):
+        to_toroidal(x)
+    with np.errstate(divide="ignore"):  # eta is inf on the limit circle
+        return ExpansionGrid.from_samples([(x, 1.0)])
+
+
 def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
     """Pointwise value of a basis element: :func:`evaluate_element_grid`
     on a one-point grid.  Raises :class:`DegenerateLocusError` where the
     element needs the toroidal chart and ``x`` lies on the axis or the
     limit circle."""
-    base = el.inner if el.kind == "E3" else el
-    if base.kind not in ("ONE", "W"):
-        to_toroidal(x)
-    with np.errstate(divide="ignore"):  # eta is inf on the limit circle
-        grid = ExpansionGrid.from_samples([(x, 1.0)])
-    return Quaternion(*evaluate_element_grid(el, grid)[:, 0].tolist())
+    return Quaternion(*evaluate_element_grid(el, _point_grid([el], x))[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +266,8 @@ def make_series(pairs, **meta) -> SeriesExpansion:
 
 def evaluate_series(s: SeriesExpansion, x: CartesianPoint) -> Quaternion:
     """Value of the series at an interior point: :func:`evaluate_series_grid`
-    on a one-point grid."""
-    grid = ExpansionGrid.from_samples([(x, 1.0)])
+    on a one-point grid, with the chart check of :func:`evaluate_element`."""
+    grid = _point_grid([el for el, _ in s.terms], x)
     return Quaternion(*evaluate_series_grid(s, grid)[:, 0].tolist())
 
 

@@ -32,11 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import CartesianPoint, ToroidalPoint
+from .geometry import CartesianPoint, DegenerateLocusError, ToroidalPoint
 from .special_functions import gamma_half, q_half_grid
 
 Sign = int  # +1 or -1
@@ -135,18 +135,26 @@ def eval_I(idx: HarmonicIndex, p: ToroidalPoint) -> float:
     return float(eval_I_batch(idx, np.array([p.eta]), p.theta, p.phi)[0])
 
 
+def _planar_pair(m: int, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
+    """``(J_m^+, J_m^-) = (Re, Im) (x1 + i x2)^m`` on coordinate arrays.
+
+    Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis.
+    """
+    z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
+    if m < 0 and (z == 0).any():
+        raise DegenerateLocusError("negative powers are singular on the x0-axis")
+    w = z**m
+    return w.real, w.imag
+
+
 def eval_J(m: int, sign: Sign, x: CartesianPoint) -> float:
     """Planar harmonic ``J_m^+ = Re (x1 + i x2)^m`` or ``J_m^- = Im``.
 
     Defined for every integer ``m``; negative powers need ``(x1, x2)``
-    off the axis.
+    off the axis.  The e1 row of ``monogenics.eval_W_batch`` at one point.
     """
-    sign = parse_sign(sign)
-    z = complex(x.x1, x.x2)
-    if m < 0 and z == 0:
-        raise ValueError("negative powers are singular on the x0-axis")
-    w = z**m
-    return w.real if sign > 0 else w.imag
+    jp, jm = _planar_pair(m, [x.x1], [x.x2])
+    return float((jp if parse_sign(sign) > 0 else jm)[0])
 
 
 def eval_Jhat(x: CartesianPoint) -> float:
@@ -175,12 +183,24 @@ def kappa(k: int, m: int, n: int) -> Fraction:
     return Fraction(0)
 
 
-def _filtered_terms(raw: Dict[Tuple[int, int, Sign, Sign], Fraction]) -> List[DerivativeTerm]:
-    out = []
-    for (k, mm, nu, mu), c in sorted(raw.items()):
-        if c != 0 and index_is_valid(k, mm, nu, mu):
-            out.append(DerivativeTerm(HarmonicIndex(k, mm, nu, mu), c))
-    return out
+_Key = Tuple[int, int, Sign, Sign]
+
+
+def _filtered_terms(pairs: Iterable[Tuple[_Key, Fraction]]) -> List[DerivativeTerm]:
+    """Sum the coefficients of equal keys ``(n, m, nu, mu)``; the nonzero
+    sums on nonzero harmonics, as terms sorted by key."""
+    acc: Dict[_Key, Fraction] = {}
+    for key, c in pairs:
+        acc[key] = acc.get(key, Fraction(0)) + c
+    return [DerivativeTerm(HarmonicIndex(*key), c) for key, c in sorted(acc.items())
+            if c != 0 and index_is_valid(*key)]
+
+
+def _combine(parts: Iterable[Tuple[Fraction, Sequence[DerivativeTerm]]]) -> List[DerivativeTerm]:
+    """The combination ``sum c * table`` over ``(c, table)`` pairs, like
+    harmonics collected (see :func:`_filtered_terms`)."""
+    return _filtered_terms(((t.index.n, t.index.m, t.index.nu, t.index.mu), c * t.coefficient)
+                           for c, table in parts for t in table)
 
 
 def d0_terms(idx: HarmonicIndex) -> List[DerivativeTerm]:
@@ -192,12 +212,8 @@ def d0_terms(idx: HarmonicIndex) -> List[DerivativeTerm]:
     included.
     """
     n, m = idx.n, idx.m
-    raw: Dict[Tuple[int, int, Sign, Sign], Fraction] = {}
-    for k in (max(n - 1, 0), n, n + 1):
-        c = idx.nu * kappa(k, m, n)
-        if c != 0:
-            raw[(k, m, -idx.nu, idx.mu)] = raw.get((k, m, -idx.nu, idx.mu), Fraction(0)) + c
-    return _filtered_terms(raw)
+    return _filtered_terms(((k, m, -idx.nu, idx.mu), idx.nu * kappa(k, m, n))
+                           for k in (max(n - 1, 0), n, n + 1))
 
 
 def _d1_raw(n: int, m: int) -> Dict[Tuple[int, int], Fraction]:
@@ -225,22 +241,15 @@ def _d1_raw(n: int, m: int) -> Dict[Tuple[int, int], Fraction]:
 def d1_terms(idx: HarmonicIndex) -> List[DerivativeTerm]:
     """Expansion of ``d/dx1``: both signs are preserved, the order moves
     by one."""
-    raw = {
-        (k, mm, idx.nu, idx.mu): c
-        for (k, mm), c in _d1_raw(idx.n, idx.m).items()
-    }
-    return _filtered_terms(raw)
+    return _filtered_terms(((k, mm, idx.nu, idx.mu), c)
+                           for (k, mm), c in _d1_raw(idx.n, idx.m).items())
 
 
 def d2_terms(idx: HarmonicIndex) -> List[DerivativeTerm]:
     """Expansion of ``d/dx2``: the ``d/dx1`` table with ``mu`` flipped, a
     ``mu`` prefactor, and a sign flip on the order-lowering terms."""
-    n, m = idx.n, idx.m
-    raw = {}
-    for (k, mm), c in _d1_raw(n, m).items():
-        flip = -1 if mm == m - 1 else 1
-        raw[(k, mm, idx.nu, -idx.mu)] = idx.mu * flip * c
-    return _filtered_terms(raw)
+    return _filtered_terms(((k, mm, idx.nu, -idx.mu), idx.mu * (-1 if mm == idx.m - 1 else 1) * c)
+                           for (k, mm), c in _d1_raw(idx.n, idx.m).items())
 
 
 def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi, q=None) -> np.ndarray:

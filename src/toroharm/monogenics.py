@@ -30,9 +30,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Tuple
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
@@ -40,7 +39,6 @@ from numpy.polynomial import legendre as _legendre
 from .appell import star_terms
 from .geometry import (
     CartesianPoint,
-    DegenerateLocusError,
     ToroidalPoint,
     TorusDomain,
     to_cartesian,
@@ -50,6 +48,8 @@ from .harmonics import (
     DerivativeTerm,
     HarmonicIndex,
     Sign,
+    _combine,
+    _planar_pair,
     d0_terms,
     d1_terms,
     d2_terms,
@@ -152,28 +152,48 @@ def field_values(f, x0, x1, x2) -> np.ndarray:
 # finite-difference Fueter operators (verification path)
 # ---------------------------------------------------------------------------
 
-def _fd_partials(f, x: CartesianPoint, h: float) -> np.ndarray:
-    """Central differences of the field ``f`` along x0, x1 and x2 at
-    ``x``, from one call on the six-point stencil; shape (3, 4)."""
+def _stencil(x0, x1, x2, h: float, steps) -> np.ndarray:
+    """The points ``x + k h e_i`` for the axes i and the steps k, from
+    coordinate arrays that broadcast together: shape ``(3, 3,
+    len(steps))`` (coordinate, axis, step) plus the broadcast shape."""
+    x = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x0, x1, x2))))
+    shift = np.multiply.outer(np.eye(3), np.multiply(steps, h))
+    return x[:, None, None] + shift.reshape(shift.shape + (1,) * (x.ndim - 1))
+
+
+def _fd_partials(f, x0, x1, x2, h: float, order: int = 2) -> np.ndarray:
+    """Central differences of the field ``f`` along x0, x1 and x2 on
+    coordinate arrays, from one call on the :func:`_stencil` ``x +- h
+    e_i`` (order 2) or ``x +- h e_i, x +- 2h e_i`` (order 4); shape
+    ``(3, 4)`` (axis, component) plus the broadcast shape."""
     if not h > 0:
         raise ValueError("step h must be positive")
-    stencil = np.array([x.x0, x.x1, x.x2]) + h * np.kron(np.eye(3), [[1.0], [-1.0]])
-    v = field_values(f, *stencil.T)
-    return ((v[:, 0::2] - v[:, 1::2]) / (2.0 * h)).T
+    steps = {2: (1, -1), 4: (1, -1, 2, -2)}[order]
+    v = np.moveaxis(field_values(f, *_stencil(x0, x1, x2, h, steps)), 0, 2)
+    d = (v[:, 0] - v[:, 1]) / (2.0 * h)
+    if order == 4:  # Richardson: (4 D_h - D_2h) / 3 for the central differences D
+        d = (4.0 * d - (v[:, 2] - v[:, 3]) / (4.0 * h)) / 3.0
+    return d
+
+
+def _dbar(partials, sign: int = 1) -> np.ndarray:
+    """``d0 f + sign (e1 d1 f + e2 d2 f)`` (left action) from the partials
+    ``(d0 f, d1 f, d2 f)`` of a field, each of shape ``(4, ...)``: the
+    operator dbar for ``sign = 1`` and its conjugate d for ``sign = -1``."""
+    d0, d1, d2 = partials
+    return d0 + sign * qmul(E1, d1) + sign * qmul(E2, d2)
 
 
 def fueter_bar(f, x: CartesianPoint, h: float = 1e-5) -> Quaternion:
     """Central-difference dbar f = d0 f + e1 d1 f + e2 d2 f (left action)
     of a field at a point.  Vanishes (to O(h^2)) exactly on monogenic
     fields."""
-    d0, d1, d2 = _fd_partials(f, x, h)
-    return Quaternion(*(d0 + qmul(E1, d1) + qmul(E2, d2)).tolist())
+    return Quaternion(*_dbar(_fd_partials(f, x.x0, x.x1, x.x2, h)).tolist())
 
 
 def fueter(f, x: CartesianPoint, h: float = 1e-5) -> Quaternion:
     """Central-difference conjugate operator d = d0 - e1 d1 - e2 d2."""
-    d0, d1, d2 = _fd_partials(f, x, h)
-    return Quaternion(*(d0 - qmul(E1, d1) - qmul(E2, d2)).tolist())
+    return Quaternion(*_dbar(_fd_partials(f, x.x0, x.x1, x.x2, h), -1).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +212,11 @@ def eval_W_batch(m: int, sign: Sign, x1, x2) -> np.ndarray:
 
     Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis.
     """
-    sign = parse_sign(sign)
-    z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
-    if m < 0 and (z == 0).any():
-        raise DegenerateLocusError("negative powers are singular on the x0-axis")
-    w = z**m
-    zero = np.zeros(np.shape(w))
-    if sign > 0:
-        return np.array([zero, w.real, -w.imag])
-    return np.array([zero, w.imag, w.real])
+    jp, jm = _planar_pair(m, x1, x2)
+    zero = np.zeros(np.shape(jp))
+    if parse_sign(sign) > 0:
+        return np.array([zero, jp, -jm])
+    return np.array([zero, jm, jp])
 
 
 # ---------------------------------------------------------------------------
@@ -229,18 +245,10 @@ def t_term_tables(n: int, m: int, nu: Sign, mu: Sign) -> Tuple[TermTable, TermTa
         raise ValueError("T is defined for degree n >= 1")
     if nu == 1 and n == 1:
         return ((), (), ())
-    src = HarmonicIndex(n - 1, m, -nu, mu)
-    acc: List[Dict[HarmonicIndex, Fraction]] = [{}, {}, {}]
-    for base, c in star_terms(src):
-        for slot, terms in enumerate((d0_terms(base), d1_terms(base), d2_terms(base))):
-            for t in terms:
-                acc[slot][t.index] = acc[slot].get(t.index, Fraction(0)) + c * t.coefficient
-    out = []
-    for slot, table in enumerate(acc):
-        s = 1 if slot == 0 else -1  # d = d0 - e1 d1 - e2 d2 on a scalar
-        items = sorted(table.items(), key=lambda kv: (kv[0].n, kv[0].m, kv[0].nu, kv[0].mu))
-        out.append(tuple(DerivativeTerm(i, s * c) for i, c in items if c != 0))
-    return tuple(out)
+    src = star_terms(HarmonicIndex(n - 1, m, -nu, mu))
+    # d = d0 - e1 d1 - e2 d2 on a scalar
+    return tuple(tuple(_combine((s * c, dd(base)) for base, c in src))
+                 for s, dd in ((1, d0_terms), (-1, d1_terms), (-1, d2_terms)))
 
 
 def t_is_zero(n: int, m: int, nu: Sign, mu: Sign) -> bool:

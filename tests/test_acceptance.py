@@ -5,7 +5,9 @@ pass/fail line (visible with ``pytest -s`` or in the captured output).
 """
 
 import time
+from fractions import Fraction
 
+from toroharm import harmonics
 from toroharm.checks import (
     check_derivative_tables,
     check_gram_definiteness,
@@ -23,7 +25,9 @@ from toroharm.checks import (
     check_teodorescu_closed_form,
     check_torus_volume,
     check_w_plateau,
+    suite_appell,
     suite_coh,
+    suite_expansions,
 )
 
 
@@ -57,6 +61,19 @@ def test_criterion_02_harmonicity():
 def test_criterion_03_derivative_tables():
     _gate("criterion 03 analytic Cartesian derivatives match central differences",
           check_derivative_tables())
+
+
+def test_derivative_table_check_sees_a_1e_5_coefficient_error(monkeypatch):
+    raw = harmonics._d1_raw
+
+    def perturbed(n, m):
+        out = raw(n, m)
+        if (n, m) == (3, 2):
+            out[(3, 3)] *= Fraction(100001, 100000)
+        return out
+
+    monkeypatch.setattr(harmonics, "_d1_raw", perturbed)
+    assert not check_derivative_tables().passed
 
 
 def test_criterion_04_reverse_appell():
@@ -107,3 +124,27 @@ def test_criterion_11_basis_experiments():
 
 def test_criterion_12_torus_volume():
     _gate("criterion 12 solid torus volume quadrature", check_torus_volume())
+
+
+def test_check_names_and_order_are_pinned():
+    # ``verify --tol NAME=VALUE`` keys on these names
+    names = [r.name for r in suite_appell() + suite_coh() + suite_expansions()]
+    assert names == [
+        "reverse-Appell exact",
+        "star matrix inverse exact",
+        "reverse-Appell numeric (degree raising)",
+        "starred expansion of 1 (alpha transport)",
+        "starred expansion of x0 (beta transport)",
+        "generator coefficient +1 (fixed convention)",
+        "literal-orientation regression (constant = -1)",
+        "other W coefficients vanish",
+        "exact T coefficients vanish",
+        "degree-0 monogenic coefficients vanish",
+        "radius independence of the coefficient",
+        "exact forms have zero coefficient",
+        "expansion of 1 over harmonics",
+        "expansion of x0 over harmonics",
+        "expansion of 1 over exact monogenics",
+        "planar expansion coefficients vs Fourier oracle",
+        "misprint readings demonstrably fail",
+    ]

@@ -76,7 +76,7 @@ def test_degree_raising_matches_fd(n, m, nu, mu):
     h = 1e-5
     fp = eval_I_star(idx, to_toroidal(CartesianPoint(x.x0 + h, x.x1, x.x2)))
     fm = eval_I_star(idx, to_toroidal(CartesianPoint(x.x0 - h, x.x1, x.x2)))
-    assert_allclose(eval_d0_star(idx, P), (fp - fm) / (2 * h), rtol=1e-7, atol=1e-9)
+    assert_allclose(eval_d0_star(idx, P.eta, P.theta, P.phi), (fp - fm) / (2 * h), rtol=1e-7, atol=1e-9)
 
 
 def test_degree_raising_cosine_family_single_term():

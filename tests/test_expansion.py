@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -30,7 +32,14 @@ from toroharm.expansion import (
     t_family,
     w_family,
 )
-from toroharm.geometry import TorusDomain, sample_grid, to_cartesian, ToroidalPoint
+from toroharm.geometry import (
+    CartesianPoint,
+    DegenerateLocusError,
+    TorusDomain,
+    ToroidalPoint,
+    sample_grid,
+    to_cartesian,
+)
 from toroharm.monogenics import eval_W
 
 X = to_cartesian(ToroidalPoint(1.5, 0.6, 0.4))
@@ -56,6 +65,15 @@ def test_element_evaluation_matches_direct():
     q = evaluate_element(el, X)
     v = eval_W(1, -1, X)
     assert_allclose([q.a0, q.a1, q.a2, q.a3], [v.a0, v.a1, v.a2, 0.0])
+
+
+@pytest.mark.parametrize("x", [CartesianPoint(0.5, 0.0, 0.0), CartesianPoint(0.0, 1.0, 0.0)],
+                         ids=["axis", "limit-circle"])
+def test_evaluate_series_rejects_the_degenerate_loci(x):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateLocusError):
+            evaluate_series(known_expansion_one(3), x)
 
 
 def test_e3_action():
