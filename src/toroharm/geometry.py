@@ -20,7 +20,8 @@ from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
-from numpy.polynomial import legendre as _legendre
+
+from .quadrature import _gauss_legendre
 
 
 class DegenerateLocusError(ValueError):
@@ -171,7 +172,7 @@ def _torus_rule(eta_in: float, n_eta: int, n_theta: int, n_phi: int):
     w_eta, theta, phi)``; ``w_eta`` is the radial weight, with ``d(eta) =
     -du/u``, times the angular weight.  :func:`_torus_mesh` expands them.
     """
-    gl, glw = _legendre.leggauss(n_eta)
+    gl, glw = _gauss_legendre(n_eta)
     u = 0.5 * (gl + 1.0)
     w_eta = 0.5 * glw / u * ((2.0 * np.pi) ** 2 / (n_theta * n_phi))
     theta = 2.0 * np.pi * np.arange(n_theta) / n_theta

@@ -31,10 +31,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Dict, Tuple
+from typing import Callable, Tuple
 
 import numpy as np
-from numpy.polynomial import legendre as _legendre
 
 from .appell import star_terms
 from .geometry import (
@@ -57,7 +56,7 @@ from .harmonics import (
     eval_terms,
     parse_sign,
 )
-from .quadrature import integrate_annulus
+from .quadrature import QuadratureError, QuadratureResult, _gauss_legendre, _map_gauss
 from .special_functions import q_half_grid
 
 # The cohomology line integral, evaluated literally with the circle
@@ -280,25 +279,102 @@ def eval_T_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
 # planar Teodorescu transform and the completion operator Psi
 # ---------------------------------------------------------------------------
 
+#: levels of the Teodorescu mode transform: level k has ``16 * 2**k``
+#: angular modes and ``8 * 2**k`` Gauss-Legendre radii on each side of |w|
+_TEODORESCU_LEVELS = 7
+#: the transform evaluates its source in slabs of points, each of at most
+#: this many nodes (or one point)
+_TEODORESCU_SLAB_NODES = 2**20
+
+
+def _teodorescu_level(f, w: np.ndarray, r_in: float, r_out: float, level: int) -> np.ndarray:
+    """One level of the mode transform at the points ``w`` (1-D complex).
+
+    ``f`` is sampled on ``n_t`` angles at Gauss-Legendre radii of ``[r_in,
+    |w|]`` and of ``[|w|, r_out]``, and transformed in the angle to its
+    modes ``f_k(r)``.  With ``w = rho e^{i alpha}``, the kernel's
+    expansions ``1/(z - w) = -sum_n z^n / w^(n+1)`` inside ``|w|`` and
+    ``sum_n w^n / z^(n+1)`` outside turn the transform into one radial
+    sum per mode:
+
+        2 sum_n e^{-i(n+1) alpha} int_{r_in}^{rho} f_{-n}(r) (r/rho)^(n+1) dr
+      - 2 sum_n e^{i n alpha} int_{rho}^{r_out} f_{n+1}(r) (rho/r)^n dr,
+
+    with n below ``n_t / 2`` (the Nyquist mode is dropped).  No power
+    exceeds 1.
+    """
+    n_t, n_r = 16 << level, 8 << level
+    rho, alpha = np.abs(w), np.angle(w)
+    lo = np.stack([np.full_like(rho, r_in), rho])
+    hi = np.stack([rho, np.full_like(rho, r_out)])
+    r, wr = _map_gauss(*_gauss_legendre(n_r), lo[..., None], hi[..., None])
+    circle = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+    modes = np.fft.fft(f(r[..., None] * circle), axis=-1) / n_t  # (side, point, radius, mode)
+    n = np.arange(n_t // 2)
+    ratio_in = (r[0] / rho[:, None])[..., None]
+    ratio_out = (rho[:, None] / r[1])[..., None]
+    inner = np.sum(wr[0][..., None] * modes[0][..., -n % n_t] * ratio_in ** (n + 1), axis=1)
+    outer = np.sum(wr[1][..., None] * modes[1][..., n[1:]] * ratio_out ** n[:-1], axis=1)
+    return 2.0 * (np.sum(inner * np.exp(-1j * np.multiply.outer(alpha, n + 1)), axis=-1)
+                  - np.sum(outer * np.exp(1j * np.multiply.outer(alpha, n[:-1])), axis=-1))
+
+
 def teodorescu(
     f: Callable[[np.ndarray], np.ndarray],
-    w: complex,
+    w,
     r_in: float,
     r_out: float,
     tol: float = 1e-8,
 ):
     """Planar Teodorescu transform ``-(1/pi) int_D f(z)/(z - w) dA`` over
-    the annulus ``r_in < |z| < r_out``, evaluated at an interior point.
+    the annulus ``r_in < |z| < r_out``, at interior points ``w``.
 
     ``f`` must be vectorized (complex array in, complex array out) and
-    smooth on the closed annulus.  Satisfies ``d/d(wbar)`` of the result
-    = f(w); for ``f = 1`` the closed form is ``conj(w) - r_in^2 / w``.
+    smooth on the closed annulus.  ``w`` is a complex scalar (the result
+    is a complex scalar) or array (the result has its shape).  Satisfies
+    ``d/d(wbar)`` of the result = f(w); for ``f = 1`` the closed form is
+    ``conj(w) - r_in^2 / w``.
+
+    Each point runs the levels of :func:`_teodorescu_level` (16, 32, 64,
+    ... angular modes, half as many radii on either side of |w|) until two
+    levels agree to ``tol`` (absolute, on the transform), so an array of
+    points gives the values of one call per point.  The error of a level
+    is the part of ``f`` beyond its angular modes plus the Gauss-Legendre
+    error of its radial sums; for a source analytic near the closed
+    annulus both fall geometrically.  The package's sources stop at level
+    1 (32 modes, 16 radii a side, 1280 evaluations per point in all):
+    ``f = 1`` is within 5e-16 relative of its closed form, and smooth
+    sources with modes of both signs within 3e-12 of ``integrate_annulus``
+    run at tol 1e-10.  A source whose modes do not settle within
+    ``_TEODORESCU_LEVELS`` levels raises :class:`QuadratureError`
+    carrying the last values (an array for an array ``w``).
     """
-    w = complex(w)
-    res = integrate_annulus(
-        lambda z: f(z) / (z - w), r_in, r_out, singularity=w, tol=tol * math.pi
+    w = np.asarray(w, dtype=complex)
+    if not np.all((np.abs(w) > r_in) & (np.abs(w) < r_out)):
+        raise ValueError(f"the points w must lie inside the annulus ({r_in:.6g}, {r_out:.6g})")
+    flat = w.ravel()
+    value = np.zeros(flat.shape, dtype=complex)
+    active = np.arange(flat.size)
+    evaluations, err = 0, np.inf
+    for level in range(_TEODORESCU_LEVELS):
+        per_point = 2 * (16 << level) * (8 << level)
+        slab = max(1, _TEODORESCU_SLAB_NODES // per_point)
+        new = [_teodorescu_level(f, flat[active[i:i + slab]], r_in, r_out, level)
+               for i in range(0, active.size, slab)]
+        new = np.concatenate(new) if new else value[active]
+        evaluations += active.size * per_point
+        change = np.abs(new - value[active])
+        value[active] = new
+        if level:
+            err = float(np.max(change, initial=0.0))
+            active = active[change >= tol]
+        if not active.size:
+            return value.reshape(w.shape)[()]
+    raise QuadratureError(
+        f"teodorescu: {active.size} points did not reach tol={tol:g} "
+        f"(last change {err:g})",
+        QuadratureResult(value.reshape(w.shape)[()], err, evaluations),
     )
-    return -res.value / math.pi
 
 
 #: Gauss-Legendre nodes of the x0 line rule shared by :class:`Psi` and
@@ -306,7 +382,7 @@ def teodorescu(
 #: at interior points the T0 line integrals are exact to a few 1e-16
 #: relative to the largest component
 _T0_NODES = 96
-_LINE_NODES, _LINE_WEIGHTS = _legendre.leggauss(_T0_NODES)
+_LINE_NODES, _LINE_WEIGHTS = _gauss_legendre(_T0_NODES)
 
 #: central-difference step for the partials of a completion's source
 _FD_STEP = 1e-5
@@ -342,16 +418,19 @@ class Psi:
         Sets the slice annulus for the Teodorescu transform; evaluation
         points must lie inside it.
     tol : float
-        Tolerance of the Teodorescu quadrature.  The line integrals use
-        the fixed ``_T0_NODES``-point Gauss-Legendre rule of
+        Tolerance of the Teodorescu transform (see :func:`teodorescu`:
+        the package's sources stop at 32 angular modes).  The line
+        integrals use the fixed ``_T0_NODES``-point Gauss-Legendre rule of
         :func:`eval_T0_batch`.
 
     Notes
     -----
     The partials of ``f0`` are central differences with step
-    ``_FD_STEP``.  Teodorescu values are cached per (x1, x2); the cache
-    only grows and entries are never mutated, so concurrent reads are
-    safe.
+    ``_FD_STEP``, so the e1/e2 parts carry their O(h^2) error and the
+    round-off of the difference quotient: for the degree-0 harmonics, 3e-10
+    relative to the exact tables of :func:`eval_T0_batch`.
+    Each call transforms the distinct slice points of its coordinates
+    once; a ``Psi`` holds no state between calls.
     """
 
     def __init__(self, f0, domain: TorusDomain, tol: float = 1e-8):
@@ -359,28 +438,24 @@ class Psi:
         self.domain = domain
         self.tol = tol
         self.r_in, self.r_out = domain.slice_radii()
-        self._w_cache: Dict[Tuple[float, float], complex] = {}
 
     def _slice_source(self, z: np.ndarray) -> np.ndarray:
         """Trace of ``d0 f0`` on the slice plane, at complex points ``z``.
 
-        x0 = +-h goes in as a scalar: the quadrature samples millions of
-        points, and a full x0 array would make a source such as ``x0**3``
-        cost twice as much.
+        x0 = +-h goes in as a scalar: the transform samples about a
+        thousand points per slice point, and a full x0 array would make a
+        source such as ``x0**3`` cost twice as much.
         """
         h = _FD_STEP
         return (self.f0(h, z.real, z.imag) - self.f0(-h, z.real, z.imag)) / (2.0 * h)
 
     def _w(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+        """The Teodorescu transform at the slice points ``(x1, x2)``: one
+        call over the distinct ones."""
         slice_pts, inverse = np.unique(np.stack([x1.ravel(), x2.ravel()], axis=1),
                                        axis=0, return_inverse=True)
-        keys = [tuple(k) for k in slice_pts.tolist()]
-        # one adaptive quadrature per slice point not seen before
-        for key in keys:
-            if key not in self._w_cache:
-                self._w_cache[key] = teodorescu(
-                    self._slice_source, complex(*key), self.r_in, self.r_out, self.tol)
-        w = np.array([self._w_cache[key] for key in keys], dtype=complex)
+        w = teodorescu(self._slice_source, slice_pts[:, 0] + 1j * slice_pts[:, 1],
+                       self.r_in, self.r_out, self.tol)
         return w[inverse.reshape(-1)].reshape(x1.shape)
 
     def _line_integrals(self, x0, x1, x2) -> Tuple[np.ndarray, np.ndarray]:

@@ -1,31 +1,33 @@
 """Numerical integration kernels.
 
-Three integrators cover everything the rest of the package needs:
+Three integrators, and the Gauss-Legendre rule they share:
 
 * ``integrate_1d`` -- adaptive quadrature on an interval (wraps QUADPACK),
   used by the slow special-function oracles.
 * ``integrate_annulus`` -- integration of a complex-valued integrand over a
   planar annulus, optionally with a weak (``1/|z - w|``) singularity at an
   interior point ``w``.  The singular case is handled in polar coordinates
-  centered at ``w``, where the area Jacobian cancels the singular factor.
+  centered at ``w``, where the area Jacobian cancels the singular factor;
+  it is the oracle of the Teodorescu transform in ``monogenics``.
 * ``integrate_torus`` -- integration over the open solid torus
   ``{eta > eta0}`` with the toroidal volume element
   ``sinh(eta) (cosh(eta) - cos(theta))**-3 d(eta) d(theta) d(phi)``.
 
-All routines are pure functions and hold no shared state.
+All routines are pure functions.  The one shared state is the cache of
+Gauss-Legendre rules (:func:`_gauss_legendre`), whose arrays are
+read-only.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
 from scipy import integrate as _integrate
-
-from .geometry import _torus_mesh, _torus_rule
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,8 @@ class QuadratureResult:
     Attributes
     ----------
     value : float or complex
-        Estimate of the integral.
+        Estimate of the integral (an array of them for
+        ``monogenics.teodorescu`` at an array of points).
     error_estimate : float
         Nonnegative estimate of the absolute error.
     evaluations : int
@@ -88,8 +91,12 @@ def integrate_1d(
     return result
 
 
+@lru_cache(maxsize=None)
 def _gauss_legendre(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The ``n``-point Gauss-Legendre nodes and weights on [-1, 1],
+    computed once per ``n``; every caller shares the (read-only) arrays."""
     nodes, weights = _legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
 
@@ -254,6 +261,9 @@ def integrate_torus(
     ``_TORUS_NODE_BUDGET`` nodes raises :class:`QuadratureError` with the
     last estimate attached.
     """
+    # imported here because geometry reads this module's Gauss-Legendre rule
+    from .geometry import _torus_mesh, _torus_rule
+
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
 

@@ -7,7 +7,7 @@ pass/fail line (visible with ``pytest -s`` or in the captured output).
 import time
 from fractions import Fraction
 
-from toroharm import harmonics
+from toroharm import harmonics, monogenics
 from toroharm.checks import (
     check_derivative_tables,
     check_gram_definiteness,
@@ -23,6 +23,7 @@ from toroharm.checks import (
     check_reverse_appell_exact,
     check_reverse_appell_numeric,
     check_teodorescu_closed_form,
+    check_teodorescu_oracle,
     check_torus_volume,
     check_w_plateau,
     suite_appell,
@@ -103,6 +104,25 @@ def test_criterion_08_teodorescu_closed_form():
     result = check_teodorescu_closed_form()
     _gate("criterion 08 annulus Teodorescu transform closed form", result,
           max_seconds=120.0, elapsed=time.perf_counter() - t0)
+
+
+def test_teodorescu_closed_form_check_runs_the_mode_transform(monkeypatch):
+    # the constant source has one mode, so every point stops at level 1
+    levels = []
+    level_fn = monogenics._teodorescu_level
+
+    def spy(f, w, r_in, r_out, level):
+        levels.append(level)
+        return level_fn(f, w, r_in, r_out, level)
+
+    monkeypatch.setattr(monogenics, "_teodorescu_level", spy)
+    result = check_teodorescu_closed_form()
+    assert result.passed and result.residual <= 1e-12, result.line()
+    assert levels == [0, 1] * 10
+
+
+def test_teodorescu_modes_match_singular_quadrature():
+    _gate("Teodorescu mode transform vs singular quadrature", check_teodorescu_oracle())
 
 
 def test_criterion_09_psi_monogenicity():

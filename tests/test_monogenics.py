@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
+from toroharm import monogenics
 from toroharm.geometry import (
     CartesianPoint,
     TorusDomain,
@@ -36,6 +37,7 @@ from toroharm.monogenics import (
     t_is_zero,
     teodorescu,
 )
+from toroharm.quadrature import QuadratureError
 
 P = ToroidalPoint(1.4, 0.8, 0.5)
 X = to_cartesian(P)
@@ -136,6 +138,39 @@ def test_teodorescu_closed_form():
     w = 1.2 + 0.4j
     val = teodorescu(lambda z: np.ones_like(z), w, r_in, r_out, tol=1e-9)
     assert_allclose(val, np.conj(w) - r_in**2 / w, rtol=1e-7)
+
+
+def _smooth_source(z):
+    return np.exp(z / 2.0 + np.conj(z) / 3.0)
+
+
+def test_teodorescu_array_matches_scalar_calls(monkeypatch):
+    r_in, r_out = 0.5, 2.0
+    w = np.array([[0.55 + 0.1j, 1.2 - 0.4j, -1.9 + 0.2j], [1.0j, -0.7 + 0.0j, 1.5 + 1.1j]])
+    scalar = [[teodorescu(_smooth_source, v, r_in, r_out, tol=1e-10) for v in row] for row in w]
+    assert all(isinstance(v, complex) and np.ndim(v) == 0 for row in scalar for v in row)
+    values = teodorescu(_smooth_source, w, r_in, r_out, tol=1e-10)
+    assert values.shape == w.shape
+    assert_array_equal(values, scalar)
+    # one point per slab gives the same values
+    monkeypatch.setattr(monogenics, "_TEODORESCU_SLAB_NODES", 1)
+    assert_array_equal(teodorescu(_smooth_source, w, r_in, r_out, tol=1e-10), scalar)
+
+
+def test_teodorescu_rejects_points_outside_the_annulus():
+    for w in (0.4, 2.0j, np.array([1.0, 2.5])):
+        with pytest.raises(ValueError, match="inside the annulus"):
+            teodorescu(_smooth_source, w, 0.5, 2.0)
+
+
+def test_teodorescu_unresolved_source_raises():
+    # the modes of sign(Im z) fall like 1/k: no level cap is high enough
+    with pytest.raises(QuadratureError) as exc:
+        teodorescu(lambda z: np.sign(z.imag) + 0j, 1.0 + 0.5j, 0.5, 2.0, tol=1e-8)
+    levels = range(monogenics._TEODORESCU_LEVELS)
+    assert exc.value.partial.evaluations == sum(2 * (16 << k) * (8 << k) for k in levels)
+    assert exc.value.partial.error_estimate >= 1e-8
+    assert np.ndim(exc.value.partial.value) == 0
 
 
 def test_psi_of_constant():
