@@ -210,9 +210,9 @@ def check_legendre_oracle(n_points: int = 125) -> CheckResult:
 
 def check_legendre_mpmath() -> CheckResult:
     """The radial evaluator over eta in [1e-6, 40], n <= 60 and m <= 20
-    (absolute error where ``|Q| < 1e-290``), and ``I`` and ``T`` near the
-    axis and the limit circle (relative to the largest component), against
-    mpmath ``legenq`` at 30 digits."""
+    (absolute error where ``|Q| < 1e-290``), and ``I``, ``T`` and ``T0``
+    near the axis and the limit circle (relative to the largest
+    component), against mpmath ``legenq`` at 30 digits."""
     import mpmath as mp
 
     def q_mp(n, m, eta):
@@ -248,8 +248,24 @@ def check_legendre_mpmath() -> CheckResult:
                                * i_mp(t.index, eta) for t in table) for table in tables]
                 err = max(abs(got[s, j] - r) for s, r in enumerate(ref))
                 worst = max(worst, float(err / max(abs(r) for r in ref)))
+        # T0: the x0-line integrals of the d1 and d2 tables of I_{0,m}, by a
+        # 24-node Gauss-Legendre rule in mpmath
+        u, w = mp.gauss_quadrature(24, "legendre")
+        x = cartesian_arrays(pts[1:3], theta, phi)
+        for idx in (HarmonicIndex(0, 1, 1, 1), HarmonicIndex(0, 2, 1, -1)):
+            got = eval_T0_batch(idx.m, idx.mu, *x)
+            for j, eta in enumerate(pts[1:3]):
+                x0, x1, x2 = (mp.mpf(float(c[j])) for c in x)
+                pds = [_point_data_mp(x0 * (1 + u[k]) / 2, x1, x2, 1, idx.m + 1)
+                       for k in range(len(u))]
+                ref = [i_mp(idx, eta)] + [-x0 / 2 * mp.fsum(
+                    w[k] * mp.fsum(mp.mpf(t.coefficient.numerator) / t.coefficient.denominator
+                                   * _harmonic_mp(pd, t.index) for t in table(idx))
+                    for k, pd in enumerate(pds)) for table in (d1_terms, d2_terms)]
+                err = max(abs(got[s, j] - r) for s, r in enumerate(ref))
+                worst = max(worst, float(err / max(abs(r) for r in ref)))
     return _result("radial evaluator, I and T vs mpmath", worst, 1e-11,
-                   "eta in [1e-6, 40], n <= 60, m <= 20")
+                   "eta in [1e-6, 40], n <= 60, m <= 20; T0 at eta 1e-3 and 20")
 
 
 def check_torus_volume() -> CheckResult:
@@ -275,7 +291,7 @@ def suite_legendre() -> List[CheckResult]:
 # derivatives suite
 # ---------------------------------------------------------------------------
 
-def _point_data_mp(x0: float, x1: float, x2: float, n_max: int, m_max: int):
+def _point_data_mp(x0, x1, x2, n_max: int, m_max: int):
     """Everything needed to assemble any harmonic at one Cartesian point
     in extended precision: metric prefactor, radial table, angular trig
     tables."""
@@ -303,6 +319,14 @@ def _point_data_mp(x0: float, x1: float, x2: float, n_max: int, m_max: int):
     return pref, q, ct, st, cp, sp
 
 
+def _harmonic_mp(pd, idx: HarmonicIndex):
+    """The harmonic ``idx`` from the :func:`_point_data_mp` of a point."""
+    pref, q, ct, st, cp, sp = pd
+    tn = ct[idx.n] if idx.nu > 0 else st[idx.n]
+    tm = cp[idx.m] if idx.mu > 0 else sp[idx.m]
+    return pref * q[idx.n][idx.m] * tn * tm
+
+
 def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> List[CheckResult]:
     """FD Laplacian of the toroidal harmonics at random interior points.
 
@@ -311,7 +335,8 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
     h = 1e-4 sits below both the second-order truncation floor (~5e-4
     here) and the float64 evaluation-noise floor (~3e-6, scaling as
     1/h^2), so the residual itself uses a fourth-order stencil with the
-    harmonics evaluated through an extended-precision path.
+    harmonics evaluated at stencil points formed and evaluated in extended
+    precision.
     """
     import mpmath as mp
 
@@ -327,26 +352,23 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
 
     h = 1e-4
     steps = (-2, -1, 1, 2)
-    # per point: the centre, then x + k h e_i axis by axis
-    coords = np.concatenate([np.stack(pts)[:, None],
-                             _stencil(*pts, h, steps).reshape(3, 3 * len(steps), -1)], axis=1)
     with mp.workdps(35):
         hh = mp.mpf(h)
         w1, w2, w0 = 16 / (12 * hh * hh), -1 / (12 * hh * hh), -90 / (12 * hh * hh)
         weights = [w0] + [w1 if abs(k) == 1 else w2 for _ in range(3) for k in steps]
-        data = [[_point_data_mp(*coords[:, s, j], n_max, m_max) for s in range(len(weights))]
-                for j in range(n_points)]
-
-        def val(pd, idx):
-            pref, q, ct, st, cp, sp = pd
-            tn = ct[idx.n] if idx.nu > 0 else st[idx.n]
-            tm = cp[idx.m] if idx.mu > 0 else sp[idx.m]
-            return pref * q[idx.n][idx.m] * tn * tm
+        # per point: the float centre, then x + k h e_i axis by axis, formed
+        # in extended precision so that the stencil is exact
+        data = []
+        for centre in zip(*(c.tolist() for c in pts)):
+            x = [mp.mpf(c) for c in centre]
+            shifted = [[x[a] + k * hh if a == i else x[a] for a in range(3)]
+                       for i in range(3) for k in steps]
+            data.append([_point_data_mp(*p, n_max, m_max) for p in [x] + shifted])
 
         worst_hi = 0.0
         for idx in _all_indices(n_max, m_max):
             for row in data:
-                lap = sum((w * val(pd, idx) for w, pd in zip(weights, row)), mp.mpf(0))
+                lap = sum((w * _harmonic_mp(pd, idx) for w, pd in zip(weights, row)), mp.mpf(0))
                 worst_hi = max(worst_hi, abs(float(lap)))
 
     return [
@@ -670,13 +692,9 @@ def suite_coh() -> List[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def _margin_grid(eta0: float, margin: float) -> ExpansionGrid:
-    eta = np.linspace(eta0 + margin, eta0 + 3.0, 9)
-    th = np.linspace(-math.pi, math.pi, 11, endpoint=False)
-    ph = np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False)
-    x = [c.ravel() for c in cartesian_arrays(*np.meshgrid(eta, th, ph, indexing="ij"))]
-    # each node's toroidal coordinates are those of its Cartesian point, so
-    # the Cartesian (T0, W) and the toroidal kinds see the same points
-    return ExpansionGrid(*x, *toroidal_arrays(*x), np.ones(x[0].size))
+    return ExpansionGrid.mesh(np.linspace(eta0 + margin, eta0 + 3.0, 9),
+                              np.linspace(-math.pi, math.pi, 11, endpoint=False),
+                              np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
 
 
 def check_known_expansions(N: int = 40) -> List[CheckResult]:

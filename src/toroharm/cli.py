@@ -42,11 +42,10 @@ from .geometry import (
     DegenerateLocusError,
     TorusDomain,
     ToroidalPoint,
-    cartesian_arrays,
     to_cartesian,
 )
 from .harmonics import kappa, parse_sign
-from .monogenics import _T0_NODES, t_is_zero
+from .monogenics import t_is_zero
 
 GOLDEN_SCHEMA = 1
 
@@ -157,7 +156,8 @@ _KINDS = {
     "Istar": ("ISTAR", 4, slice(0, 1), "analytic (exact star coefficients)"),
     "T": ("T", 4, slice(0, 3), "analytic (derivative coefficient tables)"),
     "T0": ("T0", 2, slice(0, 3),
-           f"quadrature ({_T0_NODES}-node Gauss-Legendre line integrals)"),
+           "quadrature (x0-line integrals, Gauss-Legendre doubled from 8 nodes "
+           "to round-off)"),
     "W": ("W", 2, slice(0, 3), "analytic (planar powers)"),
     # J_m^sign is the e1 part of W_m^sign
     "J": ("W", 2, slice(1, 2), "analytic (planar power)"),
@@ -357,13 +357,13 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     etas = eta0 + margin * eta0 + np.linspace(0.0, 2.0, n_eta)
     thetas = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    # eta-major ordering, then theta, then phi
-    tor = [c.ravel() for c in np.meshgrid(etas, thetas, phis, indexing="ij")]
     with np.errstate(over="ignore", invalid="ignore"):
-        x = cartesian_arrays(*tor)
+        grid = ExpansionGrid.mesh(etas, thetas, phis)
+        x = (grid.x0, grid.x1, grid.x2)
     if not np.all(np.isfinite(x)):
         raise UsageError(f"cosh(eta) overflows on this grid (eta up to {etas[-1]:g})")
-    grid = ExpansionGrid(*x, *tor, np.ones(tor[0].size))
+    # eta-major ordering, then theta, then phi
+    tor = [np.repeat(grid.eta, n_phi), np.repeat(grid.theta, n_phi), np.tile(phis, n_eta * n_theta)]
     values = _normalize(evaluate_element_grid(el, grid)[rows])
     table = np.vstack(list(x) + tor + [values]).T.tolist()
     comp_names = ["value"] if len(values) == 1 else ["a0", "a1", "a2"]

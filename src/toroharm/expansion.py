@@ -23,12 +23,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .appell import alpha_beta, eval_I_star_batch, j_coefficient_unit
-from .geometry import CartesianPoint, to_toroidal, toroidal_arrays
+from .geometry import CartesianPoint, ExpansionGrid, to_toroidal
 from .harmonics import HarmonicIndex, Sign, eval_I_batch, parse_sign, sign_char
 from .monogenics import (
     E3,
     Quaternion,
-    eval_T0_batch,
+    _t0_meridian,
     eval_T_batch,
     eval_W_batch,
     field_values,
@@ -150,7 +150,7 @@ def _radial_table(elements: Sequence[BasisElement], grid: ExpansionGrid):
                if el.kind in ("T", "I", "ISTAR")]
     if not extents:
         return None
-    return q_half_grid(max(n for n, _ in extents), max(m for _, m in extents), grid.eta)
+    return q_half_grid(max(n for n, _ in extents), max(m for _, m in extents), grid.eta.ravel())
 
 
 def _point_grid(elements: Sequence[BasisElement], x: CartesianPoint) -> ExpansionGrid:
@@ -172,64 +172,38 @@ def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
 
 
 # ---------------------------------------------------------------------------
-# sampled grids
+# values on grids
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExpansionGrid:
-    """Flattened quadrature nodes and weights for Gram assembly, in both
-    coordinate systems."""
-
-    x0: np.ndarray
-    x1: np.ndarray
-    x2: np.ndarray
-    eta: np.ndarray
-    theta: np.ndarray
-    phi: np.ndarray
-    weights: np.ndarray
-
-    @classmethod
-    def from_samples(cls, samples) -> "ExpansionGrid":
-        """From the (point, weight) pairs of ``geometry.sample_grid``."""
-        pts = np.array([(p.x0, p.x1, p.x2, w) for p, w in samples])
-        eta, theta, phi = toroidal_arrays(pts[:, 0], pts[:, 1], pts[:, 2])
-        return cls(pts[:, 0], pts[:, 1], pts[:, 2], eta, theta, phi, pts[:, 3])
-
-    def __len__(self) -> int:
-        return self.x0.size
-
-
 def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid, q=None) -> np.ndarray:
-    """Element values on all grid nodes, shape (4, npts).
+    """Element values on all grid nodes, shape ``(4, len(grid))``.
 
-    ``q``, if given, is a :func:`_radial_table` on the grid covering the
-    element; callers that evaluate many elements build one and pass it.
+    Each kind is evaluated on the grid's broadcasting coordinates, so on a
+    mesh the radial table, the prefactor, the theta factors and the ``T0``
+    line integrals are computed on the meridian nodes alone.  ``q``, if
+    given, is a :func:`_radial_table` on the grid covering the element;
+    callers that evaluate many elements build one and pass it.
     """
-    npts = len(grid)
+    out = np.zeros((4,) + grid.shape)
     if el.kind == "ONE":
-        out = np.zeros((4, npts))
         out[0] = 1.0
-        return out
-    if el.kind == "W":
-        v = eval_W_batch(el.m, el.nu, grid.x1, grid.x2)
-        return np.vstack([v, np.zeros((1, npts))])
-    if el.kind == "E3":
+    elif el.kind == "W":
+        out[:3] = eval_W_batch(el.m, el.nu, grid.x1, grid.x2).reshape((3,) + grid.shape)
+    elif el.kind == "E3":
         return qmul(evaluate_element_grid(el.inner, grid, q), E3)
-    if el.kind == "T0":
-        v = eval_T0_batch(el.m, el.mu, grid.x0, grid.x1, grid.x2)
-        return np.vstack([v, np.zeros((1, npts))])
-    if q is None:
-        q = _radial_table([el], grid)
-    idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
-    if el.kind == "T":
-        v = eval_T_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
-        return np.vstack([v, np.zeros((1, npts))])
-    out = np.zeros((4, npts))
-    if el.kind == "I":
-        out[0] = eval_I_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
+    elif el.kind == "T0":
+        out[:3] = _t0_meridian(el.m, el.mu, *grid.meridian, grid.phi)
     else:
-        out[0] = eval_I_star_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
-    return out
+        if q is None:
+            q = _radial_table([el], grid)
+        idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
+        if el.kind == "T":
+            out[:3] = eval_T_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
+        elif el.kind == "I":
+            out[0] = eval_I_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
+        else:
+            out[0] = eval_I_star_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
+    return out.reshape(4, -1)
 
 
 # ---------------------------------------------------------------------------

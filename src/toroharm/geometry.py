@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from functools import cached_property
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -170,7 +171,7 @@ def _torus_rule(eta_in: float, n_eta: int, n_theta: int, n_phi: int):
     eta)``, which maps the unbounded ``eta`` range to ``u in (0, 1)``, and
     uniform (periodic trapezoid) nodes in both angles.  Returns ``(eta,
     w_eta, theta, phi)``; ``w_eta`` is the radial weight, with ``d(eta) =
-    -du/u``, times the angular weight.  :func:`_torus_mesh` expands them.
+    -du/u``, times the angular weight.  :func:`_torus_grid` expands them.
     """
     gl, glw = _gauss_legendre(n_eta)
     u = 0.5 * (gl + 1.0)
@@ -180,15 +181,12 @@ def _torus_rule(eta_in: float, n_eta: int, n_theta: int, n_phi: int):
     return eta_in - np.log(u), w_eta, theta, phi
 
 
-def _torus_mesh(eta, w_eta, theta, phi):
-    """Cartesian nodes ``(x0, x1, x2)`` and weights of a :func:`_torus_rule`
-    on the mesh ``eta x theta x phi``, each of shape ``(eta.size,
-    theta.size, phi.size)``.  The weights carry the volume element
-    ``sinh(eta) (cosh(eta) - cos(theta))^-3``."""
+def _torus_grid(eta, w_eta, theta, phi) -> "ExpansionGrid":
+    """The mesh of a :func:`_torus_rule`, with weights that carry the
+    volume element ``sinh(eta) (cosh(eta) - cos(theta))^-3``."""
     E, T = eta[:, None, None], theta[:, None]
-    x = np.broadcast_arrays(*cartesian_arrays(E, T, phi))
-    w = w_eta[:, None, None] * np.sinh(E) / (np.cosh(E) - np.cos(T)) ** 3
-    return x, np.broadcast_to(w, x[0].shape)
+    return ExpansionGrid.mesh(eta, theta, phi,
+                              w_eta[:, None, None] * np.sinh(E) / (np.cosh(E) - np.cos(T)) ** 3)
 
 
 def sample_grid(
@@ -197,17 +195,78 @@ def sample_grid(
     n_theta: int,
     n_phi: int,
     margin: float,
-) -> List[Tuple[CartesianPoint, float]]:
+) -> "ExpansionGrid":
     """Quadrature nodes and weights on the shrunken torus ``{eta >= eta0 + margin}``.
 
-    The nodes of :func:`_torus_rule`, ordered eta-major, then theta, then
-    phi.  The weights sum to the volume of the sampled region, so Gram
-    matrices built on the grid approximate L2 inner products.
+    The mesh of :func:`_torus_rule`, a sequence of ``(CartesianPoint,
+    weight)`` pairs ordered eta-major, then theta, then phi.  The weights
+    sum to the volume of the sampled region, so Gram matrices built on the
+    grid approximate L2 inner products.
     """
     if n_eta < 1 or n_theta < 1 or n_phi < 1:
         raise ValueError("grid counts must be positive")
     if margin <= 0:
         raise ValueError("margin must be positive")
-    x, w = _torus_mesh(*_torus_rule(domain.eta0 + margin, n_eta, n_theta, n_phi))
-    points = map(CartesianPoint, *(c.ravel().tolist() for c in x))
-    return list(zip(points, w.ravel().tolist()))
+    return _torus_grid(*_torus_rule(domain.eta0 + margin, n_eta, n_theta, n_phi))
+
+
+@dataclass(frozen=True, eq=False)
+class ExpansionGrid:
+    """Quadrature nodes and weights in both coordinate systems, and a
+    sequence of ``(CartesianPoint, weight)`` pairs.
+
+    ``x0``, ``x1``, ``x2`` and ``weights`` are flat over the ``N`` nodes.
+    The toroidal coordinates broadcast to :attr:`shape`: on a mesh
+    (:meth:`mesh`, :func:`sample_grid`) ``eta``, ``theta`` and the
+    ``meridian`` pair ``(x0, rho)`` have shape ``(P, 1)`` against ``phi``
+    of shape ``(1, K)``, so what depends on the meridian alone is computed
+    on ``P`` points; scattered points hold ``(N,)`` arrays.
+    """
+
+    x0: np.ndarray
+    x1: np.ndarray
+    x2: np.ndarray
+    eta: np.ndarray
+    theta: np.ndarray
+    phi: np.ndarray
+    meridian: Tuple[np.ndarray, np.ndarray]
+    weights: np.ndarray
+
+    @classmethod
+    def mesh(cls, eta, theta, phi, weights=1.0) -> "ExpansionGrid":
+        """The tensor grid of the 1-D node arrays ``eta x theta x phi``;
+        ``weights`` broadcast to ``(eta.size, theta.size, phi.size)``."""
+        eta, theta, phi = (np.asarray(c, dtype=float).ravel() for c in (eta, theta, phi))
+        E = np.repeat(eta, theta.size)[:, None]
+        T = theta[np.arange(eta.size * theta.size) % theta.size, None]
+        x0, x1, x2 = cartesian_arrays(E, T, phi[None])
+        rho = np.sinh(E) / (np.cosh(E) - np.cos(T))
+        w = (weights * np.ones((eta.size, theta.size, phi.size))).ravel()
+        return cls(np.repeat(x0, phi.size), x1.ravel(), x2.ravel(), E, T, phi[None], (x0, rho), w)
+
+    @classmethod
+    def from_samples(cls, samples) -> "ExpansionGrid":
+        """A grid as given, or scattered points from ``(point, weight)``
+        pairs; their toroidal coordinates come from :func:`toroidal_arrays`."""
+        if isinstance(samples, cls):
+            return samples
+        pts = np.array([(p.x0, p.x1, p.x2, w) for p, w in samples]).reshape(-1, 4)
+        x0, x1, x2, w = pts.T
+        return cls(x0, x1, x2, *toroidal_arrays(x0, x1, x2), (x0, np.hypot(x1, x2)), w)
+
+    @cached_property
+    def shape(self) -> Tuple[int, ...]:
+        """The broadcast shape of the toroidal coordinates: ``(P, K)`` or ``(N,)``."""
+        return np.broadcast_shapes(self.eta.shape, self.phi.shape)
+
+    def __len__(self) -> int:
+        return self.weights.size
+
+    def __getitem__(self, i: int) -> Tuple[CartesianPoint, float]:
+        i = range(len(self))[i]
+        x = CartesianPoint(float(self.x0[i]), float(self.x1[i]), float(self.x2[i]))
+        return x, float(self.weights[i])
+
+    def __iter__(self) -> Iterator[Tuple[CartesianPoint, float]]:
+        points = map(CartesianPoint, self.x0.tolist(), self.x1.tolist(), self.x2.tolist())
+        return zip(points, self.weights.tolist())

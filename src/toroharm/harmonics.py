@@ -112,6 +112,20 @@ def _trig(k: int, sign: Sign, angle):
     return np.cos(k * np.asarray(angle)) if sign > 0 else np.sin(k * np.asarray(angle))
 
 
+def _metric(eta, theta) -> np.ndarray:
+    """The prefactor ``sqrt(cosh(eta) - cos(theta))``, as ``sqrt(2) *
+    hypot(sinh(eta/2), sin(theta/2))``: the difference cancels where both
+    are small."""
+    return math.sqrt(2.0) * np.hypot(np.sinh(0.5 * eta), np.sin(0.5 * np.asarray(theta)))
+
+
+def _term(idx: HarmonicIndex, eta: np.ndarray, theta, phi, q, metric) -> np.ndarray:
+    """``I_idx`` from the table ``q`` and the prefactor ``metric`` of
+    :func:`_metric`, which callers summing many harmonics compute once."""
+    radial = q[idx.n, idx.m].reshape(eta.shape)
+    return metric * radial * _trig(idx.n, idx.nu, theta) * _trig(idx.m, idx.mu, phi)
+
+
 def eval_I_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     """Vectorized harmonic evaluation on coordinate arrays.
 
@@ -121,13 +135,7 @@ def eval_I_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     if q is None:
         q = q_half_grid(idx.n, idx.m, eta.ravel())
-    radial = q[idx.n, idx.m].reshape(eta.shape)
-    return (
-        np.sqrt(np.cosh(eta) - np.cos(theta))
-        * radial
-        * _trig(idx.n, idx.nu, theta)
-        * _trig(idx.m, idx.mu, phi)
-    )
+    return _term(idx, eta, theta, phi, q, _metric(eta, theta))
 
 
 def eval_I(idx: HarmonicIndex, p: ToroidalPoint) -> float:
@@ -256,15 +264,17 @@ def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi, q=None) -> np.n
     """Evaluate a finite combination of harmonics on coordinate arrays.
 
     Unless ``q`` (as in :func:`eval_I_batch`) is given, one
-    ``q_half_grid`` table sized to the widest term serves every term.
+    ``q_half_grid`` table sized to the widest term serves every term, as
+    does one prefactor.
     """
     eta = np.asarray(eta, dtype=float)
     if terms and q is None:
         q = q_half_grid(max(t.index.n for t in terms), max(t.index.m for t in terms),
                         eta.ravel())
     total = np.zeros(np.broadcast(eta, theta, phi).shape)
+    metric = _metric(eta, theta)
     for t in terms:
-        total = total + float(t.coefficient) * eval_I_batch(t.index, eta, theta, phi, q=q)
+        total = total + float(t.coefficient) * _term(t.index, eta, theta, phi, q, metric)
     return total
 
 

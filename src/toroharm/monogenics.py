@@ -48,7 +48,10 @@ from .harmonics import (
     HarmonicIndex,
     Sign,
     _combine,
+    _metric,
     _planar_pair,
+    _term,
+    _trig,
     d0_terms,
     d1_terms,
     d2_terms,
@@ -377,22 +380,68 @@ def teodorescu(
     )
 
 
-#: Gauss-Legendre nodes of the x0 line rule shared by :class:`Psi` and
-#: :func:`eval_T0_batch`; the integrands are analytic, and against mpmath
-#: at interior points the T0 line integrals are exact to a few 1e-16
-#: relative to the largest component
-_T0_NODES = 96
-_LINE_NODES, _LINE_WEIGHTS = _gauss_legendre(_T0_NODES)
+#: the x0 line rule of :class:`Psi` and :func:`eval_T0_batch`: level k
+#: compares the Gauss-Legendre rules of ``8 * 2**k`` and ``16 * 2**k`` nodes,
+#: evaluated in slabs of at most ``_LINE_SLAB_NODES`` nodes (or one point)
+_LINE_LEVELS = 7
+_LINE_SLAB_NODES = 2**18
+#: round-off allowance of its convergence test (see :func:`_x0_lines`)
+_LINE_ROUNDOFF = 1e-13
 
 #: central-difference step for the partials of a completion's source
 _FD_STEP = 1e-5
 
 
-def _x0_line_rule(x0: np.ndarray):
-    """Nodes and weights of the shared rule on the segments from 0 to
-    ``x0``; both of shape ``x0.shape + (_T0_NODES,)``."""
-    half = 0.5 * x0[..., None]
-    return half * (_LINE_NODES + 1.0), half * _LINE_WEIGHTS
+@lru_cache(maxsize=None)
+def _line_rule(level: int):
+    """Level ``level`` of the x0 line rule: the nodes of its coarse and fine
+    Gauss-Legendre rules on [0, 2], the coarse count, both weights, and the
+    fine weights."""
+    (xc, wc), (xf, wf) = _gauss_legendre(8 << level), _gauss_legendre(16 << level)
+    return np.concatenate([xc, xf]) + 1.0, xc.size, np.concatenate([wc, wf]), wf
+
+
+def _x0_lines(g, x0: np.ndarray, tol: float) -> np.ndarray:
+    """Integrals from 0 to ``x0`` of the integrands ``g``, point by point.
+
+    ``g(t, i)`` returns the values, shape ``(c, len(i), n)``, of ``c``
+    integrands at the nodes ``t`` (shape ``(len(i), n)``) of the lines
+    through the flat points ``i``, and the magnitudes their rounding scales
+    with.  A point stops at the first level whose two rules agree, for
+    every integrand, to ``tol`` plus ``_LINE_ROUNDOFF`` times the integral
+    of the magnitudes.  Its value is the finer rule's and depends on that
+    point alone.  Returns ``(c,) + x0.shape``; a point unsettled after
+    ``_LINE_LEVELS`` levels raises :class:`QuadratureError`.
+    """
+    flat = x0.ravel()
+    value, active, evaluations = None, np.arange(flat.size), 0
+    for level in range(_LINE_LEVELS):
+        nodes, n, w, wf = _line_rule(level)
+        slab = max(1, _LINE_SLAB_NODES // nodes.size)
+        unsettled, err = [], 0.0
+        for s in range(0, max(active.size, 1), slab):
+            i = active[s:s + slab]
+            half = 0.5 * flat[i]
+            v, size = g(half[:, None] * nodes, i)
+            vw = v * w
+            fine = vw[..., n:].sum(-1)
+            excess = (np.abs(half) * (np.abs(fine - vw[..., :n].sum(-1))
+                                      - _LINE_ROUNDOFF * (size[..., n:] * wf).sum(-1))).max(0)
+            if value is None:
+                value = np.empty((len(v), flat.size))
+            value[:, i] = fine * half
+            if (excess > tol).any():
+                unsettled.append(i[excess > tol])
+                err = max(err, float(excess.max()))
+        evaluations += active.size * nodes.size
+        if not unsettled:
+            return value.reshape(value.shape[:1] + x0.shape)
+        active = np.concatenate(unsettled)
+    raise QuadratureError(
+        f"x0 line rule: {active.size} points did not settle to tol={tol:g} "
+        f"within {16 << (_LINE_LEVELS - 1)} nodes (last change {err:g})",
+        QuadratureResult(value.reshape(value.shape[:1] + x0.shape), err, evaluations),
+    )
 
 
 class Psi:
@@ -418,10 +467,12 @@ class Psi:
         Sets the slice annulus for the Teodorescu transform; evaluation
         points must lie inside it.
     tol : float
-        Tolerance of the Teodorescu transform (see :func:`teodorescu`:
-        the package's sources stop at 32 angular modes).  The line
-        integrals use the fixed ``_T0_NODES``-point Gauss-Legendre rule of
-        :func:`eval_T0_batch`.
+        Absolute tolerance of the Teodorescu transform (see
+        :func:`teodorescu`: the package's sources stop at 32 angular modes)
+        and of the x0 line rule (:func:`_x0_lines`, with round-off
+        allowance 1e-13 of the integral of ``|d f0|``).  The rule runs the
+        8- and 16-node rules in one call of ``f0`` and doubles while they
+        differ; polynomial sources and the degree-0 harmonics stop at 16.
 
     Notes
     -----
@@ -458,16 +509,18 @@ class Psi:
                        self.r_in, self.r_out, self.tol)
         return w[inverse.reshape(-1)].reshape(x1.shape)
 
-    def _line_integrals(self, x0, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
-        t, wt = _x0_line_rule(x0)
-        t, s1, s2 = np.broadcast_arrays(t, x1[..., None], x2[..., None])
+    def _line_integrals(self, x0, x1, x2) -> np.ndarray:
+        x1, x2 = x1.ravel(), x2.ravel()
         h = _FD_STEP
-        v = self.f0(np.stack([t, t, t, t]),
-                    np.stack([s1 + h, s1 - h, s1, s1]),
-                    np.stack([s2, s2, s2 + h, s2 - h]))
-        g1 = (v[0] - v[1]) / (2.0 * h)
-        g2 = (v[2] - v[3]) / (2.0 * h)
-        return np.sum(g1 * wt, axis=-1), np.sum(g2 * wt, axis=-1)
+        shift1, shift2 = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]])[..., None, None]
+
+        def g(t, i):  # f0 at x1 +- h, then x2 +- h: shape (4, len(i), n)
+            v = np.broadcast_to(self.f0(t, x1[i, None] + shift1, x2[i, None] + shift2),
+                                (4,) + t.shape)
+            d = np.stack([v[0] - v[1], v[2] - v[3]]) / (2.0 * h)
+            return d, np.abs(d)
+
+        return _x0_lines(g, x0, self.tol)
 
     def __call__(self, x0, x1, x2) -> np.ndarray:
         """The completion at coordinate arrays.  The scalar slot is ``f0``
@@ -495,12 +548,6 @@ def psi(f0, domain: TorusDomain, x: CartesianPoint, tol: float = 1e-8) -> Reduce
 # the n = 0 monogenics T0
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _t0_gradient_tables(m: int, mu: Sign):
-    idx = HarmonicIndex(0, m, 1, mu)
-    return tuple(d1_terms(idx)), tuple(d2_terms(idx))
-
-
 def eval_T0(m: int, mu: Sign, p: ToroidalPoint) -> ReducedQuaternion:
     """Pointwise value of the n = 0 toroidal monogenic; see
     :func:`eval_T0_batch`."""
@@ -510,25 +557,53 @@ def eval_T0(m: int, mu: Sign, p: ToroidalPoint) -> ReducedQuaternion:
 
 def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     """The n = 0 toroidal monogenic, the completion of ``I_{0,m}^{+,mu}``,
-    over equal-shape Cartesian arrays; returns shape (3,) + x0.shape.
+    on Cartesian arrays that broadcast together; returns shape (3,) plus
+    their broadcast shape.
 
-    The slice trace of the x0-derivative of ``I_{0,m}`` contains only
-    sin(theta) factors, which vanish at x0 = 0, so the Teodorescu term of
-    the completion drops out and only the two x0-line integrals remain,
-    on the exact derivative tables with the shared line rule.  The
-    completion's e1/e2 parts are zero on the slice plane, so its
-    cohomology coefficient vanishes and no ``W_{-1}^-`` multiple is
-    subtracted.
+    The slice trace of ``d0 I_{0,m}`` vanishes at x0 = 0, so the
+    Teodorescu term (and the cohomology coefficient) drops out; the e1/e2
+    parts are x0-line integrals of the exact ``d1``/``d2`` tables of
+    ``I_{0,m}``.  A term's ``trig(j phi)`` is constant along a line, so each
+    phi factor's terms are integrated on the meridian and multiplied by it
+    afterwards.  The rule is :func:`_x0_lines` at ``tol = 0``, to
+    round-off: 16 nodes at interior points, up to 512 near the axis (eta
+    down to 1e-6), :class:`QuadratureError` past 1024.  Against mpmath the
+    components are within 1e-15 of the largest, inside and at eta 1e-3 and
+    20.
     """
-    mu = parse_sign(mu)
-    x0, x1, x2 = (np.asarray(c, dtype=float) for c in (x0, x1, x2))
-    f0 = eval_I_batch(HarmonicIndex(0, m, 1, mu), *toroidal_arrays(x0, x1, x2))
-    t, wts = _x0_line_rule(x0)
-    eta_l, th_l, ph_l = toroidal_arrays(t, x1[..., None], x2[..., None])
-    q = q_half_grid(1, m + 1, eta_l.ravel())
-    lines = [-np.sum(eval_terms(table, eta_l, th_l, ph_l, q=q) * wts, axis=-1)
-             for table in _t0_gradient_tables(m, mu)]
-    return np.stack([f0] + lines)
+    x0, x1, x2 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x0, x1, x2)))
+    return _t0_meridian(m, parse_sign(mu), x0, np.hypot(x1, x2), np.arctan2(x2, x1))
+
+
+def _t0_meridian(m: int, mu: Sign, x0, rho, phi) -> np.ndarray:
+    """:func:`eval_T0_batch` at meridian coordinates ``x0``, ``rho`` and
+    azimuth ``phi`` that broadcast against them."""
+    idx = HarmonicIndex(0, m, 1, mu)
+    groups = {}  # (component, order, phi sign) -> terms
+    for c, table in enumerate((d1_terms(idx), d2_terms(idx))):
+        for u in table:
+            groups.setdefault((c, u.index.m, u.index.mu), []).append(u)
+    x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
+    rho_flat = rho.ravel()
+
+    def g(t, i):
+        # each group at phi = 0, without its phi factor; its terms cancel
+        # toward the axis, so its rounding scales with their absolute values
+        eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
+        q = q_half_grid(1, m + 1, eta.ravel())
+        metric = _metric(eta, theta)
+        parts = [[float(u.coefficient) * _term(HarmonicIndex(u.index.n, j, u.index.nu, 1),
+                                               eta, theta, 0.0, q, metric) for u in terms]
+                 for (_, j, _), terms in groups.items()]
+        return np.stack([sum(p) for p in parts]), np.stack([sum(map(np.abs, p)) for p in parts])
+
+    lines = _x0_lines(g, x0, 0.0)
+    eta, theta, _ = toroidal_arrays(x0, rho, 0.0)
+    out = [eval_I_batch(idx, eta, theta, phi)]
+    for comp in (0, 1):
+        out.append(-sum(line * _trig(j, sign, phi)
+                        for (c, j, sign), line in zip(groups, lines) if c == comp))
+    return np.stack(np.broadcast_arrays(*out))
 
 
 # ---------------------------------------------------------------------------

@@ -262,7 +262,7 @@ def integrate_torus(
     last estimate attached.
     """
     # imported here because geometry reads this module's Gauss-Legendre rule
-    from .geometry import _torus_mesh, _torus_rule
+    from .geometry import _torus_grid, _torus_rule
 
     if eta0 <= 0:
         raise ValueError("eta0 must be positive")
@@ -278,8 +278,8 @@ def integrate_torus(
         rows = max(1, _TORUS_SLAB_NODES // n_ang**2)
         total = 0.0
         for i in range(0, n_u, rows):
-            x, w = _torus_mesh(eta[i:i + rows], w_eta[i:i + rows], theta, phi)
-            total += np.sum(f(*x) * w)
+            grid = _torus_grid(eta[i:i + rows], w_eta[i:i + rows], theta, phi)
+            total += np.sum(f(grid.x0, grid.x1, grid.x2) * grid.weights)
         prev, value = value, float(total)
         evaluations += n_u * n_ang**2
         if prev is not None:

@@ -58,6 +58,7 @@ def _elliptic_K_csum(k: np.ndarray, kp: np.ndarray):
     pow2 = 1.0
     # once a and b agree to an ulp the remaining c's are rounding noise with
     # exponentially growing weights, so freeze each point at convergence
+    # (which also makes each point's value independent of the others)
     active = np.ones_like(a, dtype=bool)
     for i in range(40):
         if i == 0:
@@ -65,7 +66,7 @@ def _elliptic_K_csum(k: np.ndarray, kp: np.ndarray):
             c = k * k / (2.0 * (1.0 + b))
         else:
             c = 0.5 * (a - b)
-        a, b = 0.5 * (a + b), np.sqrt(a * b)
+        a, b = np.where(active, 0.5 * (a + b), a), np.where(active, np.sqrt(a * b), b)
         pow2 *= 2.0
         tail = tail + np.where(active, 0.5 * pow2 * c * c, 0.0)
         active = active & (np.abs(a - b) > 8.9e-16 * a)

@@ -18,6 +18,7 @@ from toroharm.expansion import (
     element_e3_times,
     element_one,
     evaluate_element,
+    evaluate_element_grid,
     evaluate_series,
     evaluate_series_grid,
     expand_monogenic_constant,
@@ -152,6 +153,22 @@ def test_project_builds_one_grid_radial_table(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     project(lambda x0, x1, x2: x0, basis_A_second(4, 3), grid)
     assert len(calls) == 1
+
+
+def test_mesh_matches_scattered_nodes():
+    # the mesh evaluates on its meridian and closes phi in product form; the
+    # same nodes as a plain list of pairs go point by point
+    mesh = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    scattered = ExpansionGrid.from_samples(list(mesh))
+    assert ExpansionGrid.from_samples(mesh) is mesh
+    assert mesh.shape == (8 * 14, 14) and scattered.shape == (len(mesh),)
+    assert mesh[-1] == list(mesh)[-1]
+    basis = basis_H(4, 3)
+    for el in basis:
+        a, b = evaluate_element_grid(el, mesh), evaluate_element_grid(el, scattered)
+        assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), el.label()
+    g_mesh, g_scattered = gram(basis, mesh), gram(basis, scattered)
+    assert np.max(np.abs(g_mesh - g_scattered)) <= 1e-12 * np.max(np.abs(g_scattered))
 
 
 def test_projection_refuses_ill_conditioned(grid):

@@ -220,25 +220,52 @@ def _mp_I0(m, mu, x0, x1, x2):
 
 T0_POINTS = [ToroidalPoint(1.2, 0.7, 0.4), ToroidalPoint(1.6, -1.1, 2.0),
              ToroidalPoint(0.9, 2.3, -0.8)]
+#: near the axis and near the limit circle
+T0_EDGE_POINTS = [ToroidalPoint(1e-3, 0.7, 0.4), ToroidalPoint(20.0, 0.7, 0.4)]
 
 
 @pytest.mark.parametrize("m,mu", [(1, 1), (2, -1)])
 def test_t0_against_mpmath(m, mu):
     # T0 = I_{0,m} - (int_0^x0 d1 I_{0,m} dt) e1 - (int_0^x0 d2 I_{0,m} dt) e2
-    for p in T0_POINTS:
+    for p in T0_POINTS + T0_EDGE_POINTS:
         x = to_cartesian(p)
         with mp.workdps(25):
             ref = [
                 _mp_I0(m, mu, x.x0, x.x1, x.x2),
                 -mp.quad(lambda t: mp.diff(lambda s: _mp_I0(m, mu, t, s, x.x2), x.x1),
-                         [0, x.x0]),
+                         [0, x.x0], method="gauss-legendre"),
                 -mp.quad(lambda t: mp.diff(lambda s: _mp_I0(m, mu, t, x.x1, s), x.x2),
-                         [0, x.x0]),
+                         [0, x.x0], method="gauss-legendre"),
             ]
         ref = np.array([float(r) for r in ref])
         v = eval_T0(m, mu, p)
         err = np.max(np.abs(v.as_array() - ref)) / np.max(np.abs(ref))
         assert err < 1e-12, (p, err)
+
+
+def test_t0_array_equals_scalar_calls():
+    # the line rule settles each point on its own, so a point's value does
+    # not depend on the other points of the call
+    pts = [to_cartesian(ToroidalPoint(*q)) for q in
+           ((1.2, 0.7, 0.4), (1e-3, 0.7, 0.4), (20.0, -1.1, 2.0), (0.05, 0.3, -2.0),
+            (3.0, 2.9, 1.0))]
+    x0, x1, x2 = (np.array([getattr(q, c) for q in pts]) for c in ("x0", "x1", "x2"))
+    for m, mu in ((0, 1), (1, -1), (3, 1)):
+        batch = monogenics.eval_T0_batch(m, mu, x0, x1, x2)
+        single = np.stack([monogenics.eval_T0_batch(m, mu, x0[i:i + 1], x1[i:i + 1],
+                                                    x2[i:i + 1])[:, 0]
+                           for i in range(len(pts))], axis=1)
+        assert_array_equal(batch, single)
+
+
+def test_psi_line_rule_raises_past_its_cap():
+    # a kink in d1 f0 along x0 (at x0 = 0.2) keeps Gauss-Legendre from
+    # settling; the slice source d0 f0 = -x1 is smooth
+    op = Psi(lambda x0, x1, x2: x1 * np.abs(x0 - 0.2), TorusDomain(1.0), tol=1e-10)
+    assert X.x0 > 0.3
+    with pytest.raises(QuadratureError, match="1024 nodes") as info:
+        op(X.x0, X.x1, X.x2)
+    assert info.value.partial.value.shape == (2,)
 
 
 @pytest.mark.parametrize("m,mu", [(1, 1), (2, -1)])
