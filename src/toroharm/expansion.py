@@ -18,24 +18,23 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .appell import alpha_beta, eval_I_star_batch, j_coefficient_unit
+from .appell import _star_table, alpha_beta, j_coefficient_unit
 from .geometry import CartesianPoint, ExpansionGrid, to_toroidal
-from .harmonics import HarmonicIndex, Sign, eval_I_batch, parse_sign, sign_char
+from .harmonics import DerivativeTerm, HarmonicIndex, Sign, TermMatrix, parse_sign, sign_char
 from .monogenics import (
-    E3,
     Quaternion,
-    _t0_meridian,
-    eval_T_batch,
+    _t0_lines,
     eval_W_batch,
     field_values,
-    qmul,
     t_is_zero,
+    t_term_tables,
 )
-from .special_functions import q_half_grid
 
 SCHEMA_VERSION = 1
 
@@ -140,19 +139,6 @@ def element_I_star(idx: HarmonicIndex) -> BasisElement:
     return BasisElement("ISTAR", idx.n, idx.m, idx.nu, idx.mu)
 
 
-def _radial_table(elements: Sequence[BasisElement], grid: ExpansionGrid):
-    """One ``q_half_grid`` table on the grid's ``eta``, sized to the widest
-    T, I or ISTAR element (e3 multiples by their inner element); ``None``
-    when no element needs one."""
-    bases = [el.inner if el.kind == "E3" else el for el in elements]
-    # T's derivative tables reach one order above its own
-    extents = [(el.n, el.m + 1 if el.kind == "T" else el.m) for el in bases
-               if el.kind in ("T", "I", "ISTAR")]
-    if not extents:
-        return None
-    return q_half_grid(max(n for n, _ in extents), max(m for _, m in extents), grid.eta.ravel())
-
-
 def _point_grid(elements: Sequence[BasisElement], x: CartesianPoint) -> ExpansionGrid:
     """A one-point grid at ``x``.  Raises :class:`DegenerateLocusError`
     where one of the elements needs the toroidal chart and ``x`` lies on
@@ -175,35 +161,78 @@ def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
 # values on grids
 # ---------------------------------------------------------------------------
 
-def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid, q=None) -> np.ndarray:
+#: right multiplication by e3 as a component map:
+#: ``(a0, a1, a2, a3) e3 = (-a3, a2, -a1, a0)``
+_E3_ORDER, _E3_SIGN = [3, 2, 1, 0], np.array([-1.0, 1.0, -1.0, 1.0])[:, None]
+
+
+@lru_cache(maxsize=64)
+def _compiled(elements: Tuple[BasisElement, ...]):
+    """The evaluation plan of the elements: their distinct bases (e3
+    multiples by their inner element); one :class:`TermMatrix` of the
+    component tables of every ``T``, ``I`` and ``ISTAR`` base and the
+    scalar part ``I_{0,m}`` of every ``T0`` base, and the ``(m, mu)`` pairs
+    of the ``T0`` bases, each with its rows in the ``(4 * bases,)`` value
+    array; the base of each element (``None`` if they are the elements)."""
+    bases = list(dict.fromkeys(el.inner if el.kind == "E3" else el for el in elements))
+    rows, row_dest, pairs, line_dest = [], [], [], []
+    for b, el in enumerate(bases):
+        idx = (0, el.m, 1, el.mu) if el.kind == "T0" else (el.n, el.m, el.nu, el.mu)
+        if el.kind == "T":
+            tables = t_term_tables(*idx)
+        elif el.kind == "ISTAR":
+            tables = (tuple(_star_table(HarmonicIndex(*idx))),)
+        elif el.kind in ("I", "T0"):
+            tables = ((DerivativeTerm(HarmonicIndex(*idx), Fraction(1)),),)
+        else:
+            continue
+        if el.kind == "T0":
+            pairs.append((el.m, el.mu))
+            line_dest += [4 * b + 1, 4 * b + 2]
+        rows += tables
+        row_dest += range(4 * b, 4 * b + len(tables))
+    position = {el: b for b, el in enumerate(bases)}
+    base_of = [position[el.inner if el.kind == "E3" else el] for el in elements]
+    e3 = [i for i, el in enumerate(elements) if el.kind == "E3"]
+    if base_of == list(range(len(bases))) and not e3:
+        base_of = None
+    return bases, TermMatrix(rows), row_dest, tuple(pairs), line_dest, base_of, e3
+
+
+def _values(elements: Sequence[BasisElement], grid: ExpansionGrid) -> np.ndarray:
+    """Values of the elements on all grid nodes, shape ``(len(elements), 4,
+    len(grid))``: one :class:`TermMatrix` call (one radial table), one
+    batched :func:`_t0_lines` call, the closed forms of ``W`` and ``ONE``,
+    and e3 multiples as a signed permutation of their base's components."""
+    bases, matrix, row_dest, pairs, line_dest, base_of, e3 = _compiled(tuple(elements))
+    out = np.zeros((4 * len(bases),) + grid.shape)
+    if row_dest:
+        out[row_dest] = matrix(grid.eta, grid.theta, grid.phi)
+    if pairs:
+        out[line_dest] = _t0_lines(pairs, *grid.meridian, grid.phi).reshape((-1,) + grid.shape)
+    for b, el in enumerate(bases):
+        if el.kind == "ONE":
+            out[4 * b] = 1.0
+        elif el.kind == "W":
+            out[4 * b:4 * b + 3] = eval_W_batch(el.m, el.nu, grid.x1, grid.x2).reshape(
+                (3,) + grid.shape)
+    values = out.reshape(len(bases), 4, -1)
+    if base_of is None:
+        return values
+    values = values[base_of]
+    values[e3] = values[e3][:, _E3_ORDER] * _E3_SIGN
+    return values
+
+
+def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid) -> np.ndarray:
     """Element values on all grid nodes, shape ``(4, len(grid))``.
 
     Each kind is evaluated on the grid's broadcasting coordinates, so on a
     mesh the radial table, the prefactor, the theta factors and the ``T0``
-    line integrals are computed on the meridian nodes alone.  ``q``, if
-    given, is a :func:`_radial_table` on the grid covering the element;
-    callers that evaluate many elements build one and pass it.
+    line integrals are computed on the meridian nodes alone (see
+    :func:`_values`).
     """
-    out = np.zeros((4,) + grid.shape)
-    if el.kind == "ONE":
-        out[0] = 1.0
-    elif el.kind == "W":
-        out[:3] = eval_W_batch(el.m, el.nu, grid.x1, grid.x2).reshape((3,) + grid.shape)
-    elif el.kind == "E3":
-        return qmul(evaluate_element_grid(el.inner, grid, q), E3)
-    elif el.kind == "T0":
-        out[:3] = _t0_meridian(el.m, el.mu, *grid.meridian, grid.phi)
-    else:
-        if q is None:
-            q = _radial_table([el], grid)
-        idx = HarmonicIndex(el.n, el.m, el.nu, el.mu)
-        if el.kind == "T":
-            out[:3] = eval_T_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
-        elif el.kind == "I":
-            out[0] = eval_I_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
-        else:
-            out[0] = eval_I_star_batch(idx, grid.eta, grid.theta, grid.phi, q=q)
-    return out.reshape(4, -1)
+    return _values([el], grid)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +275,12 @@ def evaluate_series(s: SeriesExpansion, x: CartesianPoint) -> Quaternion:
 
 
 def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
-    q = _radial_table([el for el, _ in s.terms], grid)
-    total = np.zeros((4, len(grid)))
-    for el, c in s.terms:
-        total += c * evaluate_element_grid(el, grid, q)
-    return total
+    """Series values on all grid nodes, shape ``(4, len(grid))``: the
+    coefficient-weighted sum of the :func:`_values` of its elements."""
+    if not s.terms:
+        return np.zeros((4, len(grid)))
+    elements, coeffs = zip(*s.terms)
+    return np.tensordot(coeffs, _values(elements, grid), 1)
 
 
 def _element_to_json(el: BasisElement) -> dict:
@@ -317,9 +347,9 @@ def _weighted_values(basis: Sequence[BasisElement], grid: ExpansionGrid):
     """One row per element: its grid values times the square-root weights,
     flattened over components and nodes; returned with those weights."""
     sqw = np.sqrt(grid.weights)
-    q = _radial_table(basis, grid)
-    M = np.stack([(evaluate_element_grid(el, grid, q) * sqw).reshape(-1) for el in basis])
-    return M, sqw
+    values = _values(basis, grid)
+    values *= sqw
+    return values.reshape(len(basis), -1), sqw
 
 
 def gram(basis: Sequence[BasisElement], grid: ExpansionGrid) -> np.ndarray:

@@ -139,13 +139,22 @@ def toroidal_arrays(x0, x1, x2):
     ``(rho, x0)`` to the foci ``(1, 0)`` and ``(-1, 0)``, and ``theta`` is
     the angle subtended.  The squared ratio is ``1 + 4 rho / d_near^2``, so
     ``eta = log1p(4 rho / d_near^2) / 2`` keeps full precision near the
-    axis, where the ratio tends to 1.  No degeneracy checks; intended for
-    grids known to avoid the axis and limit circle (see :func:`to_toroidal`).
+    axis, where the ratio tends to 1.  Where that ratio overflows (next to
+    the limit circle, where ``d_near^2`` is subnormal or 0 while ``d_near``
+    is not), ``eta = log(4 rho) / 2 - log(d_near)`` with ``d_near =
+    hypot(rho - 1, x0)``; on the limit circle itself eta is inf.  No
+    degeneracy checks; intended for grids known to avoid the axis and
+    limit circle (see :func:`to_toroidal`).
     """
     x0 = np.asarray(x0, dtype=float)
     rho = np.hypot(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     d_near2 = (rho - 1.0) ** 2 + x0 * x0
-    eta = 0.5 * np.log1p(4.0 * rho / d_near2)
+    with np.errstate(over="ignore", divide="ignore"):
+        eta = 0.5 * np.log1p(4.0 * rho / d_near2)
+    far = np.isinf(eta)
+    if far.any():
+        r, x = np.broadcast_arrays(rho, x0)
+        eta = np.where(far, 0.5 * np.log(4.0 * r) - np.log(np.hypot(r - 1.0, x)), eta)
     theta = np.arctan2(2.0 * x0, rho * rho + x0 * x0 - 1.0)
     phi = np.arctan2(x2, x1)
     return eta, theta, phi

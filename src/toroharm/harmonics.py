@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
@@ -119,23 +120,13 @@ def _metric(eta, theta) -> np.ndarray:
     return math.sqrt(2.0) * np.hypot(np.sinh(0.5 * eta), np.sin(0.5 * np.asarray(theta)))
 
 
-def _term(idx: HarmonicIndex, eta: np.ndarray, theta, phi, q, metric) -> np.ndarray:
-    """``I_idx`` from the table ``q`` and the prefactor ``metric`` of
-    :func:`_metric`, which callers summing many harmonics compute once."""
-    radial = q[idx.n, idx.m].reshape(eta.shape)
-    return metric * radial * _trig(idx.n, idx.nu, theta) * _trig(idx.m, idx.mu, phi)
-
-
 def eval_I_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     """Vectorized harmonic evaluation on coordinate arrays.
 
     ``q``, if given, is a precomputed ``q_half_grid`` table over the same
     flattened ``eta`` points with extents covering ``(idx.n, idx.m)``.
     """
-    eta = np.asarray(eta, dtype=float)
-    if q is None:
-        q = q_half_grid(idx.n, idx.m, eta.ravel())
-    return _term(idx, eta, theta, phi, q, _metric(eta, theta))
+    return _term_matrix(((DerivativeTerm(idx, Fraction(1)),),))(eta, theta, phi, q)[0]
 
 
 def eval_I(idx: HarmonicIndex, p: ToroidalPoint) -> float:
@@ -260,22 +251,103 @@ def d2_terms(idx: HarmonicIndex) -> List[DerivativeTerm]:
                            for (k, mm), c in _d1_raw(idx.n, idx.m).items())
 
 
+# ---------------------------------------------------------------------------
+# compiled term tables
+# ---------------------------------------------------------------------------
+
+TermTable = Tuple[DerivativeTerm, ...]
+
+
+class TermMatrix:
+    """Term tables (the rows) compiled for evaluation on coordinate arrays.
+
+    The columns are the distinct harmonics of all rows, each the meridian
+    factor ``metric * Q[n, m](eta) * trig(n theta)`` (:meth:`meridian`)
+    times the phi factor ``trig(m phi)``.  Row ``r`` owns the ``width``
+    slots ``r * width + j`` of ``matrix``: slot ``j`` holds its
+    coefficients of the harmonics with its ``j``-th phi factor ``(m, mu)``
+    (zero past its last).  A row is the sum of its slots of ``matrix @ H``
+    times their phi factors (:meth:`phi_sum`): each harmonic is evaluated
+    once, and the product runs on the meridian points alone.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[DerivativeTerm]]):
+        columns = sorted({t.index for table in rows for t in table},
+                         key=lambda h: (h.m, h.mu, h.n, h.nu))
+        col = {h: j for j, h in enumerate(columns)}
+        self.n, self.m = (np.array([getattr(h, a) for h in columns], dtype=int) for a in "nm")
+        self.n_max, self.m_max = int(self.n.max(initial=0)), int(self.m.max(initial=0))
+        self.theta_keys = sorted({(h.n, h.nu) for h in columns}) or [(0, 1)]
+        self.theta_of = np.array([self.theta_keys.index((h.n, h.nu)) for h in columns], dtype=int)
+        self.phi_keys = sorted({(h.m, h.mu) for h in columns}) or [(0, 1)]
+        slots = [sorted({(t.index.m, t.index.mu) for t in table}) for table in rows]
+        self.rows, self.width = len(rows), max(1, max(map(len, slots), default=0))
+        self.slot_phi = np.zeros(self.rows * self.width, dtype=int)
+        self.matrix = np.zeros((self.rows * self.width, len(columns)))
+        for r, (table, keys) in enumerate(zip(rows, slots)):
+            s = r * self.width
+            self.slot_phi[s:s + len(keys)] = [self.phi_keys.index(key) for key in keys]
+            for t in table:
+                j = s + keys.index((t.index.m, t.index.mu))
+                self.matrix[j, col[t.index]] += float(t.coefficient)
+
+    def meridian(self, eta, theta, q=None) -> np.ndarray:
+        """The meridian factors of the columns, shape ``(columns,)`` plus
+        the broadcast shape of ``eta`` and ``theta``; ``q`` as in
+        :func:`eval_I_batch`, covering every column."""
+        eta, theta = np.asarray(eta, dtype=float), np.asarray(theta, dtype=float)
+        nd = max(eta.ndim, theta.ndim)  # leading ones, so that columns broadcast
+        eta, theta = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (eta, theta))
+        if q is None:
+            q = q_half_grid(self.n_max, self.m_max, eta.ravel())
+        angular = np.stack([_trig(n, nu, theta) for n, nu in self.theta_keys])
+        return (_metric(eta, theta) * q[self.n, self.m].reshape((-1,) + eta.shape)
+                * angular[self.theta_of])
+
+    def phi_sum(self, values: np.ndarray, phi) -> np.ndarray:
+        """The rows from slot values (``(rows * width,)`` plus a meridian
+        shape): each slot times its phi factor at ``phi``, summed per row.
+
+        Where ``phi`` varies on axes after all those the meridian shape
+        varies on (a mesh), that is one small matrix product per row;
+        elsewhere it is elementwise, so a point's value does not depend on
+        the other points of a flat array."""
+        phi = np.asarray(phi, dtype=float)
+        nd = max(values.ndim - 1, phi.ndim)
+        mer = (1,) * (nd + 1 - values.ndim) + values.shape[1:]
+        fac = (1,) * (nd - phi.ndim) + phi.shape
+        factors = np.stack([_trig(m, mu, phi) for m, mu in self.phi_keys])[self.slot_phi]
+        split = next((a for a in range(nd) if fac[a] != 1), nd)
+        if split < nd and all(k == 1 for k in mer[split:]):
+            out = np.matmul(values.reshape(self.rows, self.width, -1).transpose(0, 2, 1),
+                            factors.reshape(self.rows, self.width, -1))
+        else:
+            out = (values.reshape((self.rows, self.width) + mer)
+                   * factors.reshape((self.rows, self.width) + fac)).sum(1)
+        return out.reshape((self.rows,) + np.broadcast_shapes(mer, fac))
+
+    def __call__(self, eta, theta, phi, q=None) -> np.ndarray:
+        """The rows on coordinate arrays that broadcast together, shape
+        ``(rows,)`` plus their broadcast shape."""
+        H = self.meridian(eta, theta, q)
+        slots = self.matrix @ H.reshape(len(H), math.prod(H.shape[1:]))
+        return self.phi_sum(slots.reshape((-1,) + H.shape[1:]), phi)
+
+
+@lru_cache(maxsize=256)
+def _term_matrix(rows: Tuple[TermTable, ...]) -> TermMatrix:
+    """The :class:`TermMatrix` of a tuple of term tables, cached."""
+    return TermMatrix(rows)
+
+
 def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi, q=None) -> np.ndarray:
-    """Evaluate a finite combination of harmonics on coordinate arrays.
+    """Evaluate a finite combination of harmonics on coordinate arrays,
+    each distinct harmonic once (see :class:`TermMatrix`).
 
     Unless ``q`` (as in :func:`eval_I_batch`) is given, one
-    ``q_half_grid`` table sized to the widest term serves every term, as
-    does one prefactor.
+    ``q_half_grid`` table sized to the widest term serves every term.
     """
-    eta = np.asarray(eta, dtype=float)
-    if terms and q is None:
-        q = q_half_grid(max(t.index.n for t in terms), max(t.index.m for t in terms),
-                        eta.ravel())
-    total = np.zeros(np.broadcast(eta, theta, phi).shape)
-    metric = _metric(eta, theta)
-    for t in terms:
-        total = total + float(t.coefficient) * _term(t.index, eta, theta, phi, q, metric)
-    return total
+    return _term_matrix((tuple(terms),))(eta, theta, phi, q)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -44,19 +44,17 @@ from .geometry import (
     toroidal_arrays,
 )
 from .harmonics import (
-    DerivativeTerm,
     HarmonicIndex,
     Sign,
+    TermMatrix,
+    TermTable,
     _combine,
-    _metric,
     _planar_pair,
-    _term,
-    _trig,
+    _term_matrix,
     d0_terms,
     d1_terms,
     d2_terms,
     eval_I_batch,
-    eval_terms,
     parse_sign,
 )
 from .quadrature import QuadratureError, QuadratureResult, _gauss_legendre, _map_gauss
@@ -225,9 +223,6 @@ def eval_W_batch(m: int, sign: Sign, x1, x2) -> np.ndarray:
 # exact toroidal monogenics T (n >= 1)
 # ---------------------------------------------------------------------------
 
-TermTable = Tuple[DerivativeTerm, ...]
-
-
 @lru_cache(maxsize=None)
 def t_term_tables(n: int, m: int, nu: Sign, mu: Sign) -> Tuple[TermTable, TermTable, TermTable]:
     """Exact component tables of ``T_{n,m}^{nu,mu}``.
@@ -265,17 +260,14 @@ def eval_T(idx: HarmonicIndex, p: ToroidalPoint) -> ReducedQuaternion:
 
 def eval_T_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
     """Vectorized T evaluation through the exact coefficient tables (no
-    differencing); returns shape (3,) + eta.shape.
+    differencing), one :class:`~toroharm.harmonics.TermMatrix` of its three
+    components; returns shape (3,) + the broadcast shape of the coordinates.
 
     ``q`` is an optional precomputed ``q_half_grid`` table covering
     degrees up to ``idx.n`` and orders up to ``idx.m + 1`` on the
     flattened ``eta`` values.
     """
-    eta = np.asarray(eta, dtype=float)
-    tables = t_term_tables(idx.n, idx.m, idx.nu, idx.mu)
-    if q is None and any(tables):
-        q = q_half_grid(idx.n, idx.m + 1, eta.ravel())
-    return np.stack([eval_terms(table, eta, theta, phi, q=q) for table in tables])
+    return _term_matrix(t_term_tables(idx.n, idx.m, idx.nu, idx.mu))(eta, theta, phi, q)
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +374,10 @@ def teodorescu(
 
 #: the x0 line rule of :class:`Psi` and :func:`eval_T0_batch`: level k
 #: compares the Gauss-Legendre rules of ``8 * 2**k`` and ``16 * 2**k`` nodes,
-#: evaluated in slabs of at most ``_LINE_SLAB_NODES`` nodes (or one point)
+#: evaluated in slabs of at most ``_LINE_SLAB_VALUES`` integrand values (or
+#: one point)
 _LINE_LEVELS = 7
-_LINE_SLAB_NODES = 2**18
+_LINE_SLAB_VALUES = 2**19
 #: round-off allowance of its convergence test (see :func:`_x0_lines`)
 _LINE_ROUNDOFF = 1e-13
 
@@ -401,23 +394,26 @@ def _line_rule(level: int):
     return np.concatenate([xc, xf]) + 1.0, xc.size, np.concatenate([wc, wf]), wf
 
 
-def _x0_lines(g, x0: np.ndarray, tol: float) -> np.ndarray:
-    """Integrals from 0 to ``x0`` of the integrands ``g``, point by point.
+def _x0_lines(g, x0: np.ndarray, tol: float, width: int) -> np.ndarray:
+    """Integrals from 0 to ``x0`` of the ``width`` integrands ``g``, point
+    by point.
 
-    ``g(t, i)`` returns the values, shape ``(c, len(i), n)``, of ``c``
+    ``g(t, i)`` returns the values, shape ``(width, len(i), n)``, of the
     integrands at the nodes ``t`` (shape ``(len(i), n)``) of the lines
     through the flat points ``i``, and the magnitudes their rounding scales
-    with.  A point stops at the first level whose two rules agree, for
-    every integrand, to ``tol`` plus ``_LINE_ROUNDOFF`` times the integral
-    of the magnitudes.  Its value is the finer rule's and depends on that
-    point alone.  Returns ``(c,) + x0.shape``; a point unsettled after
+    with.  An integrand settles at a point at the first level whose two
+    rules agree to ``tol`` plus ``_LINE_ROUNDOFF`` times the integral of
+    its magnitudes; its value is that level's finer rule, and depends on
+    that integrand and point alone.  A point runs until all its integrands
+    settle.  Returns ``(width,) + x0.shape``; a point unsettled after
     ``_LINE_LEVELS`` levels raises :class:`QuadratureError`.
     """
     flat = x0.ravel()
-    value, active, evaluations = None, np.arange(flat.size), 0
+    value, open_ = np.empty((width, flat.size)), np.ones((width, flat.size), dtype=bool)
+    active, evaluations = np.arange(flat.size), 0
     for level in range(_LINE_LEVELS):
         nodes, n, w, wf = _line_rule(level)
-        slab = max(1, _LINE_SLAB_NODES // nodes.size)
+        slab = max(1, _LINE_SLAB_VALUES // (nodes.size * width))
         unsettled, err = [], 0.0
         for s in range(0, max(active.size, 1), slab):
             i = active[s:s + slab]
@@ -425,22 +421,23 @@ def _x0_lines(g, x0: np.ndarray, tol: float) -> np.ndarray:
             v, size = g(half[:, None] * nodes, i)
             vw = v * w
             fine = vw[..., n:].sum(-1)
-            excess = (np.abs(half) * (np.abs(fine - vw[..., :n].sum(-1))
-                                      - _LINE_ROUNDOFF * (size[..., n:] * wf).sum(-1))).max(0)
-            if value is None:
-                value = np.empty((len(v), flat.size))
-            value[:, i] = fine * half
-            if (excess > tol).any():
-                unsettled.append(i[excess > tol])
-                err = max(err, float(excess.max()))
+            excess = np.abs(half) * (np.abs(fine - vw[..., :n].sum(-1))
+                                     - _LINE_ROUNDOFF * (size[..., n:] * wf).sum(-1))
+            was_open = open_[:, i]
+            value[:, i] = np.where(was_open, fine * half, value[:, i])
+            open_[:, i] = was_open & (excess > tol)
+            left = open_[:, i].any(0)
+            if left.any():
+                unsettled.append(i[left])
+                err = max(err, float(excess[was_open].max()))
         evaluations += active.size * nodes.size
         if not unsettled:
-            return value.reshape(value.shape[:1] + x0.shape)
+            return value.reshape((width,) + x0.shape)
         active = np.concatenate(unsettled)
     raise QuadratureError(
         f"x0 line rule: {active.size} points did not settle to tol={tol:g} "
         f"within {16 << (_LINE_LEVELS - 1)} nodes (last change {err:g})",
-        QuadratureResult(value.reshape(value.shape[:1] + x0.shape), err, evaluations),
+        QuadratureResult(value.reshape((width,) + x0.shape), err, evaluations),
     )
 
 
@@ -503,10 +500,8 @@ class Psi:
     def _w(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """The Teodorescu transform at the slice points ``(x1, x2)``: one
         call over the distinct ones."""
-        slice_pts, inverse = np.unique(np.stack([x1.ravel(), x2.ravel()], axis=1),
-                                       axis=0, return_inverse=True)
-        w = teodorescu(self._slice_source, slice_pts[:, 0] + 1j * slice_pts[:, 1],
-                       self.r_in, self.r_out, self.tol)
+        slice_pts, inverse = np.unique((x1 + 1j * x2).ravel(), return_inverse=True)
+        w = teodorescu(self._slice_source, slice_pts, self.r_in, self.r_out, self.tol)
         return w[inverse.reshape(-1)].reshape(x1.shape)
 
     def _line_integrals(self, x0, x1, x2) -> np.ndarray:
@@ -520,7 +515,7 @@ class Psi:
             d = np.stack([v[0] - v[1], v[2] - v[3]]) / (2.0 * h)
             return d, np.abs(d)
 
-        return _x0_lines(g, x0, self.tol)
+        return _x0_lines(g, x0, self.tol, 2)
 
     def __call__(self, x0, x1, x2) -> np.ndarray:
         """The completion at coordinate arrays.  The scalar slot is ``f0``
@@ -563,47 +558,55 @@ def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     The slice trace of ``d0 I_{0,m}`` vanishes at x0 = 0, so the
     Teodorescu term (and the cohomology coefficient) drops out; the e1/e2
     parts are x0-line integrals of the exact ``d1``/``d2`` tables of
-    ``I_{0,m}``.  A term's ``trig(j phi)`` is constant along a line, so each
-    phi factor's terms are integrated on the meridian and multiplied by it
-    afterwards.  The rule is :func:`_x0_lines` at ``tol = 0``, to
-    round-off: 16 nodes at interior points, up to 512 near the axis (eta
-    down to 1e-6), :class:`QuadratureError` past 1024.  Against mpmath the
-    components are within 1e-15 of the largest, inside and at eta 1e-3 and
-    20.
+    ``I_{0,m}`` (:func:`_t0_lines`).  The rule is :func:`_x0_lines` at
+    ``tol = 0``, to round-off: 16 nodes at interior points, up to 512 near
+    the axis (eta down to 1e-6), :class:`QuadratureError` past 1024.
+    Against mpmath the components are within 1e-15 of the largest, inside
+    and at eta 1e-3 and 20.
     """
     x0, x1, x2 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x0, x1, x2)))
-    return _t0_meridian(m, parse_sign(mu), x0, np.hypot(x1, x2), np.arctan2(x2, x1))
+    rho, phi = np.hypot(x1, x2), np.arctan2(x2, x1)
+    eta, theta, _ = toroidal_arrays(x0, rho, 0.0)
+    mu = parse_sign(mu)
+    scalar = eval_I_batch(HarmonicIndex(0, m, 1, mu), eta, theta, phi)
+    return np.concatenate([scalar[None], _t0_lines(((m, mu),), x0, rho, phi)[0]])
 
 
-def _t0_meridian(m: int, mu: Sign, x0, rho, phi) -> np.ndarray:
-    """:func:`eval_T0_batch` at meridian coordinates ``x0``, ``rho`` and
-    azimuth ``phi`` that broadcast against them."""
-    idx = HarmonicIndex(0, m, 1, mu)
-    groups = {}  # (component, order, phi sign) -> terms
-    for c, table in enumerate((d1_terms(idx), d2_terms(idx))):
-        for u in table:
-            groups.setdefault((c, u.index.m, u.index.mu), []).append(u)
+@lru_cache(maxsize=64)
+def _t0_tables(pairs: Tuple[Tuple[int, Sign], ...]) -> TermMatrix:
+    """The ``d1`` and ``d2`` tables of ``I_{0,m}^{+,mu}``, two rows per pair
+    ``(m, mu)``; a slot is one x0-line integrand."""
+    return TermMatrix([tuple(table(HarmonicIndex(0, m, 1, mu)))
+                       for m, mu in pairs for table in (d1_terms, d2_terms)])
+
+
+def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
+    """The e1/e2 parts of ``T0[m]^mu`` for the pairs ``(m, mu)`` at meridian
+    coordinates ``x0``, ``rho`` and azimuth ``phi`` that broadcast against
+    them: shape ``(len(pairs), 2)`` plus the broadcast shape.
+
+    A harmonic's ``trig(m phi)`` is constant along a line, so each slot of
+    :func:`_t0_tables` (a component's terms with one phi factor, without
+    it) is integrated along x0 once per meridian point, all slots in one
+    :func:`_x0_lines` call with one radial table per slab, and multiplied
+    by its phi factor afterwards.  The terms of a slot cancel toward the
+    axis, so its rounding scales with ``|C| @ |H|``, the sum of their
+    absolute values.
+    """
+    tables = _t0_tables(tuple(pairs))
+    C, size = tables.matrix, np.abs(tables.matrix)
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
     rho_flat = rho.ravel()
 
     def g(t, i):
-        # each group at phi = 0, without its phi factor; its terms cancel
-        # toward the axis, so its rounding scales with their absolute values
         eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
-        q = q_half_grid(1, m + 1, eta.ravel())
-        metric = _metric(eta, theta)
-        parts = [[float(u.coefficient) * _term(HarmonicIndex(u.index.n, j, u.index.nu, 1),
-                                               eta, theta, 0.0, q, metric) for u in terms]
-                 for (_, j, _), terms in groups.items()]
-        return np.stack([sum(p) for p in parts]), np.stack([sum(map(np.abs, p)) for p in parts])
+        H = tables.meridian(eta, theta, q_half_grid(tables.n_max, tables.m_max, eta.ravel()))
+        H = H.reshape(len(H), -1)
+        return (C @ H).reshape((-1,) + t.shape), (size @ np.abs(H)).reshape((-1,) + t.shape)
 
-    lines = _x0_lines(g, x0, 0.0)
-    eta, theta, _ = toroidal_arrays(x0, rho, 0.0)
-    out = [eval_I_batch(idx, eta, theta, phi)]
-    for comp in (0, 1):
-        out.append(-sum(line * _trig(j, sign, phi)
-                        for (c, j, sign), line in zip(groups, lines) if c == comp))
-    return np.stack(np.broadcast_arrays(*out))
+    lines = _x0_lines(g, x0, 0.0, len(C))
+    e12 = -tables.phi_sum(lines, phi)
+    return e12.reshape((len(pairs), 2) + e12.shape[1:])
 
 
 # ---------------------------------------------------------------------------

@@ -267,3 +267,25 @@ def test_output_and_format_are_coeffs_and_grid_export_flags(capsys, argv):
         main(list(argv))
     assert exc.value.code == 2
     assert argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("first,second", [("grid-export", "eval"), ("eval", "grid-export")])
+def test_parser_is_built_once_and_keeps_no_state(first, second, tmp_path, capsys):
+    # main reuses one parser; each namespace holds its own command's options
+    # and defaults, and a command's output does not depend on what ran before
+    from toroharm import cli
+
+    argv = {"grid-export": ["grid-export", "T0", "1", "-", "--n-eta", "2", "--n-theta", "2",
+                            "--n-phi", "3", "--eta0", "1.2", "--format", "json"],
+            "eval": ["eval", "T", "2", "1", "-", "+", "--eta", "1.3", "--theta", "0.4",
+                     "--phi", "0.2"]}
+    fresh = cli._build_parser.__wrapped__()
+    alone = {}
+    for name in (second, first):
+        alone[name] = run(capsys, *argv[name])
+    for name in (first, second):
+        assert run(capsys, *argv[name]) == alone[name]
+        assert cli._build_parser() is cli._build_parser()
+        assert vars(cli._build_parser().parse_args(argv[name])) == vars(fresh.parse_args(argv[name]))
+    assert not hasattr(cli._build_parser().parse_args(argv["eval"]), "n_eta")
+    assert not hasattr(cli._build_parser().parse_args(argv["grid-export"]), "golden")

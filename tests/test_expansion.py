@@ -41,7 +41,9 @@ from toroharm.geometry import (
     sample_grid,
     to_cartesian,
 )
-from toroharm.monogenics import eval_W
+from toroharm.harmonics import HarmonicIndex
+from toroharm.monogenics import E3, eval_W, qmul
+from toroharm.special_functions import q_half_grid
 
 X = to_cartesian(ToroidalPoint(1.5, 0.6, 0.4))
 
@@ -142,14 +144,15 @@ def test_projection_round_trip(grid):
 
 
 def test_project_builds_one_grid_radial_table(monkeypatch):
-    # every T element of the basis reads the same grid table
-    from toroharm import expansion
+    # every T element of the basis reads the same grid table; the T0 line
+    # tables are built on the line nodes by monogenics
+    from toroharm import harmonics
     from toroharm.checks import _gram_grid
 
     grid = _gram_grid()
     calls = []
-    real = expansion.q_half_grid
-    monkeypatch.setattr(expansion, "q_half_grid",
+    real = harmonics.q_half_grid
+    monkeypatch.setattr(harmonics, "q_half_grid",
                         lambda *args: calls.append(args) or real(*args))
     project(lambda x0, x1, x2: x0, basis_A_second(4, 3), grid)
     assert len(calls) == 1
@@ -169,6 +172,85 @@ def test_mesh_matches_scattered_nodes():
         assert np.max(np.abs(a - b)) <= 1e-13 * np.max(np.abs(b)), el.label()
     g_mesh, g_scattered = gram(basis, mesh), gram(basis, scattered)
     assert np.max(np.abs(g_mesh - g_scattered)) <= 1e-12 * np.max(np.abs(g_scattered))
+
+
+def _term_sum(table, eta, theta, phi, q):
+    """A term table summed term by term from the radial table ``q``."""
+    def trig(k, sign, angle):
+        return np.cos(k * angle) if sign > 0 else np.sin(k * angle)
+
+    metric = np.sqrt(2.0) * np.hypot(np.sinh(0.5 * eta), np.sin(0.5 * theta))
+    total = np.zeros(np.broadcast_shapes(eta.shape, theta.shape, phi.shape))
+    for t in table:
+        i = t.index
+        total = total + float(t.coefficient) * (metric * q[i.n, i.m].reshape(eta.shape)
+                                                * trig(i.n, i.nu, theta) * trig(i.m, i.mu, phi))
+    return total
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_compiled_basis_matches_term_sums(scattered):
+    # one coefficient matrix over the distinct harmonics gives every element
+    # of the basis as its own terms summed one by one (T0 scalar parts here;
+    # their line parts are checked against single pairs below)
+    from toroharm.appell import star_terms
+    from toroharm.expansion import _values
+    from toroharm.harmonics import DerivativeTerm
+    from toroharm.monogenics import t_term_tables
+
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    if scattered:
+        grid = ExpansionGrid.from_samples(list(grid))
+    basis = basis_H(8, 3)
+    got = _values(basis, grid)
+    eta, theta, phi = grid.eta, grid.theta, grid.phi
+    q = q_half_grid(8, 4, eta.ravel())  # the widest T: degree 8, order 3 + 1
+    for el, v in zip(basis, got):
+        inner = el.inner if el.kind == "E3" else el
+        if inner.kind == "T":
+            tables = t_term_tables(inner.n, inner.m, inner.nu, inner.mu)
+        elif inner.kind == "T0":
+            tables = [[DerivativeTerm(HarmonicIndex(0, inner.m, 1, inner.mu), 1)]]
+        elif inner.kind == "ISTAR":
+            tables = [[DerivativeTerm(i, c) for i, c in star_terms(HarmonicIndex(
+                inner.n, inner.m, inner.nu, inner.mu))]]
+        else:
+            continue
+        want = np.zeros((4,) + grid.shape)
+        want[:len(tables)] = [_term_sum(table, eta, theta, phi, q) for table in tables]
+        want = want.reshape(4, -1)
+        comps = [0] if inner.kind == "T0" else [0, 1, 2, 3]
+        if el.kind == "E3":  # (a0, a1, a2, a3) e3 = (-a3, a2, -a1, a0)
+            want, comps = qmul(want, E3), [3 - c for c in comps]
+        scale = np.max(np.abs(v))
+        assert np.max(np.abs(v[comps] - want[comps])) <= 1e-15 * scale, el.label()
+
+
+def test_t0_batch_matches_single_pairs():
+    # the line integrands of all pairs settle one by one, so a pair's values
+    # do not depend on the pairs batched with it
+    from toroharm.monogenics import _t0_lines
+
+    pts = [to_cartesian(ToroidalPoint(*p)) for p in
+           ((1.2, 0.7, 0.4), (1e-3, 0.7, 0.4), (20.0, -1.1, 2.0), (0.05, 0.3, -2.0),
+            (3.0, 2.9, 1.0), (1.6, -3.0, 5.5))]
+    x0 = np.array([p.x0 for p in pts])
+    rho = np.array([p.rho() for p in pts])
+    phi = np.arctan2([p.x2 for p in pts], [p.x1 for p in pts])
+    pairs = [(m, mu) for m in range(5) for mu in ((1,) if m == 0 else (1, -1))]
+    batch = _t0_lines(pairs, x0, rho, phi)
+    for (m, mu), got in zip(pairs, batch):
+        want = _t0_lines([(m, mu)], x0, rho, phi)[0]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (m, mu)
+
+
+def test_series_grid_is_weighted_sum_of_elements(grid):
+    basis = basis_H(2, 2)
+    rng = np.random.default_rng(11)
+    s = make_series(zip(basis, rng.uniform(-2.0, 2.0, len(basis))))
+    want = sum(c * evaluate_element_grid(el, grid) for el, c in s.terms)
+    got = evaluate_series_grid(s, grid)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_projection_refuses_ill_conditioned(grid):

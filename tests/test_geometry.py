@@ -111,3 +111,24 @@ def test_sample_grid_rejects_bad_counts():
         sample_grid(TorusDomain(1.0), 0, 4, 4, margin=0.2)
     with pytest.raises(ValueError):
         sample_grid(TorusDomain(1.0), 4, 4, 4, margin=0.0)
+
+
+def test_eta_next_to_the_limit_circle_matches_mpmath():
+    # rho = 1 to the last bit and |x0| below 1e-154: x0^2 is subnormal or 0,
+    # so 4 rho / d_near^2 overflows and eta takes the log form
+    import mpmath as mp
+
+    for x0 in (1e-100, 1e-160, 1e-170, 1e-300, 5e-324, -1e-200):
+        for rho in (1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53):
+            eta = float(toroidal_arrays(x0, rho, 0.0)[0])
+            with mp.workdps(50):
+                x, r = mp.mpf(x0), mp.mpf(rho)
+                ref = mp.log(((r + 1) ** 2 + x**2) / ((r - 1) ** 2 + x**2)) / 2
+            assert abs(eta - ref) <= 1e-15 * ref, (x0, rho, eta)
+
+
+def test_t0_is_finite_next_to_the_limit_circle():
+    from toroharm.monogenics import eval_T0_batch
+
+    x = cartesian_arrays(np.array([300.0, 360.0, 700.0]), 0.7, 0.4)
+    assert np.all(np.isfinite(eval_T0_batch(2, 1, *x)))

@@ -315,3 +315,19 @@ def test_cohomology_radius_independent():
     a = cohomology(_w_field(-1, -1), radius=0.7)
     b = cohomology(_w_field(-1, -1), radius=1.3)
     assert_allclose(a, b, atol=1e-12)
+
+
+def test_psi_repeated_slice_points_take_their_distinct_values():
+    # the transform runs once per distinct slice point (x1, x2); every copy
+    # of a point gets the value of that point alone
+    dom = TorusDomain(1.0)
+    f0 = lambda x0, x1, x2: x0 * x1
+    pts = [to_cartesian(ToroidalPoint(*p)) for p in ((1.3, 0.4, 0.2), (1.6, -0.5, 2.0))]
+    order = [0, 1, 0, 0, 1]
+    x0 = np.array([0.1, -0.05, -0.2, 0.0, 0.15])  # along the lines through the points
+    x1 = np.array([pts[i].x1 for i in order])
+    x2 = np.array([pts[i].x2 for i in order])
+    got = Psi(f0, dom, tol=1e-10)(x0, x1, x2)
+    for k in range(len(order)):
+        want = Psi(f0, dom, tol=1e-10)(x0[k:k + 1], x1[k:k + 1], x2[k:k + 1])[:, 0]
+        assert_array_equal(got[:, k], want)
