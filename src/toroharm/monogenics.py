@@ -338,11 +338,12 @@ def teodorescu(
     error of its radial sums; for a source analytic near the closed
     annulus both fall geometrically.  The package's sources stop at level
     1 (32 modes, 16 radii a side, 1280 evaluations per point in all):
-    ``f = 1`` is within 5e-16 relative of its closed form, and smooth
-    sources with modes of both signs within 3e-12 of ``integrate_annulus``
-    run at tol 1e-10.  A source whose modes do not settle within
-    ``_TEODORESCU_LEVELS`` levels raises :class:`QuadratureError`
-    carrying the last values (an array for an array ``w``).
+    ``f = 1`` is within 5e-16 relative of its closed form, and
+    ``exp(z/2 + conj(z)/3)`` (modes of both signs) at tol 1e-10 within
+    6e-16 relative of the Cauchy-Pompeiu formula on the boundary circles.
+    A source whose modes do not settle within ``_TEODORESCU_LEVELS``
+    levels raises :class:`QuadratureError` carrying the last values (an
+    array for an array ``w``).
     """
     w = np.asarray(w, dtype=complex)
     if not np.all((np.abs(w) > r_in) & (np.abs(w) < r_out)):
@@ -587,16 +588,17 @@ def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
 
     A harmonic's ``trig(m phi)`` is constant along a line, so each slot of
     :func:`_t0_tables` (a component's terms with one phi factor, without
-    it) is integrated along x0 once per meridian point, all slots in one
-    :func:`_x0_lines` call with one radial table per slab, and multiplied
-    by its phi factor afterwards.  The terms of a slot cancel toward the
-    axis, so its rounding scales with ``|C| @ |H|``, the sum of their
-    absolute values.
+    it) is integrated along x0 once per distinct meridian point, all slots
+    in one :func:`_x0_lines` call with one radial table per slab, and
+    multiplied by its phi factor afterwards.  The terms of a slot cancel
+    toward the axis, so its rounding scales with ``|C| @ |H|``, the sum of
+    their absolute values.
     """
     tables = _t0_tables(tuple(pairs))
     C, size = tables.matrix, np.abs(tables.matrix)
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
-    rho_flat = rho.ravel()
+    meridian, inverse = np.unique((x0 + 1j * rho).ravel(), return_inverse=True)
+    rho_flat = meridian.imag
 
     def g(t, i):
         eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
@@ -604,7 +606,8 @@ def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
         H = H.reshape(len(H), -1)
         return (C @ H).reshape((-1,) + t.shape), (size @ np.abs(H)).reshape((-1,) + t.shape)
 
-    lines = _x0_lines(g, x0, 0.0, len(C))
+    lines = _x0_lines(g, meridian.real, 0.0, len(C))
+    lines = lines[:, inverse.reshape(-1)].reshape((len(C),) + x0.shape)
     e12 = -tables.phi_sum(lines, phi)
     return e12.reshape((len(pairs), 2) + e12.shape[1:])
 

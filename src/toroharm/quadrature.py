@@ -4,11 +4,11 @@ Three integrators, and the Gauss-Legendre rule they share:
 
 * ``integrate_1d`` -- adaptive quadrature on an interval (wraps QUADPACK),
   used by the slow special-function oracles.
-* ``integrate_annulus`` -- integration of a complex-valued integrand over a
-  planar annulus, optionally with a weak (``1/|z - w|``) singularity at an
-  interior point ``w``.  The singular case is handled in polar coordinates
-  centered at ``w``, where the area Jacobian cancels the singular factor;
-  it is the oracle of the Teodorescu transform in ``monogenics``.
+* ``integrate_annulus`` -- integration of a smooth complex-valued
+  integrand over a planar annulus (Gauss-Legendre in the radius, periodic
+  trapezoid in the angle).  The Teodorescu transform has its own mode
+  rule in ``monogenics``, checked against the Cauchy-Pompeiu formula in
+  ``checks``.
 * ``integrate_torus`` -- integration over the open solid torus
   ``{eta > eta0}`` with the toroidal volume element
   ``sinh(eta) (cosh(eta) - cos(theta))**-3 d(eta) d(theta) d(phi)``.
@@ -116,63 +116,10 @@ def _annulus_pass(f, r_in, r_out, n_r, n_t):
     return np.sum(vals * (r * wr)[:, None]) * wt, z.size
 
 
-def _inner_tangent_angles(w: complex, r_in: float) -> list[float]:
-    """Directions from w tangent to the inner circle, as angles in [0, 2pi)."""
-    aw = abs(w)
-    if aw <= r_in:
-        return []
-    base = np.angle(-w)
-    spread = np.arcsin(r_in / aw)
-    return sorted(((base - spread) % (2 * np.pi), (base + spread) % (2 * np.pi)))
-
-
-def _radial_intervals(w: complex, direction: np.ndarray, r_in: float, r_out: float):
-    """Intersections of rays ``w + s*direction`` with the annulus.
-
-    Returns (s0a, s0b, s1a, s1b): per-direction bounds of up to two radial
-    intervals; the second interval collapses (s1a == s1b) when the ray
-    misses the inner disk.
-    """
-    b = np.real(np.conj(w) * direction)
-    aw2 = abs(w) ** 2
-    s_out = -b + np.sqrt(np.maximum(b * b + r_out**2 - aw2, 0.0))
-    disc = b * b + r_in**2 - aw2
-    hits = (disc > 0.0) & (b < 0.0)
-    root = np.sqrt(np.maximum(disc, 0.0))
-    s1 = np.where(hits, -b - root, s_out)
-    s2 = np.where(hits, -b + root, s_out)
-    return np.zeros_like(s_out), s1, s2, s_out
-
-
-def _annulus_singular_pass(f, w, r_in, r_out, n_phi_panel, n_s, panels):
-    """One refinement level of the polar-about-``w`` rule.
-
-    ``panels`` is the sorted list of angular breakpoints (the tangent
-    directions to the inner circle, where the radial geometry has kinks).
-    """
-    gl_phi, glw_phi = _gauss_legendre(n_phi_panel)
-    gl_s, glw_s = _gauss_legendre(n_s)
-    total = 0.0 + 0.0j
-    count = 0
-    for a, b in zip(panels[:-1], panels[1:]):
-        phi, wphi = _map_gauss(gl_phi, glw_phi, a, b)
-        direction = np.exp(1j * phi)
-        lo0, hi0, lo1, hi1 = _radial_intervals(w, direction, r_in, r_out)
-        for lo, hi in ((lo0, hi0), (lo1, hi1)):
-            s, ws = _map_gauss(gl_s[:, None], glw_s[:, None], lo[None, :], hi[None, :])
-            z = w + s * direction[None, :]
-            vals = f(z.ravel()).reshape(z.shape)
-            # the factor s is the polar Jacobian; it cancels 1/|z - w|
-            total += np.sum(vals * s * ws * wphi[None, :])
-            count += z.size
-    return total, count
-
-
 def integrate_annulus(
     f: Callable[[np.ndarray], np.ndarray],
     r_in: float,
     r_out: float,
-    singularity: Optional[complex] = None,
     tol: float = 1e-9,
 ) -> QuadratureResult:
     """Integrate ``f`` over the annulus ``r_in < |z| < r_out``.
@@ -181,13 +128,9 @@ def integrate_annulus(
     ----------
     f : callable
         Vectorized map from a complex array of sample points to complex
-        values.  May blow up like ``1/|z - singularity|`` at the declared
-        singularity but must be smooth elsewhere on the closed annulus.
+        values, smooth on the closed annulus.
     r_in, r_out : float
         Annulus radii, ``0 < r_in < r_out``.
-    singularity : complex, optional
-        Interior point where ``f`` has an integrable singularity.  Must lie
-        strictly inside the open annulus.
     tol : float
         Target absolute accuracy; refinement stops once successive node
         doublings agree to this level.
@@ -199,43 +142,20 @@ def integrate_annulus(
     """
     if not (0.0 < r_in < r_out):
         raise ValueError(f"need 0 < r_in < r_out, got {r_in}, {r_out}")
-    if singularity is not None:
-        w = complex(singularity)
-        if not (r_in < abs(w) < r_out):
-            raise ValueError(
-                f"singularity |w|={abs(w):.6g} is not strictly inside "
-                f"the annulus ({r_in:.6g}, {r_out:.6g})"
-            )
 
-    evaluations = 0
-    prev = None
-    if singularity is None:
-        for level in range(9):
-            n_r = 16 * 2**level
-            n_t = 32 * 2**level
-            value, n = _annulus_pass(f, r_in, r_out, n_r, n_t)
-            evaluations += n
-            if prev is not None and abs(value - prev) < tol:
-                return QuadratureResult(value, abs(value - prev), evaluations)
-            prev = value
-    else:
-        tangents = _inner_tangent_angles(w, r_in)
-        breaks = sorted({0.0, *tangents, 2.0 * np.pi})
-        if breaks[0] != 0.0:
-            breaks = [0.0] + breaks
-        for level in range(8):
-            n_phi = 24 * 2**level
-            n_s = 12 * 2**level
-            value, n = _annulus_singular_pass(f, w, r_in, r_out, n_phi, n_s, breaks)
-            evaluations += n
-            if prev is not None and abs(value - prev) < tol:
-                return QuadratureResult(value, abs(value - prev), evaluations)
-            prev = value
+    evaluations, prev, change = 0, None, np.inf
+    for level in range(9):
+        value, n = _annulus_pass(f, r_in, r_out, 16 * 2**level, 32 * 2**level)
+        evaluations += n
+        if prev is not None:
+            change = abs(value - prev)
+            if change < tol:
+                return QuadratureResult(value, change, evaluations)
+        prev = value
 
-    err = abs(value - prev) if prev is not None else np.inf
     raise QuadratureError(
-        f"integrate_annulus did not reach tol={tol:g} (last change {err:g})",
-        QuadratureResult(value, err, evaluations),
+        f"integrate_annulus did not reach tol={tol:g} (last change {change:g})",
+        QuadratureResult(value, change, evaluations),
     )
 
 

@@ -121,8 +121,8 @@ def test_teodorescu_closed_form_check_runs_the_mode_transform(monkeypatch):
     assert levels == [0, 1] * 10
 
 
-def test_teodorescu_modes_match_singular_quadrature():
-    _gate("Teodorescu mode transform vs singular quadrature", check_teodorescu_oracle())
+def test_teodorescu_modes_match_cauchy_pompeiu():
+    _gate("Teodorescu mode transform vs Cauchy-Pompeiu", check_teodorescu_oracle())
 
 
 def test_criterion_09_psi_monogenicity():

@@ -244,6 +244,29 @@ def test_t0_batch_matches_single_pairs():
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), (m, mu)
 
 
+def test_t0_lines_integrate_each_distinct_meridian_point_once(monkeypatch):
+    # the x0 lines depend on (x0, rho) alone; the scattered nodes of the
+    # default grid hold 259 distinct pairs (hypot rounds differently across
+    # phi), the mesh its 112 meridian points
+    from toroharm import monogenics
+
+    mesh = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    scattered = ExpansionGrid.from_samples(list(mesh))
+    pairs = [(m, mu) for m in range(4) for mu in ((1,) if m == 0 else (1, -1))]
+    sizes, x0_lines = [], monogenics._x0_lines
+
+    def spy(g, x0, tol, width):
+        sizes.append(x0.size)
+        return x0_lines(g, x0, tol, width)
+
+    monkeypatch.setattr(monogenics, "_x0_lines", spy)
+    a = monogenics._t0_lines(pairs, *mesh.meridian, mesh.phi).reshape(len(pairs), 2, -1)
+    b = monogenics._t0_lines(pairs, *scattered.meridian, scattered.phi)
+    x0, rho = scattered.meridian
+    assert sizes == [len(mesh) // 14, np.unique(x0 + 1j * rho).size] == [112, 259]
+    assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
 def test_series_grid_is_weighted_sum_of_elements(grid):
     basis = basis_H(2, 2)
     rng = np.random.default_rng(11)

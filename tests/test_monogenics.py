@@ -6,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from toroharm import monogenics
+from toroharm.checks import _cauchy_pompeiu
 from toroharm.geometry import (
     CartesianPoint,
     TorusDomain,
@@ -155,6 +156,19 @@ def test_teodorescu_array_matches_scalar_calls(monkeypatch):
     # one point per slab gives the same values
     monkeypatch.setattr(monogenics, "_TEODORESCU_SLAB_NODES", 1)
     assert_array_equal(teodorescu(_smooth_source, w, r_in, r_out, tol=1e-10), scalar)
+
+
+@pytest.mark.parametrize("a", range(4))
+@pytest.mark.parametrize("b", range(4))
+def test_teodorescu_matches_cauchy_pompeiu_on_polynomials(a, b):
+    # f = z^a zbar^b has the antiderivative F = z^a zbar^(b+1) / (b+1) in zbar
+    r_in, r_out = TorusDomain(1.0).slice_radii()
+    rng = np.random.default_rng(20261019)
+    w = (r_in + (r_out - r_in) * rng.uniform(0.05, 0.95, 6)) * np.exp(2j * np.pi * rng.random(6))
+    got = teodorescu(lambda z: z**a * np.conj(z)**b, w, r_in, r_out, tol=1e-12)
+    want = [_cauchy_pompeiu(lambda z: z**a * np.conj(z)**(b + 1) / (b + 1), v, r_in, r_out)
+            for v in w]
+    assert np.max(np.abs(got - want)) <= 1e-12
 
 
 def test_teodorescu_rejects_points_outside_the_annulus():

@@ -51,21 +51,6 @@ def test_annulus_moment():
     assert abs(res.value) < 1e-10
 
 
-def test_annulus_singular_integrand():
-    w = 1.1 + 0.3j
-    res = integrate_annulus(
-        lambda z: 1.0 / (z - w), 0.5, 2.0, singularity=w, tol=1e-10)
-    # closed form: the integral of 1/(z-w) over the annulus is
-    # -pi * (conj(w) - r_in^2 / w) for w inside
-    ref = -math.pi * (np.conj(w) - 0.25 / w)
-    assert_allclose(res.value, ref, rtol=1e-8)
-
-
-def test_annulus_rejects_singularity_outside():
-    with pytest.raises(ValueError):
-        integrate_annulus(lambda z: z, 0.5, 2.0, singularity=3.0 + 0j)
-
-
 @pytest.mark.parametrize("eta0", [0.5, 1.0, 2.0])
 def test_torus_volume_closed_form(eta0):
     ref = 2.0 * math.pi**2 * math.cosh(eta0) / math.sinh(eta0) ** 3
