@@ -109,9 +109,9 @@ def eval_I_star(idx: HarmonicIndex, p: ToroidalPoint) -> float:
     return float(eval_I_star_batch(idx, p.eta, p.theta, p.phi))
 
 
-def eval_I_star_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
-    """Vectorized starred-harmonic evaluation; ``q`` as in ``eval_I_batch``."""
-    return eval_terms(_star_table(idx), eta, theta, phi, q=q)
+def eval_I_star_batch(idx: HarmonicIndex, eta, theta, phi) -> np.ndarray:
+    """Vectorized starred-harmonic evaluation on coordinate arrays."""
+    return eval_terms(_star_table(idx), eta, theta, phi)
 
 
 def d0_star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, bool, Fraction]]:

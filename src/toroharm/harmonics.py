@@ -120,13 +120,9 @@ def _metric(eta, theta) -> np.ndarray:
     return math.sqrt(2.0) * np.hypot(np.sinh(0.5 * eta), np.sin(0.5 * np.asarray(theta)))
 
 
-def eval_I_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
-    """Vectorized harmonic evaluation on coordinate arrays.
-
-    ``q``, if given, is a precomputed ``q_half_grid`` table over the same
-    flattened ``eta`` points with extents covering ``(idx.n, idx.m)``.
-    """
-    return _term_matrix(((DerivativeTerm(idx, Fraction(1)),),))(eta, theta, phi, q)[0]
+def eval_I_batch(idx: HarmonicIndex, eta, theta, phi) -> np.ndarray:
+    """Vectorized harmonic evaluation on coordinate arrays."""
+    return _term_matrix(((DerivativeTerm(idx, Fraction(1)),),))(eta, theta, phi)[0]
 
 
 def eval_I(idx: HarmonicIndex, p: ToroidalPoint) -> float:
@@ -291,15 +287,14 @@ class TermMatrix:
                 j = s + keys.index((t.index.m, t.index.mu))
                 self.matrix[j, col[t.index]] += float(t.coefficient)
 
-    def meridian(self, eta, theta, q=None) -> np.ndarray:
+    def meridian(self, eta, theta) -> np.ndarray:
         """The meridian factors of the columns, shape ``(columns,)`` plus
-        the broadcast shape of ``eta`` and ``theta``; ``q`` as in
-        :func:`eval_I_batch`, covering every column."""
+        the broadcast shape of ``eta`` and ``theta``, from one
+        ``q_half_grid`` table that covers every column."""
         eta, theta = np.asarray(eta, dtype=float), np.asarray(theta, dtype=float)
         nd = max(eta.ndim, theta.ndim)  # leading ones, so that columns broadcast
         eta, theta = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (eta, theta))
-        if q is None:
-            q = q_half_grid(self.n_max, self.m_max, eta.ravel())
+        q = q_half_grid(self.n_max, self.m_max, eta.ravel())
         angular = np.stack([_trig(n, nu, theta) for n, nu in self.theta_keys])
         return (_metric(eta, theta) * q[self.n, self.m].reshape((-1,) + eta.shape)
                 * angular[self.theta_of])
@@ -326,10 +321,10 @@ class TermMatrix:
                    * factors.reshape((self.rows, self.width) + fac)).sum(1)
         return out.reshape((self.rows,) + np.broadcast_shapes(mer, fac))
 
-    def __call__(self, eta, theta, phi, q=None) -> np.ndarray:
+    def __call__(self, eta, theta, phi) -> np.ndarray:
         """The rows on coordinate arrays that broadcast together, shape
         ``(rows,)`` plus their broadcast shape."""
-        H = self.meridian(eta, theta, q)
+        H = self.meridian(eta, theta)
         slots = self.matrix @ H.reshape(len(H), math.prod(H.shape[1:]))
         return self.phi_sum(slots.reshape((-1,) + H.shape[1:]), phi)
 
@@ -340,14 +335,11 @@ def _term_matrix(rows: Tuple[TermTable, ...]) -> TermMatrix:
     return TermMatrix(rows)
 
 
-def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi, q=None) -> np.ndarray:
+def eval_terms(terms: Sequence[DerivativeTerm], eta, theta, phi) -> np.ndarray:
     """Evaluate a finite combination of harmonics on coordinate arrays,
-    each distinct harmonic once (see :class:`TermMatrix`).
-
-    Unless ``q`` (as in :func:`eval_I_batch`) is given, one
-    ``q_half_grid`` table sized to the widest term serves every term.
-    """
-    return _term_matrix((tuple(terms),))(eta, theta, phi, q)[0]
+    each distinct harmonic once (see :class:`TermMatrix`); one
+    ``q_half_grid`` table sized to the widest term serves every term."""
+    return _term_matrix((tuple(terms),))(eta, theta, phi)[0]
 
 
 # ---------------------------------------------------------------------------

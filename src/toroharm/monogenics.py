@@ -58,7 +58,6 @@ from .harmonics import (
     parse_sign,
 )
 from .quadrature import QuadratureError, QuadratureResult, _gauss_legendre, _map_gauss
-from .special_functions import q_half_grid
 
 # The cohomology line integral, evaluated literally with the circle
 # parametrized as (0, cos t, sin t), assigns the generator W_{-1}^- the
@@ -258,16 +257,12 @@ def eval_T(idx: HarmonicIndex, p: ToroidalPoint) -> ReducedQuaternion:
     return ReducedQuaternion(*eval_T_batch(idx, p.eta, p.theta, p.phi).tolist())
 
 
-def eval_T_batch(idx: HarmonicIndex, eta, theta, phi, q=None) -> np.ndarray:
+def eval_T_batch(idx: HarmonicIndex, eta, theta, phi) -> np.ndarray:
     """Vectorized T evaluation through the exact coefficient tables (no
     differencing), one :class:`~toroharm.harmonics.TermMatrix` of its three
     components; returns shape (3,) + the broadcast shape of the coordinates.
-
-    ``q`` is an optional precomputed ``q_half_grid`` table covering
-    degrees up to ``idx.n`` and orders up to ``idx.m + 1`` on the
-    flattened ``eta`` values.
     """
-    return _term_matrix(t_term_tables(idx.n, idx.m, idx.nu, idx.mu))(eta, theta, phi, q)
+    return _term_matrix(t_term_tables(idx.n, idx.m, idx.nu, idx.mu))(eta, theta, phi)
 
 
 # ---------------------------------------------------------------------------
@@ -602,7 +597,7 @@ def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
 
     def g(t, i):
         eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
-        H = tables.meridian(eta, theta, q_half_grid(tables.n_max, tables.m_max, eta.ravel()))
+        H = tables.meridian(eta, theta)
         H = H.reshape(len(H), -1)
         return (C @ H).reshape((-1,) + t.shape), (size @ np.abs(H)).reshape((-1,) + t.shape)
 

@@ -1,9 +1,7 @@
 """Numerical integration kernels.
 
-Three integrators, and the Gauss-Legendre rule they share:
+Two integrators, and the Gauss-Legendre rule they share:
 
-* ``integrate_1d`` -- adaptive quadrature on an interval (wraps QUADPACK),
-  used by the slow special-function oracles.
 * ``integrate_annulus`` -- integration of a smooth complex-valued
   integrand over a planar annulus (Gauss-Legendre in the radius, periodic
   trapezoid in the angle).  The Teodorescu transform has its own mode
@@ -27,7 +25,6 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 from numpy.polynomial import legendre as _legendre
-from scipy import integrate as _integrate
 
 
 @dataclass(frozen=True)
@@ -66,29 +63,6 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, partial: Optional[QuadratureResult] = None):
         super().__init__(message)
         self.partial = partial
-
-
-def integrate_1d(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-) -> QuadratureResult:
-    """Adaptive quadrature of a scalar function on ``(a, b)``.
-
-    Integrable endpoint singularities are tolerated.  Raises
-    :class:`QuadratureError` (with a partial estimate attached) when the
-    subdivision limit is reached without meeting the tolerance.
-    """
-    if not a < b:
-        raise ValueError(f"need a < b, got a={a}, b={b}")
-    value, abserr, info, *tail = _integrate.quad(
-        f, a, b, epsabs=tol, epsrel=tol, limit=200, full_output=1
-    )
-    result = QuadratureResult(value, abserr, int(info["neval"]))
-    if tail:  # non-empty only when QUADPACK reports a warning message
-        raise QuadratureError(f"integrate_1d did not converge: {tail[0]}", result)
-    return result
 
 
 @lru_cache(maxsize=None)

@@ -16,17 +16,10 @@ digits of ``eta^2 / 2``, so ``eta`` is the argument throughout.
   Stated accuracy (suite ``legendre``, against mpmath): relative error at
   most 1e-11 for ``eta`` in [1e-6, 40], ``n <= 60`` and ``m <= 20``,
   wherever ``|Q| >= 1e-290``.
-* ``legendre_q_quadrature`` -- direct adaptive quadrature of the integral
-  representation
 
-  ``Q_nu^m(t) = (-1)^m / 2^(nu+1) * Gamma(nu+m+1)/Gamma(nu+1)
-                * (t^2-1)^(m/2) * integral_{-1}^{1} (1-s^2)^nu / (t-s)^(nu+m+1) ds``
-
-  (slow oracle; the substitution ``s = cos(psi)`` removes the endpoint
-  singularity for half-integer degree).
-
-Sign convention: the ``(-1)^m`` prefactor of the integral representation is
-kept throughout, so ``Q_{n-1/2}^m`` has sign ``(-1)^m``.
+Sign convention: the ``(-1)^m`` prefactor of the integral representation
+(the oracle ``checks._q_integral_mp``) is kept throughout, so
+``Q_{n-1/2}^m`` has sign ``(-1)^m``.
 """
 
 from __future__ import annotations
@@ -35,9 +28,6 @@ import math
 from fractions import Fraction
 
 import numpy as np
-from scipy import special as _special
-
-from .quadrature import integrate_1d
 
 
 # ---------------------------------------------------------------------------
@@ -122,45 +112,6 @@ def gamma_half_ratio(n: int, m: int) -> Fraction:
     for l in range(n + m, n - m):
         out *= Fraction(2 * l + 1, 2)
     return 1 / out
-
-
-# ---------------------------------------------------------------------------
-# Legendre Q: quadrature oracle
-# ---------------------------------------------------------------------------
-
-def legendre_q_quadrature(n: int, m: int, t: float, tol: float = 1e-12) -> float:
-    """Oracle value of ``Q_{n-1/2}^m(t)`` by adaptive quadrature of the
-    integral representation.  Slow.
-
-    With degree ``n - 1/2`` the substituted integrand is
-    ``sin(psi)^(2n) / (t - cos(psi))^(n+m+1/2)``, smooth on ``[0, pi]``.
-    """
-    if t <= 1:
-        raise ValueError("legendre_q_quadrature requires t > 1")
-    if n < 0 or m < 0:
-        raise ValueError("degree index n and order m must be nonnegative")
-
-    nu = n - 0.5
-    power = nu + m + 1
-
-    def integrand(psi: float) -> float:
-        return math.sin(psi) ** (2 * n) / (t - math.cos(psi)) ** power
-
-    # At large degree/order the integrand peak is tiny and the adaptive
-    # routine's absolute tolerance would swamp it; rescale to O(1) so the
-    # requested tolerance acts relatively.
-    peak = max(abs(integrand(p)) for p in np.linspace(1e-3, math.pi - 1e-3, 64))
-    if peak == 0.0:
-        return 0.0
-    res = integrate_1d(lambda psi: integrand(psi) / peak, 0.0, math.pi, tol=tol)
-    pref = (
-        (-1) ** m
-        / 2 ** (nu + 1)
-        * _special.gamma(nu + m + 1)
-        / _special.gamma(nu + 1)
-        * (t * t - 1) ** (m / 2)
-    )
-    return pref * res.value * peak
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath as mp
@@ -289,3 +292,16 @@ def test_parser_is_built_once_and_keeps_no_state(first, second, tmp_path, capsys
         assert vars(cli._build_parser().parse_args(argv[name])) == vars(fresh.parse_args(argv[name]))
     assert not hasattr(cli._build_parser().parse_args(argv["eval"]), "n_eta")
     assert not hasattr(cli._build_parser().parse_args(argv["grid-export"]), "golden")
+
+
+def test_import_loads_no_scipy():
+    # this test session imports scipy itself (the elliptic reference), so a
+    # fresh interpreter shows what the library loads
+    import toroharm
+
+    code = ("import sys, toroharm, toroharm.cli, toroharm.checks; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(toroharm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "[]"

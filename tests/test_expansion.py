@@ -144,8 +144,8 @@ def test_projection_round_trip(grid):
 
 
 def test_project_builds_one_grid_radial_table(monkeypatch):
-    # every T element of the basis reads the same grid table; the T0 line
-    # tables are built on the line nodes by monogenics
+    # every T element of the basis reads the same table on the grid's own
+    # eta; the T0 line tables are built on the line nodes, not on the grid
     from toroharm import harmonics
     from toroharm.checks import _gram_grid
 
@@ -153,9 +153,10 @@ def test_project_builds_one_grid_radial_table(monkeypatch):
     calls = []
     real = harmonics.q_half_grid
     monkeypatch.setattr(harmonics, "q_half_grid",
-                        lambda *args: calls.append(args) or real(*args))
+                        lambda *args: calls.append(args[2]) or real(*args))
     project(lambda x0, x1, x2: x0, basis_A_second(4, 3), grid)
-    assert len(calls) == 1
+    eta = grid.eta.ravel()
+    assert sum(np.array_equal(e, eta) for e in calls) == 1
 
 
 def test_mesh_matches_scattered_nodes():

@@ -8,28 +8,10 @@ from toroharm import quadrature
 from toroharm.quadrature import (
     QuadratureError,
     QuadratureResult,
-    integrate_1d,
     integrate_annulus,
     integrate_torus,
 )
 from toroharm.geometry import torus_volume
-
-
-def test_integrate_1d_polynomial():
-    res = integrate_1d(lambda x: 3.0 * x**2, 0.0, 2.0)
-    assert_allclose(res.value, 8.0, rtol=1e-12)
-    assert res.evaluations >= 1
-
-
-def test_integrate_1d_endpoint_singularity():
-    # integrable singularity at the left endpoint
-    res = integrate_1d(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0)
-    assert_allclose(res.value, 2.0, rtol=1e-9)
-
-
-def test_integrate_1d_rejects_bad_interval():
-    with pytest.raises(ValueError):
-        integrate_1d(lambda x: x, 1.0, 1.0)
 
 
 def test_quadrature_result_validation():
