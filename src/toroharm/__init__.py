@@ -21,26 +21,19 @@ from .harmonics import (
     HarmonicIndex,
     eval_I,
     eval_I_batch,
-    eval_J,
     j_coefficient,
     kappa,
 )
 from .appell import (
     alpha_beta,
-    eval_I_star,
     eval_I_star_batch,
     inverse_matrix,
     star_matrix,
 )
 from .monogenics import (
     Quaternion,
-    ReducedQuaternion,
     cohomology,
     decompose_H,
-    eval_T,
-    eval_T0,
-    eval_W,
-    fueter,
     fueter_bar,
     psi,
     teodorescu,
@@ -68,7 +61,6 @@ __all__ = [
     "ExpansionGrid",
     "HarmonicIndex",
     "Quaternion",
-    "ReducedQuaternion",
     "SeriesExpansion",
     "TorusDomain",
     "ToroidalPoint",
@@ -80,13 +72,7 @@ __all__ = [
     "decompose_H",
     "eval_I",
     "eval_I_batch",
-    "eval_I_star",
     "eval_I_star_batch",
-    "eval_J",
-    "eval_T",
-    "eval_T0",
-    "eval_W",
-    "fueter",
     "fueter_bar",
     "gram",
     "inverse_matrix",

@@ -24,7 +24,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .geometry import ToroidalPoint
 from .harmonics import DerivativeTerm, HarmonicIndex, _combine, eval_terms, kappa
 
 Rows = Tuple[Tuple[Fraction, ...], ...]
@@ -102,11 +101,6 @@ def star_terms(idx: HarmonicIndex) -> List[Tuple[HarmonicIndex, Fraction]]:
 
 def _star_table(idx: HarmonicIndex) -> List[DerivativeTerm]:
     return [DerivativeTerm(i, c) for i, c in star_terms(idx)]
-
-
-def eval_I_star(idx: HarmonicIndex, p: ToroidalPoint) -> float:
-    """Pointwise value of the starred harmonic."""
-    return float(eval_I_star_batch(idx, p.eta, p.theta, p.phi))
 
 
 def eval_I_star_batch(idx: HarmonicIndex, eta, theta, phi) -> np.ndarray:
@@ -227,7 +221,6 @@ __all__ = [
     "star_matrix",
     "inverse_matrix",
     "star_terms",
-    "eval_I_star",
     "eval_I_star_batch",
     "d0_star_terms",
     "eval_d0_star",

@@ -135,26 +135,16 @@ def element_I(idx: HarmonicIndex) -> BasisElement:
     return BasisElement("I", idx.n, idx.m, idx.nu, idx.mu)
 
 
-def element_I_star(idx: HarmonicIndex) -> BasisElement:
-    return BasisElement("ISTAR", idx.n, idx.m, idx.nu, idx.mu)
-
-
-def _point_grid(elements: Sequence[BasisElement], x: CartesianPoint) -> ExpansionGrid:
-    """A one-point grid at ``x``.  Raises :class:`DegenerateLocusError`
-    where one of the elements needs the toroidal chart and ``x`` lies on
-    the axis or the limit circle."""
-    if any((el.inner if el.kind == "E3" else el).kind not in ("ONE", "W") for el in elements):
-        to_toroidal(x)
-    with np.errstate(divide="ignore"):  # eta is inf on the limit circle
-        return ExpansionGrid.from_samples([(x, 1.0)])
-
-
 def evaluate_element(el: BasisElement, x: CartesianPoint) -> Quaternion:
     """Pointwise value of a basis element: :func:`evaluate_element_grid`
     on a one-point grid.  Raises :class:`DegenerateLocusError` where the
     element needs the toroidal chart and ``x`` lies on the axis or the
     limit circle."""
-    return Quaternion(*evaluate_element_grid(el, _point_grid([el], x))[:, 0].tolist())
+    if (el.inner if el.kind == "E3" else el).kind not in ("ONE", "W"):
+        to_toroidal(x)
+    with np.errstate(divide="ignore"):  # eta is inf on the limit circle
+        grid = ExpansionGrid.from_samples([(x, 1.0)])
+    return Quaternion(*evaluate_element_grid(el, grid)[:, 0].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -267,13 +257,6 @@ def make_series(pairs, **meta) -> SeriesExpansion:
     )
 
 
-def evaluate_series(s: SeriesExpansion, x: CartesianPoint) -> Quaternion:
-    """Value of the series at an interior point: :func:`evaluate_series_grid`
-    on a one-point grid, with the chart check of :func:`evaluate_element`."""
-    grid = _point_grid([el for el, _ in s.terms], x)
-    return Quaternion(*evaluate_series_grid(s, grid)[:, 0].tolist())
-
-
 def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
     """Series values on all grid nodes, shape ``(4, len(grid))``: the
     coefficient-weighted sum of the :func:`_values` of its elements."""
@@ -380,11 +363,16 @@ def _field_on_grid(f, grid: ExpansionGrid) -> np.ndarray:
     return field_values(f, grid.x0, grid.x1, grid.x2)
 
 
+#: the largest condition number :func:`project` accepts for the Gram matrix
+#: of the unit-normalised basis, that is ``cond(M)^2`` for the weighted
+#: values ``M``
+_CONDITION_CAP = 1e12
+
+
 def project(
     f,
     basis: Sequence[BasisElement],
     grid: ExpansionGrid,
-    condition_cap: float = 1e12,
 ) -> Tuple[SeriesExpansion, float]:
     """Least-squares projection of a field onto a finite basis.
 
@@ -393,7 +381,7 @@ def project(
     of shape (4, npts).  Returns the coefficient series and the L2
     residual norm on the grid.  Refuses (raising
     :class:`IllConditionedGram`) when the Gram condition number exceeds
-    the cap.
+    :data:`_CONDITION_CAP`.
     """
     M, sqw = _weighted_values(basis, grid)
     G = M @ M.T
@@ -406,11 +394,11 @@ def project(
         )
     Gs = G / np.outer(d, d)
     eigvals = np.linalg.eigvalsh(Gs)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > condition_cap:
+    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _CONDITION_CAP:
         cond = math.inf if eigvals[0] <= 0 else float(eigvals[-1] / eigvals[0])
         raise IllConditionedGram(
             f"Gram matrix of {len(basis)} elements has condition {cond:.3g} "
-            f"(cap {condition_cap:.3g}); refine the grid or shrink the basis",
+            f"(cap {_CONDITION_CAP:.3g}); refine the grid or shrink the basis",
             cond, len(basis),
         )
     F = (_field_on_grid(f, grid) * sqw).reshape(-1)
@@ -594,13 +582,11 @@ __all__ = [
     "element_one",
     "element_e3_times",
     "element_I",
-    "element_I_star",
     "evaluate_element",
     "ExpansionGrid",
     "evaluate_element_grid",
     "SeriesExpansion",
     "make_series",
-    "evaluate_series",
     "evaluate_series_grid",
     "series_to_json",
     "series_from_json",

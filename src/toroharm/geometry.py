@@ -207,7 +207,7 @@ def sample_grid(
 ) -> "ExpansionGrid":
     """Quadrature nodes and weights on the shrunken torus ``{eta >= eta0 + margin}``.
 
-    The mesh of :func:`_torus_rule`, a sequence of ``(CartesianPoint,
+    The mesh of :func:`_torus_rule`, an iterable of ``(CartesianPoint,
     weight)`` pairs ordered eta-major, then theta, then phi.  The weights
     sum to the volume of the sampled region, so Gram matrices built on the
     grid approximate L2 inner products.
@@ -221,8 +221,8 @@ def sample_grid(
 
 @dataclass(frozen=True, eq=False)
 class ExpansionGrid:
-    """Quadrature nodes and weights in both coordinate systems, and a
-    sequence of ``(CartesianPoint, weight)`` pairs.
+    """Quadrature nodes and weights in both coordinate systems, and an
+    iterable of ``(CartesianPoint, weight)`` pairs.
 
     ``x0``, ``x1``, ``x2`` and ``weights`` are flat over the ``N`` nodes.
     The toroidal coordinates broadcast to :attr:`shape`: on a mesh
@@ -270,11 +270,6 @@ class ExpansionGrid:
 
     def __len__(self) -> int:
         return self.weights.size
-
-    def __getitem__(self, i: int) -> Tuple[CartesianPoint, float]:
-        i = range(len(self))[i]
-        x = CartesianPoint(float(self.x0[i]), float(self.x1[i]), float(self.x2[i]))
-        return x, float(self.weights[i])
 
     def __iter__(self) -> Iterator[Tuple[CartesianPoint, float]]:
         points = map(CartesianPoint, self.x0.tolist(), self.x1.tolist(), self.x2.tolist())

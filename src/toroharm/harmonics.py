@@ -37,7 +37,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from .geometry import CartesianPoint, DegenerateLocusError, ToroidalPoint
+from .geometry import DegenerateLocusError, ToroidalPoint
 from .special_functions import gamma_half, q_half_grid
 
 Sign = int  # +1 or -1
@@ -140,24 +140,6 @@ def _planar_pair(m: int, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
         raise DegenerateLocusError("negative powers are singular on the x0-axis")
     w = z**m
     return w.real, w.imag
-
-
-def eval_J(m: int, sign: Sign, x: CartesianPoint) -> float:
-    """Planar harmonic ``J_m^+ = Re (x1 + i x2)^m`` or ``J_m^- = Im``.
-
-    Defined for every integer ``m``; negative powers need ``(x1, x2)``
-    off the axis.  The e1 row of ``monogenics.eval_W_batch`` at one point.
-    """
-    jp, jm = _planar_pair(m, [x.x1], [x.x2])
-    return float((jp if parse_sign(sign) > 0 else jm)[0])
-
-
-def eval_Jhat(x: CartesianPoint) -> float:
-    """The logarithmic planar harmonic ``-log |x1 + i x2|``."""
-    r = x.rho()
-    if r == 0:
-        raise ValueError("logarithm is singular on the x0-axis")
-    return -math.log(r)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,10 @@ broadcast together.  It returns their broadcast shape (scalar) or
 :func:`field_values`.  Quaternion
 arithmetic on such values goes through :func:`qmul` on ``(4, ...)``
 arrays.
+
+Point values.  Every evaluator here takes coordinate arrays; a point value
+is a length-1 (or 0-d) array call.  The two point functions, :func:`psi`
+and :func:`fueter_bar`, return a :class:`Quaternion`.
 """
 
 from __future__ import annotations
@@ -36,13 +40,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .appell import star_terms
-from .geometry import (
-    CartesianPoint,
-    ToroidalPoint,
-    TorusDomain,
-    to_cartesian,
-    toroidal_arrays,
-)
+from .geometry import CartesianPoint, TorusDomain, toroidal_arrays
 from .harmonics import (
     HarmonicIndex,
     Sign,
@@ -74,8 +72,10 @@ COH_ORIENTATION = -1.0
 class Quaternion:
     """The value a0 + a1 e1 + a2 e2 + a3 e3 of a field at one point.
 
-    Arithmetic on quaternions goes through :func:`qmul` on component
-    arrays; this class only carries a point value.
+    The package's one point-value type: :func:`psi`, :func:`fueter_bar` and
+    :func:`~toroharm.expansion.evaluate_element` return it, a reduced value
+    with ``a3 = 0``.  Arithmetic on quaternions goes through :func:`qmul`
+    on component arrays; this class only carries a point value.
     """
 
     a0: float
@@ -88,24 +88,6 @@ class Quaternion:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.a0, self.a1, self.a2, self.a3])
-
-
-@dataclass(frozen=True)
-class ReducedQuaternion:
-    """The value a0 + a1 e1 + a2 e2 of a reduced-quaternion field at one point."""
-
-    a0: float
-    a1: float
-    a2: float
-
-    def to_quaternion(self) -> Quaternion:
-        return Quaternion(self.a0, self.a1, self.a2, 0.0)
-
-    def norm(self) -> float:
-        return math.sqrt(self.a0**2 + self.a1**2 + self.a2**2)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a0, self.a1, self.a2])
 
 
 #: the imaginary units as (read-only) component arrays of shape (4,)
@@ -190,24 +172,14 @@ def fueter_bar(f, x: CartesianPoint, h: float = 1e-5) -> Quaternion:
     return Quaternion(*_dbar(_fd_partials(f, x.x0, x.x1, x.x2, h)).tolist())
 
 
-def fueter(f, x: CartesianPoint, h: float = 1e-5) -> Quaternion:
-    """Central-difference conjugate operator d = d0 - e1 d1 - e2 d2."""
-    return Quaternion(*_dbar(_fd_partials(f, x.x0, x.x1, x.x2, h), -1).tolist())
-
-
 # ---------------------------------------------------------------------------
 # monogenic constants W
 # ---------------------------------------------------------------------------
 
-def eval_W(m: int, sign: Sign, x: CartesianPoint) -> ReducedQuaternion:
-    """The monogenic constant ``W_m^+ = J_m^+ e1 - J_m^- e2`` or
-    ``W_m^- = J_m^- e1 + J_m^+ e2``.  Scalar part is zero; the axis is
-    excluded for m < 0."""
-    return ReducedQuaternion(*eval_W_batch(m, sign, x.x1, x.x2).tolist())
-
-
 def eval_W_batch(m: int, sign: Sign, x1, x2) -> np.ndarray:
-    """Vectorized W evaluation; returns an array of shape (3,) + x1.shape.
+    """The monogenic constant ``W_m^+ = J_m^+ e1 - J_m^- e2`` or
+    ``W_m^- = J_m^- e1 + J_m^+ e2`` on coordinate arrays; returns shape
+    (3,) + x1.shape, with zero scalar part.
 
     Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis.
     """
@@ -252,15 +224,11 @@ def t_is_zero(n: int, m: int, nu: Sign, mu: Sign) -> bool:
     return n == 1 and parse_sign(nu) == 1
 
 
-def eval_T(idx: HarmonicIndex, p: ToroidalPoint) -> ReducedQuaternion:
-    """Pointwise value of the exact toroidal monogenic ``T_idx`` (n >= 1)."""
-    return ReducedQuaternion(*eval_T_batch(idx, p.eta, p.theta, p.phi).tolist())
-
-
 def eval_T_batch(idx: HarmonicIndex, eta, theta, phi) -> np.ndarray:
-    """Vectorized T evaluation through the exact coefficient tables (no
-    differencing), one :class:`~toroharm.harmonics.TermMatrix` of its three
-    components; returns shape (3,) + the broadcast shape of the coordinates.
+    """The exact toroidal monogenic ``T_idx`` (n >= 1) on coordinate arrays,
+    through the exact coefficient tables (no differencing), one
+    :class:`~toroharm.harmonics.TermMatrix` of its three components;
+    returns shape (3,) + the broadcast shape of the coordinates.
     """
     return _term_matrix(t_term_tables(idx.n, idx.m, idx.nu, idx.mu))(eta, theta, phi)
 
@@ -530,21 +498,16 @@ class Psi:
         return np.stack([f0, -L1 + w.real / 2.0, -L2 - w.imag / 2.0])
 
 
-def psi(f0, domain: TorusDomain, x: CartesianPoint, tol: float = 1e-8) -> ReducedQuaternion:
-    """One-shot evaluation of the completion operator; see :class:`Psi`."""
-    return ReducedQuaternion(*Psi(f0, domain, tol=tol)(x.x0, x.x1, x.x2).tolist())
+def psi(f0, domain: TorusDomain, x: CartesianPoint, tol: float = 1e-8) -> Quaternion:
+    """One-shot evaluation of the completion operator at a point; see
+    :class:`Psi`.  The e3 part is zero and ``a0`` is ``f0`` at ``x``, bit for
+    bit."""
+    return Quaternion(*Psi(f0, domain, tol=tol)(x.x0, x.x1, x.x2).tolist(), 0.0)
 
 
 # ---------------------------------------------------------------------------
 # the n = 0 monogenics T0
 # ---------------------------------------------------------------------------
-
-def eval_T0(m: int, mu: Sign, p: ToroidalPoint) -> ReducedQuaternion:
-    """Pointwise value of the n = 0 toroidal monogenic; see
-    :func:`eval_T0_batch`."""
-    x = to_cartesian(p)
-    return ReducedQuaternion(*eval_T0_batch(m, mu, [x.x0], [x.x1], [x.x2])[:, 0].tolist())
-
 
 def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     """The n = 0 toroidal monogenic, the completion of ``I_{0,m}^{+,mu}``,
@@ -656,24 +619,19 @@ def decompose_H(F, domain: TorusDomain, tol: float = 1e-8):
 __all__ = [
     "COH_ORIENTATION",
     "Quaternion",
-    "ReducedQuaternion",
     "E1",
     "E2",
     "E3",
     "qmul",
     "field_values",
     "fueter_bar",
-    "fueter",
-    "eval_W",
     "eval_W_batch",
     "t_term_tables",
     "t_is_zero",
-    "eval_T",
     "eval_T_batch",
     "teodorescu",
     "Psi",
     "psi",
-    "eval_T0",
     "eval_T0_batch",
     "cohomology",
     "decompose_H",

@@ -8,7 +8,6 @@ from toroharm.appell import (
     alpha_beta,
     d0_star_terms,
     eval_d0_star,
-    eval_I_star,
     eval_I_star_batch,
     inverse_matrix,
     j_coefficient_unit,
@@ -16,7 +15,7 @@ from toroharm.appell import (
     star_matrix,
     star_terms,
 )
-from toroharm.geometry import CartesianPoint, ToroidalPoint, to_cartesian, to_toroidal
+from toroharm.geometry import ToroidalPoint, to_cartesian, toroidal_arrays
 from toroharm.harmonics import HarmonicIndex, kappa
 
 P = ToroidalPoint(1.4, 0.8, 0.5)
@@ -54,19 +53,6 @@ def test_reverse_appell_exact():
         assert ok, msg
 
 
-def test_eval_star_matches_batch():
-    idx = HarmonicIndex(4, 2, 1, 1)
-    eta = np.array([1.3, 1.8])
-    theta = np.array([0.4, -0.9])
-    phi = np.array([0.2, 1.1])
-    batch = eval_I_star_batch(idx, eta, theta, phi)
-    for i in range(2):
-        assert_allclose(
-            batch[i],
-            eval_I_star(idx, ToroidalPoint(eta[i], theta[i], phi[i])),
-            rtol=1e-13)
-
-
 @pytest.mark.parametrize("n,m,nu,mu", [
     (2, 0, 1, 1), (3, 1, 1, -1), (2, 0, -1, 1), (4, 2, -1, -1), (1, 3, -1, 1),
 ])
@@ -74,8 +60,7 @@ def test_degree_raising_matches_fd(n, m, nu, mu):
     idx = HarmonicIndex(n, m, nu, mu)
     x = to_cartesian(P)
     h = 1e-5
-    fp = eval_I_star(idx, to_toroidal(CartesianPoint(x.x0 + h, x.x1, x.x2)))
-    fm = eval_I_star(idx, to_toroidal(CartesianPoint(x.x0 - h, x.x1, x.x2)))
+    fp, fm = eval_I_star_batch(idx, *toroidal_arrays(x.x0 + np.array([h, -h]), x.x1, x.x2))
     assert_allclose(eval_d0_star(idx, P.eta, P.theta, P.phi), (fp - fm) / (2 * h), rtol=1e-7, atol=1e-9)
 
 
@@ -108,6 +93,7 @@ def test_alpha_beta_reproduce_constants():
     alphas, _, _ = alpha_beta(N)
     unit = j_coefficient_unit()
     p = ToroidalPoint(1.8, 0.4, 0.3)
-    total = sum(unit * float(alphas[k]) * eval_I_star(HarmonicIndex(k, 0, 1, 1), p)
+    total = sum(unit * float(alphas[k])
+                * eval_I_star_batch(HarmonicIndex(k, 0, 1, 1), [p.eta], [p.theta], [p.phi])[0]
                 for k in range(N + 1))
     assert_allclose(total, 1.0, atol=1e-6)

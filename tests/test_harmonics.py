@@ -13,8 +13,6 @@ from toroharm.harmonics import (
     d2_terms,
     eval_I,
     eval_I_batch,
-    eval_J,
-    eval_Jhat,
     eval_terms,
     fourier_power_check,
     index_is_valid,
@@ -23,6 +21,7 @@ from toroharm.harmonics import (
     kappa,
     parse_sign,
 )
+from toroharm.monogenics import eval_W_batch
 
 P = ToroidalPoint(1.4, 0.8, 0.5)
 
@@ -67,12 +66,16 @@ def test_structure_of_I():
 
 
 def test_planar_harmonics():
+    # J_m^s = Re / Im (x1 + i x2)^m is the e1 row of W_m^s
     x = CartesianPoint(0.0, 0.6, 0.8)
     z = complex(0.6, 0.8)
-    assert_allclose(eval_J(3, 1, x), (z**3).real, rtol=1e-14)
-    assert_allclose(eval_J(3, -1, x), (z**3).imag, rtol=1e-14)
-    assert_allclose(eval_J(-2, 1, x), (z**-2).real, rtol=1e-13)
-    assert_allclose(eval_Jhat(x), -math.log(abs(z)), rtol=1e-14)
+
+    def J(m, s):
+        return eval_W_batch(m, s, [x.x1], [x.x2])[1, 0]
+
+    assert_allclose(J(3, 1), (z**3).real, rtol=1e-14)
+    assert_allclose(J(3, -1), (z**3).imag, rtol=1e-14)
+    assert_allclose(J(-2, 1), (z**-2).real, rtol=1e-13)
 
 
 def test_kappa_values():
