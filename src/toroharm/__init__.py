@@ -47,8 +47,6 @@ from .expansion import (
     basis_H,
     gram,
     project,
-    series_from_json,
-    series_to_json,
 )
 from .checks import run_suite
 
@@ -82,8 +80,6 @@ __all__ = [
     "psi",
     "run_suite",
     "sample_grid",
-    "series_from_json",
-    "series_to_json",
     "star_matrix",
     "teodorescu",
     "to_cartesian",

@@ -183,10 +183,8 @@ def alpha_beta(n_max: int):
     The termwise sums diverge as ``n_max`` grows entry-by-entry (the
     inverse-matrix entries grow much faster than the ``c_n``), so only
     this jointly truncated form is meaningful: it reproduces the plain
-    truncated series exactly.  Returns ``(alphas, betas, meta)`` where the
-    coefficient lists are exact ``Fraction`` multiples of ``sqrt(2)/pi``
-    and ``meta`` reports the largest entry magnitudes as a conditioning
-    indicator.
+    truncated series exactly.  Returns ``(alphas, betas)``, exact
+    ``Fraction`` multiples of ``sqrt(2)/pi``.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
@@ -201,14 +199,7 @@ def alpha_beta(n_max: int):
         sum(Fraction(4 * n) * inv[n][k] for n in range(max(k, 1), n_max + 1))
         for k in range(n_max + 1)
     ]
-    meta = {
-        "n_max": n_max,
-        "max_abs_alpha": float(max(abs(a) for a in alphas)),
-        "max_abs_beta": float(max(abs(b) for b in betas)),
-        "last_alpha": float(alphas[-1]),
-        "last_beta": float(betas[-1]),
-    }
-    return alphas, betas, meta
+    return alphas, betas
 
 
 def j_coefficient_unit() -> float:

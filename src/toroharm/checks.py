@@ -478,7 +478,7 @@ def check_alpha_beta_transport(N: int = 25) -> List[CheckResult]:
     depth where roundoff stays below the tolerance; the underlying
     transport identity is exact in rationals at any depth.
     """
-    alphas, betas, _ = alpha_beta(N)
+    alphas, betas = alpha_beta(N)
     unit = j_coefficient_unit()
     eta, th = (c.ravel() for c in np.meshgrid(
         np.linspace(1.5, 4.0, 7), np.linspace(-math.pi, math.pi, 9, endpoint=False),

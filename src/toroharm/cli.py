@@ -22,7 +22,6 @@ import functools
 import json
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +29,6 @@ import numpy as np
 from .appell import inverse_matrix, star_matrix
 from .checks import SUITES, CheckResult
 from .expansion import (
-    SCHEMA_VERSION,
     BasisElement,
     ExpansionGrid,
     element_T0,
@@ -48,7 +46,8 @@ from .geometry import (
 from .harmonics import kappa, parse_sign
 from .monogenics import t_is_zero
 
-GOLDEN_SCHEMA = 1
+#: version of the golden, ``coeffs`` and ``grid-export`` JSON documents
+SCHEMA_VERSION = 1
 
 _DEFAULT_CONFIG = {
     "eta0": 1.0,
@@ -92,12 +91,13 @@ class UsageError(Exception):
     """Bad arguments or configuration; maps to exit code 2."""
 
 
-def _check_tol_names(args: argparse.Namespace, read) -> None:
-    """Reject ``--tol`` names that no check of this run reads."""
-    unread = sorted({spec.partition("=")[0] for spec in args.tol or []} - set(read))
+def _check_tol_names(cfg: RunConfig, read) -> None:
+    """Reject tolerance names, from ``--tol`` or the config file, that no
+    check of this run reads."""
+    unread = sorted(set(cfg.tolerances) - set(read))
     if unread:
         valid = ", ".join(repr(n) for n in sorted(read)) or "none"
-        raise UsageError(f"--tol names {unread} are read by no check of this run; "
+        raise UsageError(f"tolerance names {unread} are read by no check of this run; "
                          f"valid names: {valid}")
 
 
@@ -218,12 +218,12 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
                 golden = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise UsageError(f"cannot read golden file {args.golden}: {exc}")
-        if golden.get("schema_version") != GOLDEN_SCHEMA:
+        if golden.get("schema_version") != SCHEMA_VERSION:
             raise UsageError("golden file schema version mismatch")
         x = CartesianPoint(*golden["point"])
     else:
         x = _parse_point(args)
-    _check_tol_names(args, ["golden"] if golden is not None else [])
+    _check_tol_names(cfg, ["golden"] if golden is not None else [])
 
     try:
         values = _normalize(evaluate_element(el, x).as_array()[rows]).tolist()
@@ -238,7 +238,7 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
         if not args.golden:
             raise UsageError("--update-golden needs --golden PATH")
         payload = {
-            "schema_version": GOLDEN_SCHEMA,
+            "schema_version": SCHEMA_VERSION,
             "kind": args.kind,
             "index": list(args.index),
             "point": [x.x0, x.x1, x.x2],
@@ -268,12 +268,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 # coeffs
 # ---------------------------------------------------------------------------
 
-def _frac(x: Fraction) -> str:
-    return str(x)
-
-
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
-    _check_tol_names(args, [])
+    _check_tol_names(cfg, [])
     m, n_max = args.m, args.n_max
     if m < 0 or n_max < 0:
         raise UsageError("m and n_max must be nonnegative")
@@ -285,10 +281,10 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
             "schema_version": SCHEMA_VERSION,
             "m": m,
             "n_max": n_max,
-            "star": [[_frac(c) for c in star.row(n)] for n in range(n_max + 1)],
-            "inverse": [[_frac(c) for c in inv.row(n)] for n in range(n_max + 1)],
+            "star": [[str(c) for c in star.row(n)] for n in range(n_max + 1)],
+            "inverse": [[str(c) for c in inv.row(n)] for n in range(n_max + 1)],
             "kappa": {
-                str(n): [_frac(kappa(k, m, n)) for k in (n - 1, n, n + 1)]
+                str(n): [str(kappa(k, m, n)) for k in (n - 1, n, n + 1)]
                 for n in range(1, n_max + 1)
             },
         }
@@ -298,14 +294,14 @@ def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
     lines = [f"# exact coefficients, m={m}, n_max={n_max}"]
     lines.append("# star matrix rows (i*_{n,m}^k, k = 0..n)")
     for n in range(n_max + 1):
-        lines.append("star," + str(n) + "," + ", ".join(_frac(c) for c in star.row(n)))
+        lines.append("star," + str(n) + "," + ", ".join(str(c) for c in star.row(n)))
     lines.append("# inverse rows (i_{n,m}^k, k = 0..n)")
     for n in range(n_max + 1):
-        lines.append("inverse," + str(n) + "," + ", ".join(_frac(c) for c in inv.row(n)))
+        lines.append("inverse," + str(n) + "," + ", ".join(str(c) for c in inv.row(n)))
     lines.append("# kappa rows (targets n-1, n, n+1)")
     for n in range(1, n_max + 1):
         lines.append("kappa," + str(n) + ","
-                     + ", ".join(_frac(kappa(k, m, n)) for k in (n - 1, n, n + 1)))
+                     + ", ".join(str(kappa(k, m, n)) for k in (n - 1, n, n + 1)))
     _emit("\n".join(lines) + "\n", cfg.output)
     return 0
 
@@ -333,7 +329,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             print("  " + r.line())
             all_ok &= r.passed
     # check names are known only once their suites have run
-    _check_tol_names(args, read)
+    _check_tol_names(cfg, read)
     print("verify: " + ("ALL PASS" if all_ok else "FAILURES PRESENT"))
     return 0 if all_ok else 1
 
@@ -344,7 +340,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     el, rows, _ = _element(args.kind, args.index)
-    _check_tol_names(args, [])
+    _check_tol_names(cfg, [])
     g = cfg.grid
     n_eta = args.n_eta if args.n_eta is not None else int(g["n_eta"])
     n_theta = args.n_theta if args.n_theta is not None else int(g["n_theta"])

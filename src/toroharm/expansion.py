@@ -15,7 +15,6 @@ projections, not the theorems themselves.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,8 +34,6 @@ from .monogenics import (
     t_is_zero,
     t_term_tables,
 )
-
-SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +229,9 @@ def evaluate_element_grid(el: BasisElement, grid: ExpansionGrid) -> np.ndarray:
 @dataclass(frozen=True)
 class SeriesExpansion:
     """A finite linear combination of basis elements with real
-    coefficients, plus free-form truncation metadata."""
+    coefficients."""
 
     terms: Tuple[Tuple[BasisElement, float], ...]
-    meta: Tuple[Tuple[str, str], ...] = ()
 
     def __post_init__(self) -> None:
         seen = set()
@@ -250,11 +246,8 @@ class SeriesExpansion:
         return dict(self.terms)
 
 
-def make_series(pairs, **meta) -> SeriesExpansion:
-    return SeriesExpansion(
-        tuple((el, float(c)) for el, c in pairs),
-        tuple(sorted((k, str(v)) for k, v in meta.items())),
-    )
+def make_series(pairs) -> SeriesExpansion:
+    return SeriesExpansion(tuple((el, float(c)) for el, c in pairs))
 
 
 def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
@@ -264,62 +257,6 @@ def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
         return np.zeros((4, len(grid)))
     elements, coeffs = zip(*s.terms)
     return np.tensordot(coeffs, _values(elements, grid), 1)
-
-
-def _element_to_json(el: BasisElement) -> dict:
-    d = {"kind": el.kind}
-    if el.kind == "E3":
-        d["inner"] = _element_to_json(el.inner)
-    elif el.kind == "ONE":
-        pass
-    elif el.kind == "W":
-        d.update(m=el.m, sign=sign_char(el.nu))
-    elif el.kind == "T0":
-        d.update(m=el.m, mu=sign_char(el.mu))
-    else:
-        d.update(n=el.n, m=el.m, nu=sign_char(el.nu), mu=sign_char(el.mu))
-    return d
-
-
-def _element_from_json(d: dict) -> BasisElement:
-    kind = d["kind"]
-    if kind == "E3":
-        return element_e3_times(_element_from_json(d["inner"]))
-    if kind == "ONE":
-        return element_one()
-    if kind == "W":
-        return element_W(d["m"], d["sign"])
-    if kind == "T0":
-        return element_T0(d["m"], d["mu"])
-    el = BasisElement(kind, d["n"], d["m"], parse_sign(d["nu"]), parse_sign(d["mu"]),
-                      allow_excluded=True)
-    return el
-
-
-def series_to_json(s: SeriesExpansion) -> str:
-    """Serialize a series to a versioned JSON document."""
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "terms": [
-            {"element": _element_to_json(el), "coefficient": c}
-            for el, c in s.terms
-        ],
-        "meta": dict(s.meta),
-    }
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
-def series_from_json(text: str) -> SeriesExpansion:
-    doc = json.loads(text)
-    version = doc.get("schema_version")
-    if version != SCHEMA_VERSION:
-        raise ValueError(f"unsupported series schema version {version!r}")
-    terms = tuple(
-        (_element_from_json(t["element"]), float(t["coefficient"]))
-        for t in doc["terms"]
-    )
-    meta = tuple(sorted((k, str(v)) for k, v in doc.get("meta", {}).items()))
-    return SeriesExpansion(terms, meta)
 
 
 # ---------------------------------------------------------------------------
@@ -408,9 +345,7 @@ def project(
     coeffs += np.linalg.solve(Gs, b - Gs @ coeffs)
     coeffs = coeffs / d
     residual = float(np.linalg.norm(F - M.T @ coeffs))
-    series = make_series(zip(basis, coeffs), projection="least-squares",
-                         nodes=len(grid))
-    return series, residual
+    return make_series(zip(basis, coeffs)), residual
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +430,7 @@ def known_expansion_one(N: int) -> SeriesExpansion:
         (element_I(HarmonicIndex(n, 0, 1, 1)), unit * (1.0 if n == 0 else 2.0))
         for n in range(N + 1)
     ]
-    return make_series(pairs, target="1", truncation=N)
+    return make_series(pairs)
 
 
 def known_expansion_x0(N: int) -> SeriesExpansion:
@@ -508,7 +443,7 @@ def known_expansion_x0(N: int) -> SeriesExpansion:
         (element_I(HarmonicIndex(n, 0, -1, 1)), 4.0 * unit * n)
         for n in range(1, N + 1)
     ]
-    return make_series(pairs, target="x0", truncation=N)
+    return make_series(pairs)
 
 
 def known_expansion_one_in_T(N: int) -> SeriesExpansion:
@@ -522,14 +457,14 @@ def known_expansion_one_in_T(N: int) -> SeriesExpansion:
     """
     if N < 2:
         raise ValueError("N must be at least 2")
-    _, betas, _ = alpha_beta(N)
+    _, betas = alpha_beta(N)
     unit = j_coefficient_unit()
     pairs = [
         (element_T(k + 1, 0, 1, 1), unit * float(betas[k]))
         for k in range(1, N + 1)
         if betas[k] != 0
     ]
-    return make_series(pairs, target="1", truncation=N, family="T")
+    return make_series(pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +509,6 @@ def expand_monogenic_constant(
 
 
 __all__ = [
-    "SCHEMA_VERSION",
     "BasisElement",
     "element_T",
     "element_T0",
@@ -588,8 +522,6 @@ __all__ = [
     "SeriesExpansion",
     "make_series",
     "evaluate_series_grid",
-    "series_to_json",
-    "series_from_json",
     "gram",
     "IllConditionedGram",
     "project",

@@ -93,9 +93,6 @@ class TorusDomain:
         if not self.eta0 > 0:
             raise ValueError(f"eta0 must be positive, got {self.eta0}")
 
-    def volume(self) -> float:
-        return torus_volume(self.eta0)
-
     def slice_radii(self) -> Tuple[float, float]:
         """Inner and outer radii of the annulus cut by the plane x0 = 0."""
         return math.tanh(self.eta0 / 2.0), 1.0 / math.tanh(self.eta0 / 2.0)

@@ -387,27 +387,3 @@ def j_coefficient_quadrature(n: int, m: int, sign: Sign, eta: float) -> float:
     q = q_half_grid(n, abs(m), np.array([eta]))[n, abs(m), 0]
     value = a * math.sinh(eta) ** m / q
     return value if m >= 0 else sign * value
-
-
-def fourier_power_check(m: int, eta: float, N: int) -> float:
-    """Maximum deviation, over ``n <= N``, between the quadrature Fourier
-    coefficients of ``(cosh(eta) - cos(theta))^(-(m+1/2))`` and the
-    closed-form series
-
-    ``sqrt(2/pi)/Gamma(m+1/2) * (2 - delta_{0,n})
-      * (-1)^m Q_{n-1/2}^m(cosh(eta)) / sinh(eta)^m``.
-
-    The ``(-1)^m / sinh(eta)^m`` factor undoes the order-raising prefactor
-    baked into this package's Q normalization; it is invisible at ``m = 0``
-    and forced by the quadrature oracle for ``m >= 1``.
-    """
-    if m < 0:
-        raise ValueError("m must be nonnegative")
-    a = fourier_cosine_coefficients(m, eta, N)
-    q = q_half_grid(N, m, np.array([eta]))[:, m, 0]
-    neumann = np.where(np.arange(N + 1) == 0, 1.0, 2.0)
-    predicted = (
-        math.sqrt(2.0 / math.pi) / gamma_half(m) * neumann
-        * (-1) ** m * q / math.sinh(eta) ** m
-    )
-    return float(np.max(np.abs(a - predicted)))

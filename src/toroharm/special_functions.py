@@ -1,5 +1,6 @@
-"""Special functions: elliptic integrals, half-integer Gamma values, and
-associated Legendre functions of the second kind at half-integer degree.
+"""Special functions: associated Legendre functions of the second kind at
+half-integer degree, their AGM elliptic-integral seeds, and ``Gamma`` at
+half-integers.
 
 The central object is ``Q_{n-1/2}^m(cosh(eta))`` for ``eta > 0``, the
 radial factor of every interior toroidal harmonic.  It is a function of
@@ -65,22 +66,6 @@ def _elliptic_K_csum(k: np.ndarray, kp: np.ndarray):
     return a, tail
 
 
-def elliptic_E(k):
-    """Complete elliptic integral of the second kind, modulus convention.
-
-    ``E(k) = integral_0^{pi/2} (1 - k^2 sin^2 t)^(1/2) dt`` for
-    ``0 <= k <= 1``; AGM with the standard ``c_n`` correction sum.
-    """
-    k = np.asarray(k, dtype=float)
-    if np.any(k < 0) or np.any(k > 1):
-        raise ValueError("elliptic_E requires 0 <= k <= 1")
-    agm, tail = _elliptic_K_csum(k, np.sqrt(1.0 - k * k))
-    out = np.pi / (2.0 * agm) * (1.0 - 0.5 * k * k - tail)
-    # K diverges at k=1 but E(1) = 1 is finite; patch the limit explicitly
-    out = np.where(k == 1.0, 1.0, out)
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # Gamma at half-integers
 # ---------------------------------------------------------------------------
@@ -94,24 +79,6 @@ def gamma_half(k: int) -> float:
         raise ValueError("gamma_half requires an integer k >= 0")
     k = int(k)
     return float(Fraction(math.factorial(2 * k), 4**k * math.factorial(k))) * math.sqrt(math.pi)
-
-
-def gamma_half_ratio(n: int, m: int) -> Fraction:
-    """Exact signed ratio ``Gamma(n+m+1/2) / Gamma(n-m+1/2)``.
-
-    Telescopes to a product of half-integers, which is never zero or
-    singular, so the ratio is defined for all integer ``n, m`` (including
-    ``m < 0``, where it is the reciprocal product and may be negative).
-    """
-    if m >= 0:
-        out = Fraction(1)
-        for l in range(n - m, n + m):
-            out *= Fraction(2 * l + 1, 2)
-        return out
-    out = Fraction(1)
-    for l in range(n + m, n - m):
-        out *= Fraction(2 * l + 1, 2)
-    return 1 / out
 
 
 # ---------------------------------------------------------------------------

@@ -81,16 +81,14 @@ def test_degree_raising_sine_family_correction():
 
 
 def test_alpha_beta_are_exact_fractions():
-    alphas, betas, meta = alpha_beta(10)
+    alphas, betas = alpha_beta(10)
     assert all(isinstance(a, Fraction) for a in alphas)
     assert all(isinstance(b, Fraction) for b in betas)
-    # truncation metadata reports the last-term magnitudes
-    assert "last_alpha" in meta and "last_beta" in meta
 
 
 def test_alpha_beta_reproduce_constants():
     N = 20
-    alphas, _, _ = alpha_beta(N)
+    alphas, _ = alpha_beta(N)
     unit = j_coefficient_unit()
     p = ToroidalPoint(1.8, 0.4, 0.3)
     total = sum(unit * float(alphas[k])

@@ -166,11 +166,15 @@ def test_verify_suite_and_exit_codes(capsys, tmp_path):
     assert code == 0
 
 
-def test_verify_rejects_unread_tol_name(capsys):
-    # check names are known once the suites have run; the error lists them
-    code, _, err = run(capsys, "verify", "coh", "--tol", "nosuch=1e-3")
-    assert code == 2
-    assert "'nosuch'" in err and "'radius independence of the coefficient'" in err
+def test_verify_rejects_unread_tol_name(capsys, tmp_path):
+    # check names are known once the suites have run; the error lists them.
+    # Names from the config file are checked like those of --tol
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"nosuch": 1e-3}}))
+    for source in (("--tol", "nosuch=1e-3"), ("--config", str(cfg))):
+        code, _, err = run(capsys, "verify", "coh", *source)
+        assert code == 2
+        assert "'nosuch'" in err and "'radius independence of the coefficient'" in err
 
 
 def test_unknown_suite_is_usage_error(capsys):
@@ -236,6 +240,8 @@ def test_eval_near_axis_matches_mpmath(capsys):
     ("eval", "I", "0", "0", "+", "+", "--eta", "800", "--theta", "0.5", "--phi", "0"),
     ("grid-export", "I", "0", "0", "+", "+", "--eta0", "800", "--n-eta", "1",
      "--n-theta", "2", "--n-phi", "1"),
+    # a config-file tolerance that no check of the run reads
+    ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--config", {"tolerances": {"nosuch": 1e-3}}),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = list(argv)

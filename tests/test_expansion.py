@@ -5,15 +5,12 @@ import pytest
 from numpy.testing import assert_allclose
 
 from toroharm.expansion import (
-    BasisElement,
     ExpansionGrid,
     IllConditionedGram,
     basis_A,
     basis_A_second,
     basis_H,
-    element_I,
     element_T,
-    element_T0,
     element_W,
     element_e3_times,
     element_one,
@@ -27,8 +24,6 @@ from toroharm.expansion import (
     known_expansion_x0,
     make_series,
     project,
-    series_from_json,
-    series_to_json,
     t_family,
     w_family,
 )
@@ -85,23 +80,6 @@ def test_e3_action():
     rot = evaluate_element(element_e3_times(element_W(0, 1)), X)
     assert_allclose([rot.a0, rot.a1, rot.a2, rot.a3],
                     [-base.a3, base.a2, -base.a1, base.a0])
-
-
-def test_series_json_round_trip():
-    s = make_series([
-        (element_T(2, 1, 1, 1), 2.0),
-        (element_e3_times(element_T0(1, -1)), -0.5),
-        (element_one(), 1.0),
-    ], note="round trip")
-    s2 = series_from_json(series_to_json(s))
-    assert s2.terms == s.terms
-    assert dict(s2.meta)["note"] == "round trip"
-
-
-def test_series_json_rejects_wrong_schema():
-    text = series_to_json(make_series([(element_one(), 1.0)]))
-    with pytest.raises(ValueError):
-        series_from_json(text.replace('"schema_version": 1', '"schema_version": 99'))
 
 
 def test_duplicate_terms_rejected():

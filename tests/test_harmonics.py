@@ -14,7 +14,6 @@ from toroharm.harmonics import (
     eval_I,
     eval_I_batch,
     eval_terms,
-    fourier_power_check,
     index_is_valid,
     j_coefficient,
     j_coefficient_quadrature,
@@ -123,8 +122,3 @@ def test_j_coefficient_negative_order():
     assert_allclose(j_coefficient(3, -2, 1),
                     j_coefficient_quadrature(3, -2, 1, eta=1.2), rtol=1e-9)
     assert_allclose(j_coefficient(3, -2, -1), -j_coefficient(3, -2, 1), rtol=1e-14)
-
-
-def test_fourier_power_series():
-    assert fourier_power_check(0, 1.3, 8) < 1e-12
-    assert fourier_power_check(2, 1.3, 8) < 1e-12
