@@ -886,6 +886,30 @@ def check_H_projection() -> CheckResult:
     return _result("full-quaternion projection residual", res, 1e-4)
 
 
+def check_deep_truncation() -> List[CheckResult]:
+    """Projection past degree 4, one QR per phi mode: planted coefficients
+    of the second reduced basis at degree 8 come back, and the Cauchy
+    kernel with its pole in the hole is approximated at degree 10."""
+    grid = _gram_grid()
+    basis = basis_A_second(8, 3)
+    norms = np.sqrt(np.diag(gram(basis, grid)))
+    planted = np.random.default_rng(17).standard_normal(len(basis)) / norms
+    s, _ = project(make_series(zip(basis, planted)), basis, grid)
+    err = float(np.max(np.abs([c for _, c in s.terms] - planted) * norms))
+
+    # conj(x) / |x|^3, with its pole at the origin
+    cauchy = (np.stack([grid.x0, -grid.x1, -grid.x2, np.zeros(len(grid))])
+              / (grid.x0**2 + grid.x1**2 + grid.x2**2) ** 1.5)
+    _, res = project(cauchy, basis_A_second(10, 1), grid)
+    rel = res / float(np.sqrt(np.sum(cauchy**2 * grid.weights)))
+    return [
+        _result("deep-truncation planted round trip", err, 1e-6,
+                f"basis_A_second(8, 3), {len(basis)} unit-normalised coefficients"),
+        _result("Cauchy kernel projection residual", rel, 1e-5,
+                "conj(x)/|x|^3 onto basis_A_second(10, 1), relative to its grid norm"),
+    ]
+
+
 def suite_basis() -> List[CheckResult]:
     return (
         check_gram_definiteness()
@@ -893,6 +917,7 @@ def suite_basis() -> List[CheckResult]:
         + check_w_plateau()
         + [check_residual_monotonicity(), check_projection_idempotence(),
            check_H_projection()]
+        + check_deep_truncation()
     )
 
 

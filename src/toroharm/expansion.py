@@ -3,7 +3,8 @@
 Provides the basis-element vocabulary (exact toroidal monogenics T, the
 degree-0 family T0, monogenic constants W, the constant 1, right
 multiples by e3, and the plain/starred harmonics used by the known
-closed-form expansions), Gram-matrix projection on sampled grids, the
+closed-form expansions), Gram matrices and least-squares projection on
+sampled grids (one QR factorisation per phi Fourier mode on a mesh), the
 closed-form expansions of 1 and x0, and the Laurent analysis of
 monogenic constants.
 
@@ -19,16 +20,18 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .appell import _star_table, alpha_beta, j_coefficient_unit
-from .geometry import CartesianPoint, ExpansionGrid, to_toroidal
+from .geometry import CartesianPoint, ExpansionGrid, cartesian_arrays, to_toroidal
 from .harmonics import DerivativeTerm, HarmonicIndex, Sign, TermMatrix, parse_sign, sign_char
 from .monogenics import (
     Quaternion,
     _t0_lines,
+    _slot_lines,
+    _t0_tables,
     eval_W_batch,
     field_values,
     t_is_zero,
@@ -260,32 +263,222 @@ def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Gram projection
+# meridian values by phi mode
 # ---------------------------------------------------------------------------
 
-def _weighted_values(basis: Sequence[BasisElement], grid: ExpansionGrid):
-    """One row per element: its grid values times the square-root weights,
-    flattened over components and nodes; returned with those weights."""
-    sqw = np.sqrt(grid.weights)
-    values = _values(basis, grid)
-    values *= sqw
-    return values.reshape(len(basis), -1), sqw
+@lru_cache(maxsize=None)
+def _cylindrical(comp: int, m: int, mu: Sign) -> Tuple[Tuple[int, int, float], ...]:
+    """A Cartesian component ``comp`` equal to ``trig(m phi)``, in the frame
+    ``(1, e_rho, e_phi, e3)`` and by phi mode: ``(part, mode, factor)``
+    triples.  A component ``c`` whose value is ``Re(Z e^{i k phi})`` has
+    ``Re Z`` in part ``c`` and ``Im Z`` in part ``4 + c`` of mode ``k >= 0``
+    (at mode 0, ``Re Z`` alone).
 
+    ``trig(m phi)`` is ``Re(z e^{i m phi})`` with ``z`` 1 (cosine) or ``-i``
+    (sine); ``a_rho = a1 cos + a2 sin`` and ``a_phi = a2 cos - a1 sin``,
+    with ``cos = Re(e^{i phi})`` and ``sin = Re(-i e^{i phi})``; and
+    ``Re(A e^{i a phi}) Re(B e^{i phi})`` is ``Re(A B e^{i (a + 1) phi}) / 2
+    + Re(A conj(B) e^{i (a - 1) phi}) / 2``.
+    """
+    if m == 0 and mu < 0:
+        return ()
+    z = 1.0 if mu > 0 else -1j
+    if comp in (0, 3):
+        terms = [(comp, m, z)]
+    else:
+        frame = ((1, 1.0), (2, 1j)) if comp == 1 else ((1, -1j), (2, 1.0))
+        terms = [(cyl, k, z * (b if k > m else np.conj(b)) / 2)
+                 for cyl, b in frame for k in (m + 1, m - 1)]
+    out = []
+    for cyl, k, w in terms:  # Re(w e^{-i k phi}) = Re(conj(w) e^{i k phi})
+        w = complex(w if k >= 0 else np.conj(w))
+        out += [(part, abs(k), v) for part, v in ((cyl, w.real), (4 + cyl, w.imag))
+                if v != 0 and (k != 0 or part < 4)]
+    return tuple(out)
+
+
+#: the e3 multiple on the parts ``Re`` and ``Im`` of ``(a0, a_rho, a_phi,
+#: a3)``: the same signed permutation as on Cartesian components, since
+#: ``(b_rho, b_phi) = (a_phi, -a_rho)``
+_E3_PARTS, _E3_PART_SIGN = [3, 2, 1, 0, 7, 6, 5, 4], np.tile(_E3_SIGN, (2, 1))
+#: meridian points on which :func:`_modes` reads the phi mode of each base
+_PROBE = np.array([0.6, 1.3, 2.4]), np.array([0.4, 2.2, -1.3])
+#: the largest share of a base's probe values outside its mode
+_MODE_LEAK = 1e-12
+
+
+class _ModePlan(NamedTuple):
+    """The meridian values of a basis by phi mode (see :func:`_modes`)."""
+
+    terms: Optional[TermMatrix]  # one row per distinct meridian factor of the harmonics
+    lines: Optional[TermMatrix]  # one row per distinct T0 line integrand
+    powers: np.ndarray           # the powers of rho of the closed forms
+    rows: np.ndarray             # the nonzero rows 8 * element + part of the values
+    matrix: np.ndarray           # their coefficients over the sources
+    groups: tuple                # (mode, element indices, their nonzero parts) per mode
+
+
+def _sources(terms, lines, powers, eta, theta, x0, rho) -> np.ndarray:
+    """The real meridian functions that the values of a basis combine, at
+    meridian points, shape ``(sources, points)``: the rows of ``terms``
+    (one radial table), the x0-line integrals of the rows of ``lines`` and
+    the closed forms ``rho^power``."""
+    out = []
+    if terms is not None:
+        H = terms.meridian(eta, theta)
+        out.append(terms.matrix @ H.reshape(len(H), -1))
+    if lines is not None:
+        out.append(_slot_lines(lines, x0, rho).reshape(lines.rows, -1))
+    return np.concatenate(out + [np.ravel(rho)[None] ** powers[:, None]])
+
+
+def _distinct(table: TermMatrix, coefficients: np.ndarray):
+    """Rows of coefficients over the columns of ``table`` folded onto its
+    distinct meridian factors, which do not depend on a harmonic's ``mu``:
+    the folded rows and the harmonics ``(n, m, nu)`` of their columns."""
+    keys = [(int(n), int(m), table.theta_keys[t][1])
+            for n, m, t in zip(table.n, table.m, table.theta_of)]
+    distinct = sorted(set(keys))
+    fold = np.zeros((len(keys), len(distinct)))
+    fold[np.arange(len(keys)), [distinct.index(k) for k in keys]] = 1.0
+    return coefficients @ fold, distinct
+
+
+def _tables(rows, harmonics) -> TermMatrix:
+    """The :class:`TermMatrix` of coefficient rows over harmonics ``(n, m,
+    nu)``, each with ``mu = +``."""
+    return TermMatrix([tuple(DerivativeTerm(HarmonicIndex(n, m, nu, 1), Fraction(c))
+                             for (n, m, nu), c in zip(harmonics, row) if c != 0)
+                       for row in rows])
+
+
+@lru_cache(maxsize=64)
+def _modes(elements: Tuple[BasisElement, ...]) -> Optional[_ModePlan]:
+    """The phi-mode plan of the elements, or ``None`` if one of them spans
+    more than one mode.
+
+    Every slot of the evaluation plan (:func:`_compiled`) is a real
+    meridian function times ``trig(m phi)`` in one Cartesian component:
+    the ``TermMatrix`` slots (``T``, ``I``, ``I*`` and the ``T0`` scalar
+    parts), the ``T0`` line slots (sign -1) and the closed forms of 1 and
+    ``W``, ``rho^m`` times ``trig(|m| phi)``.  :func:`_cylindrical` turns
+    each into contributions to the cylindrical parts by mode.  The sources
+    are the distinct meridian factors, the distinct line integrands up to
+    sign (``T0[m]^-`` integrates those of ``T0[m]^+``) and the closed
+    forms.  A base's mode is the one that holds its values on a few probe
+    points; its other modes must be zero there to :data:`_MODE_LEAK`, so no
+    mode is assumed per kind.  The plan keeps each element's own mode as
+    one coefficient matrix over the sources (an e3 multiple as a signed
+    permutation of its base's rows).
+    """
+    bases, matrix, row_dest, pairs, line_dest, base_of, e3 = _compiled(elements)
+    slots = []  # (row 4 * base + component, phi factor (m, mu), sign)
+    blocks = []  # the slots' coefficients over the sources, by kind of source
+    terms = lines = None
+    if row_dest:
+        slots += [(row_dest[i // matrix.width], matrix.phi_keys[matrix.slot_phi[i]], 1.0)
+                  for i in range(len(matrix.matrix))]
+        folded, harmonics = _distinct(matrix, matrix.matrix)
+        terms = _tables(np.eye(len(harmonics)), harmonics)
+        blocks.append(folded)
+    if pairs:
+        table = _t0_tables(pairs)
+        slots += [(line_dest[i // table.width], table.phi_keys[table.slot_phi[i]], -1.0)
+                  for i in range(len(table.matrix))]
+        folded, harmonics = _distinct(table, table.matrix)
+        flip = np.sign(folded[np.arange(len(folded)), np.argmax(folded != 0, axis=1)])
+        distinct = {}  # each nonzero slot's integrand, first nonzero coefficient positive
+        column = [distinct.setdefault(tuple(row), len(distinct))
+                  for row in folded * flip[:, None] if row.any()]
+        lines = _tables(list(distinct), harmonics)
+        block = np.zeros((len(folded), len(distinct)))
+        block[np.flatnonzero(flip), column] = flip[flip != 0]
+        blocks.append(block)
+    powers = []
+    for b, el in enumerate(bases):
+        if el.kind == "ONE":
+            slots.append((4 * b, (0, 1), 1.0))
+            powers.append(0)
+        elif el.kind == "W":  # J_m^+ = rho^m cos(m phi), J_m^- = rho^m sin(m phi)
+            a, s = abs(el.m), float(np.sign(el.m))
+            if el.nu > 0:  # W^+ = J^+ e1 - J^- e2
+                slots += [(4 * b + 1, (a, 1), 1.0), (4 * b + 2, (a, -1), -s)]
+            else:          # W^- = J^- e1 + J^+ e2
+                slots += [(4 * b + 1, (a, -1), s), (4 * b + 2, (a, 1), 1.0)]
+            powers += [el.m, el.m]
+    powers = np.array(powers, dtype=float)
+    blocks.append(np.eye(len(powers)))
+    to_source = np.zeros((len(slots), sum(blk.shape[1] for blk in blocks)))
+    r = c = 0
+    for blk in blocks:
+        to_source[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
+        r, c = r + blk.shape[0], c + blk.shape[1]
+    src, base, part, mode, fac = (np.array(v) for v in zip(*(
+        (i, row // 4, p, k, sign * v) for i, (row, (m, mu), sign) in enumerate(slots)
+        for p, k, v in _cylindrical(row % 4, m, mu))))
+    width = int(mode.max()) + 1
+    probe = to_source @ _sources(terms, lines, powers, *_PROBE,
+                                 *cartesian_arrays(*_PROBE, 0.0)[:2])
+    values = np.zeros((len(bases) * width * 8, probe.shape[1]))
+    np.add.at(values, (base * width + mode) * 8 + part, fac[:, None] * probe[src])
+    energy = (values.reshape(len(bases), width, -1) ** 2).sum(-1)
+    if np.any(energy.sum(1) - energy.max(1) > _MODE_LEAK**2 * energy.sum(1)):
+        return None
+    own = energy.argmax(1)
+    keep = mode == own[base]
+    C = np.zeros((len(bases), 8, to_source.shape[1]))
+    np.add.at(C.reshape(8 * len(bases), -1), 8 * base[keep] + part[keep],
+              fac[keep, None] * to_source[src[keep]])
+    if base_of is not None:
+        own, C = own[base_of], C[base_of]
+        C[e3] = C[e3][:, _E3_PARTS] * _E3_PART_SIGN
+    nonzero = C.any(2)
+    groups = tuple((k, np.flatnonzero(own == k), np.flatnonzero(nonzero[own == k].any(0)))
+                   for k in sorted(set(own.tolist())))
+    rows = np.flatnonzero(nonzero)
+    return _ModePlan(terms, lines, powers, rows, C.reshape(len(C) * 8, -1)[rows], groups)
+
+
+def _meridian_values(elements: Sequence[BasisElement], plan: _ModePlan,
+                     grid: ExpansionGrid) -> np.ndarray:
+    """The elements on a mesh's meridian nodes by phi mode, shape
+    ``(len(elements), 8, P)``: element ``e`` has component ``c`` equal to
+    ``V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi)`` in the frame ``(1,
+    e_rho, e_phi, e3)``, with ``k`` its mode.  No value is formed on the
+    full mesh."""
+    values = np.zeros((8 * len(elements), grid.shape[0]))
+    values[plan.rows] = plan.matrix @ _sources(plan.terms, plan.lines, plan.powers, grid.eta,
+                                               grid.theta, *grid.meridian)
+    return values.reshape(len(elements), 8, -1)
+
+
+# ---------------------------------------------------------------------------
+# Gram projection
+# ---------------------------------------------------------------------------
 
 def gram(basis: Sequence[BasisElement], grid: ExpansionGrid) -> np.ndarray:
     """Gram matrix of pairwise grid L2 inner products (Euclidean on the
     four quaternion components)."""
-    M, _ = _weighted_values(basis, grid)
+    M = _values(basis, grid)
+    M *= np.sqrt(grid.weights)
+    M = M.reshape(len(basis), -1)
     return M @ M.T
 
 
 class IllConditionedGram(ValueError):
-    """Projection refused: the Gram matrix is numerically singular."""
+    """Projection refused: the weighted values of a group of elements (the
+    elements of one phi mode) are numerically dependent.  ``condition`` is
+    ``cond(R)`` of the group, ``size`` its element count, ``mode`` its phi
+    mode (``None`` for the one group of a scattered grid) and ``labels``
+    its element labels."""
 
-    def __init__(self, message: str, condition: float, size: int):
+    def __init__(self, message: str, condition: float, size: int,
+                 mode: Optional[int] = None, labels: Tuple[str, ...] = ()):
         super().__init__(message)
         self.condition = condition
         self.size = size
+        self.mode = mode
+        self.labels = labels
 
 
 def _field_on_grid(f, grid: ExpansionGrid) -> np.ndarray:
@@ -300,10 +493,83 @@ def _field_on_grid(f, grid: ExpansionGrid) -> np.ndarray:
     return field_values(f, grid.x0, grid.x1, grid.x2)
 
 
-#: the largest condition number :func:`project` accepts for the Gram matrix
-#: of the unit-normalised basis, that is ``cond(M)^2`` for the weighted
-#: values ``M``
+#: the largest condition number :func:`project` accepts for the triangular
+#: factor ``R`` of a group's unit-normalised weighted values
 _CONDITION_CAP = 1e12
+
+
+def _uniform_phi(grid: ExpansionGrid) -> bool:
+    """True on a mesh whose phi nodes are ``2 pi l / K`` and whose weights
+    do not vary in phi."""
+    if len(grid.shape) != 2:
+        return False
+    K = grid.shape[1]
+    w = grid.weights.reshape(grid.shape)
+    return (np.allclose(grid.phi.ravel(), 2.0 * np.pi * np.arange(K) / K, rtol=0.0, atol=1e-13)
+            and bool(np.all(w == w[:, :1])))
+
+
+def _field_modes(F: np.ndarray, grid: ExpansionGrid):
+    """The field on a uniform-phi mesh by phi mode, scaled like
+    :func:`_meridian_values`: its parts ``(8, P, K // 2 + 1)`` and the
+    square roots of their Parseval weights ``(P, K // 2 + 1)``.
+
+    The e1/e2 components are rotated to ``e_rho``/``e_phi``; mode ``k`` of
+    the ``rfft`` is ``K Z`` at ``k = 0`` and at the Nyquist mode, ``K Z /
+    2`` elsewhere, and carries that factor times the node's weight of the
+    grid's squared L2 norm."""
+    P, K = grid.shape
+    phi = grid.phi.ravel()
+    c, s = np.cos(phi), np.sin(phi)
+    F = F.reshape(4, P, K)
+    G = np.fft.rfft(np.stack([F[0], F[1] * c + F[2] * s, F[2] * c - F[1] * s, F[3]]))
+    scale = np.full(G.shape[-1], K / 2.0)
+    scale[0] = scale[K // 2 if K % 2 == 0 else 0] = K
+    G /= scale
+    return np.concatenate([G.real, G.imag]), np.sqrt(grid.weights.reshape(P, K)[:, :1] * scale)
+
+
+def _solve(V: np.ndarray, groups, H: np.ndarray, sw: np.ndarray, basis):
+    """Least squares by groups ``(mode, elements, parts)``: the elements'
+    values ``V`` (``(elements, parts, points)``) in those parts against the
+    field ``H`` (``(parts, points, modes)``) in the same parts of the
+    group's mode, both weighted by ``sw`` (``(points, modes)``).  A group
+    of mode ``None`` uses the only mode of ``H``.
+
+    A group's matrix is its weighted values, column-normalised, with the
+    weighted field as a last column.  Its triangular factor ``R`` holds
+    ``Q^T b`` above the last column's diagonal entry ``r``, and ``|r|`` is
+    the group's residual norm ``||b - Q Q^T b||``.  Returns the
+    coefficients, from the triangular solve, and the residual norm: the
+    group residuals and every part and mode no group fits, summed
+    directly, never as a difference of norms.
+    """
+    B = H * sw
+    coeffs, fitted, residual = np.zeros(len(V)), np.zeros(B.shape[::2], dtype=bool), 0.0
+    for mode, group, parts in groups:
+        k, n = mode or 0, len(group)
+        A = np.empty((n + 1, len(parts), B.shape[1]))
+        np.multiply(V[np.ix_(group, parts)], sw[:, k], out=A[:n])
+        A[n] = B[parts, :, k]
+        d = np.sqrt(np.einsum("ijk,ijk->i", A[:n], A[:n]))
+        cond = math.inf
+        if np.all(d > 0):
+            A[:n] /= d[:, None, None]
+            R = np.linalg.qr(A.reshape(n + 1, -1).T, mode="r")
+            sv = np.linalg.svd(R[:n, :n], compute_uv=False)
+            if len(sv) == n and sv[-1] > 0:
+                cond = float(sv[0] / sv[-1])
+        if not cond <= _CONDITION_CAP:
+            labels = tuple(basis[i].label() for i in group)
+            raise IllConditionedGram(
+                f"{n} elements of {'one group' if mode is None else f'phi mode {mode}'} "
+                f"({', '.join(labels)}) have cond(R) {cond:.3g} (cap {_CONDITION_CAP:.3g}); "
+                "refine the grid or shrink the basis", cond, n, mode, labels)
+        coeffs[group] = np.linalg.solve(R[:n, :n], R[:n, n]) / d
+        residual += float(R[n:, n] @ R[n:, n])
+        fitted[parts, k] = True
+    residual += float(np.sum(B.transpose(0, 2, 1)[~fitted] ** 2))
+    return coeffs, math.sqrt(residual)
 
 
 def project(
@@ -316,35 +582,34 @@ def project(
     ``f`` may be a field (see :func:`monogenics.field_values`), a
     :class:`SeriesExpansion`, a :class:`BasisElement`, or a values array
     of shape (4, npts).  Returns the coefficient series and the L2
-    residual norm on the grid.  Refuses (raising
-    :class:`IllConditionedGram`) when the Gram condition number exceeds
+    residual norm on the grid.
+
+    On a mesh with uniform phi nodes and phi-independent weights (as from
+    :func:`~toroharm.geometry.sample_grid`) each element lies in one phi
+    Fourier mode of the frame ``(1, e_rho, e_phi, e3)``, so the problem
+    splits exactly by mode: one QR factorisation per mode, of the
+    elements' meridian values (:func:`_meridian_values`) against the
+    field's ``rfft`` in phi (:func:`_solve`).  A basis mode at or above
+    ``K / 2`` for ``K`` phi nodes aliases and raises ``ValueError``.  Any
+    other grid, or a basis with an element in several modes, is solved as
+    one group on the full values.  Refuses (raising
+    :class:`IllConditionedGram`) when ``cond(R)`` of a group exceeds
     :data:`_CONDITION_CAP`.
     """
-    M, sqw = _weighted_values(basis, grid)
-    G = M @ M.T
-    # normalize each element to unit grid norm before solving; the raw
-    # basis mixes wildly different magnitudes
-    d = np.sqrt(np.diag(G))
-    if np.any(d <= 0):
-        raise IllConditionedGram(
-            "basis contains an element with zero grid norm", math.inf, len(basis)
-        )
-    Gs = G / np.outer(d, d)
-    eigvals = np.linalg.eigvalsh(Gs)
-    if eigvals[0] <= 0 or eigvals[-1] / eigvals[0] > _CONDITION_CAP:
-        cond = math.inf if eigvals[0] <= 0 else float(eigvals[-1] / eigvals[0])
-        raise IllConditionedGram(
-            f"Gram matrix of {len(basis)} elements has condition {cond:.3g} "
-            f"(cap {_CONDITION_CAP:.3g}); refine the grid or shrink the basis",
-            cond, len(basis),
-        )
-    F = (_field_on_grid(f, grid) * sqw).reshape(-1)
-    b = (M @ F) / d
-    coeffs = np.linalg.solve(Gs, b)
-    # one step of iterative refinement sharpens small residuals
-    coeffs += np.linalg.solve(Gs, b - Gs @ coeffs)
-    coeffs = coeffs / d
-    residual = float(np.linalg.norm(F - M.T @ coeffs))
+    F = _field_on_grid(f, grid)
+    plan = _modes(tuple(basis)) if _uniform_phi(grid) else None
+    if plan is None:
+        V = _values(basis, grid)
+        groups = ((None, np.arange(len(basis)), np.flatnonzero(V.any(axis=(0, 2)))),)
+        coeffs, residual = _solve(V, groups, F[..., None], np.sqrt(grid.weights)[:, None], basis)
+    else:
+        K = grid.shape[1]
+        for mode, group, _ in plan.groups:
+            if 2 * mode >= K:
+                raise ValueError(f"{basis[group[0]].label()} has phi mode {mode}, which "
+                                 f"aliases on K = {K} phi nodes (modes must be below K/2)")
+        H, sw = _field_modes(F, grid)
+        coeffs, residual = _solve(_meridian_values(basis, plan, grid), plan.groups, H, sw, basis)
     return make_series(zip(basis, coeffs)), residual
 
 

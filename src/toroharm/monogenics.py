@@ -539,20 +539,19 @@ def _t0_tables(pairs: Tuple[Tuple[int, Sign], ...]) -> TermMatrix:
                        for m, mu in pairs for table in (d1_terms, d2_terms)])
 
 
-def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
-    """The e1/e2 parts of ``T0[m]^mu`` for the pairs ``(m, mu)`` at meridian
-    coordinates ``x0``, ``rho`` and azimuth ``phi`` that broadcast against
-    them: shape ``(len(pairs), 2)`` plus the broadcast shape.
+def _slot_lines(tables: TermMatrix, x0, rho) -> np.ndarray:
+    """The x0-line integrals of the slots of ``tables`` (a component's
+    terms with one phi factor, without it) at meridian coordinates ``x0``
+    and ``rho``: shape ``(slots,)`` plus their broadcast shape.  With the
+    tables of :func:`_t0_tables`, ``-tables.phi_sum(lines, phi)`` is the
+    e1/e2 part of ``T0``.
 
-    A harmonic's ``trig(m phi)`` is constant along a line, so each slot of
-    :func:`_t0_tables` (a component's terms with one phi factor, without
-    it) is integrated along x0 once per distinct meridian point, all slots
-    in one :func:`_x0_lines` call with one radial table per slab, and
-    multiplied by its phi factor afterwards.  The terms of a slot cancel
-    toward the axis, so its rounding scales with ``|C| @ |H|``, the sum of
-    their absolute values.
+    A harmonic's ``trig(m phi)`` is constant along a line, so each slot is
+    integrated along x0 once per distinct meridian point, all slots in one
+    :func:`_x0_lines` call with one radial table per slab.  The terms of a
+    slot cancel toward the axis, so its rounding scales with ``|C| @ |H|``,
+    the sum of their absolute values.
     """
-    tables = _t0_tables(tuple(pairs))
     C, size = tables.matrix, np.abs(tables.matrix)
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
     meridian, inverse = np.unique((x0 + 1j * rho).ravel(), return_inverse=True)
@@ -565,8 +564,16 @@ def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
         return (C @ H).reshape((-1,) + t.shape), (size @ np.abs(H)).reshape((-1,) + t.shape)
 
     lines = _x0_lines(g, meridian.real, 0.0, len(C))
-    lines = lines[:, inverse.reshape(-1)].reshape((len(C),) + x0.shape)
-    e12 = -tables.phi_sum(lines, phi)
+    return lines[:, inverse.reshape(-1)].reshape((len(C),) + x0.shape)
+
+
+def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
+    """The e1/e2 parts of ``T0[m]^mu`` for the pairs ``(m, mu)`` at meridian
+    coordinates ``x0``, ``rho`` and azimuth ``phi`` that broadcast against
+    them: shape ``(len(pairs), 2)`` plus the broadcast shape; the slot lines
+    of :func:`_slot_lines` times their phi factors."""
+    tables = _t0_tables(tuple(pairs))
+    e12 = -tables.phi_sum(_slot_lines(tables, x0, rho), phi)
     return e12.reshape((len(pairs), 2) + e12.shape[1:])
 
 

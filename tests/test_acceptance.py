@@ -9,6 +9,7 @@ from fractions import Fraction
 
 from toroharm import harmonics, monogenics
 from toroharm.checks import (
+    check_deep_truncation,
     check_derivative_tables,
     check_gram_definiteness,
     check_harmonicity,
@@ -140,6 +141,17 @@ def test_criterion_11_basis_experiments():
                + check_w_plateau())
     _gate("criterion 11 Gram definiteness, projection round trip, W plateau",
           results)
+
+
+def test_deep_truncation_projection():
+    # one QR per phi mode reaches degree 8 (planted, 1e-6) and 10 (the
+    # Cauchy kernel with its pole in the hole, relative residual 1e-5)
+    results = check_deep_truncation()
+    assert [(r.name, r.tolerance) for r in results] == [
+        ("deep-truncation planted round trip", 1e-6),
+        ("Cauchy kernel projection residual", 1e-5),
+    ]
+    _gate("deep-truncation projection by phi mode", results)
 
 
 def test_criterion_12_torus_volume():

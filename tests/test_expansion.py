@@ -261,6 +261,118 @@ def test_projection_refuses_ill_conditioned(grid):
         project(element_W(1, 1), basis, grid)
 
 
+def test_mesh_projection_forms_no_full_mesh_basis_values(grid, monkeypatch):
+    # on a mesh the basis enters through its meridian values alone
+    from toroharm import expansion
+
+    field = evaluate_series_grid(make_series([(element_T(2, 1, 1, 1), 2.0)]), grid)
+
+    def refuse(*args):
+        raise AssertionError("basis values on the full mesh")
+
+    monkeypatch.setattr(expansion, "_values", refuse)
+    s, res = project(field, basis_A_second(3, 2), grid)
+    assert_allclose(s.coefficients()[element_T(2, 1, 1, 1)], 2.0, rtol=1e-12)
+    assert res < 1e-12
+
+
+def test_ill_conditioned_names_the_phi_mode_and_its_group(grid):
+    # W[1]^+ is rho (cos 2 phi e_rho - sin 2 phi e_phi): phi mode 2; the
+    # T element of mode 0 solves on its own and is not named
+    basis = [element_T(2, 0, -1, 1), element_W(1, 1), element_W(1, 1)]
+    with pytest.raises(IllConditionedGram) as info:
+        project(element_W(1, 1), basis, grid)
+    err = info.value
+    assert (err.mode, err.labels, err.size) == (2, ("W[1]^+", "W[1]^+"), 2)
+    assert err.condition > 1e12 and "phi mode 2" in str(err)
+
+
+def _mode_energy(values, grid):
+    """Energy of element values ``(elements, 4, P * K)`` in each ``rfft``
+    mode of phi, in the frame (1, e_rho, e_phi, e3)."""
+    P, K = grid.shape
+    phi = grid.phi.ravel()
+    v = values.reshape(len(values), 4, P, K)
+    cyl = np.stack([v[:, 0], v[:, 1] * np.cos(phi) + v[:, 2] * np.sin(phi),
+                    v[:, 2] * np.cos(phi) - v[:, 1] * np.sin(phi), v[:, 3]], axis=1)
+    return (np.abs(np.fft.rfft(cyl)) ** 2).sum(axis=(1, 2))
+
+
+@pytest.mark.parametrize("family", [basis_A, basis_A_second, basis_H])
+def test_each_element_lies_in_its_phi_mode(family):
+    # the modes come from probe points; the full values on the default mesh
+    # put at most 1e-13 of each element's energy outside its mode
+    from toroharm.expansion import _modes, _values
+
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = family(8, 3)
+    mode = np.empty(len(basis), dtype=int)
+    for k, group, _ in _modes(tuple(basis)).groups:
+        mode[group] = k
+    energy = _mode_energy(_values(basis, grid), grid)
+    for el, e, k in zip(basis, energy, mode):
+        assert np.delete(e, k).sum() <= 1e-13 * e.sum(), (el.label(), k, e)
+
+
+def test_meridian_values_rebuild_the_grid_values():
+    # V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi) in (1, e_rho, e_phi, e3),
+    # rotated back to e1/e2, is the element on every node of the mesh
+    from toroharm.expansion import _meridian_values, _modes, _values
+
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = basis_H(4, 3)
+    plan = _modes(tuple(basis))
+    V = _meridian_values(basis, plan, grid)
+    phi = grid.phi.ravel()
+    for k, group, _ in plan.groups:
+        cyl = (V[group, :4, :, None] * np.cos(k * phi) - V[group, 4:, :, None] * np.sin(k * phi))
+        rebuilt = np.stack([cyl[:, 0], cyl[:, 1] * np.cos(phi) - cyl[:, 2] * np.sin(phi),
+                            cyl[:, 1] * np.sin(phi) + cyl[:, 2] * np.cos(phi), cyl[:, 3]], axis=1)
+        want = _values([basis[i] for i in group], grid)
+        err = np.abs(rebuilt.reshape(want.shape) - want).max(axis=(1, 2))
+        assert np.all(err <= 1e-13 * np.abs(want).max(axis=(1, 2))), k
+
+
+def test_mode_at_half_the_phi_nodes_aliases():
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, 0.3)
+    with pytest.raises(ValueError, match=r"phi mode 4, which aliases on K = 8"):
+        project(lambda x0, x1, x2: x0, basis_A_second(4, 4), grid)
+
+
+def test_reduced_basis_leaves_e3_out_of_its_blocks(grid):
+    # no element of the reduced basis has an e3 part: the blocks drop it,
+    # and a field in e3 alone is left whole in the residual
+    from toroharm.expansion import _modes
+
+    basis = basis_A_second(3, 2)
+    assert all(3 not in parts and 7 not in parts for _, _, parts in _modes(tuple(basis)).groups)
+    field = np.zeros((4, len(grid)))
+    field[3] = grid.x0
+    for g in (grid, ExpansionGrid.from_samples(list(grid))):
+        s, res = project(field, basis, g)
+        assert all(c == 0.0 for _, c in s.terms)
+        assert_allclose(res, np.sqrt(np.sum(g.weights * g.x0**2)), rtol=1e-13)
+
+
+def test_scattered_and_phi_weighted_grids_solve_as_one_group(monkeypatch):
+    from toroharm import expansion
+
+    mesh = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    eta, theta, phi = mesh.eta.ravel()[::14], mesh.theta.ravel()[:14], mesh.phi.ravel()
+    weighted = ExpansionGrid.mesh(eta, theta, phi,
+                                  mesh.weights.reshape(8, 14, 14) * (1.5 + np.cos(phi)))
+    scattered = ExpansionGrid.from_samples(list(mesh))
+    basis = basis_A_second(3, 3)
+    planted = make_series(zip(basis, np.random.default_rng(5).uniform(-2.0, 2.0, len(basis))))
+    want = np.array([c for _, c in project(planted, basis, mesh)[0].terms])
+    groups, solve = [], expansion._solve
+    monkeypatch.setattr(expansion, "_solve", lambda V, g, *a: groups.append(g) or solve(V, g, *a))
+    for g in (scattered, weighted):
+        got = np.array([c for _, c in project(planted, basis, g)[0].terms])
+        assert np.max(np.abs(got - want)) <= 1e-10
+    assert [[mode for mode, _, _ in g] for g in groups] == [[None], [None]]
+
+
 def test_known_expansions_small_depth(grid):
     v1 = evaluate_series_grid(known_expansion_one(25), grid)
     assert np.max(np.abs(v1[0] - 1.0)) < 1e-8

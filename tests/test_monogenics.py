@@ -1,5 +1,3 @@
-import math
-
 import mpmath as mp
 import numpy as np
 import pytest
