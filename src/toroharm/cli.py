@@ -198,7 +198,7 @@ def _parse_point(args: argparse.Namespace) -> CartesianPoint:
             raise UsageError("--theta/--phi need --eta as well")
         try:
             return to_cartesian(ToroidalPoint(args.eta, args.theta or 0.0, args.phi or 0.0))
-        except ValueError as exc:  # eta <= 0, or cosh(eta) overflows
+        except ValueError as exc:  # eta <= 0, or the coordinates overflow
             raise UsageError(f"bad toroidal point: {exc}")
     raise UsageError("no evaluation point given (use --eta ... or --x ...)")
 
@@ -354,11 +354,13 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     etas = eta0 + margin * eta0 + np.linspace(0.0, 2.0, n_eta)
     thetas = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         grid = ExpansionGrid.mesh(etas, thetas, phis)
         x = (grid.x0, grid.x1, grid.x2)
     if not np.all(np.isfinite(x)):
-        raise UsageError(f"cosh(eta) overflows on this grid (eta up to {etas[-1]:g})")
+        raise UsageError(f"the Cartesian coordinates overflow on this grid (eta from {etas[0]:g})")
+    if np.any((grid.meridian[0] == 0.0) & (grid.meridian[1] == 1.0)):
+        raise UsageError(f"grid points round onto the limit circle (eta up to {etas[-1]:g})")
     # eta-major ordering, then theta, then phi
     tor = [np.repeat(grid.eta, n_phi), np.repeat(grid.theta, n_phi), np.tile(phis, n_eta * n_theta)]
     values = _normalize(evaluate_element_grid(el, grid)[rows])

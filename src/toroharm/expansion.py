@@ -17,6 +17,8 @@ projections, not the theorems themselves.
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -25,13 +27,15 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .appell import _star_table, alpha_beta, j_coefficient_unit
-from .geometry import CartesianPoint, ExpansionGrid, cartesian_arrays, to_toroidal
+from .geometry import CartesianPoint, ExpansionGrid, _meridian_arrays, to_toroidal
 from .harmonics import DerivativeTerm, HarmonicIndex, Sign, TermMatrix, parse_sign, sign_char
 from .monogenics import (
     Quaternion,
-    _t0_lines,
+    _distinct,
     _slot_lines,
-    _t0_tables,
+    _t0_integrands,
+    _t0_lines,
+    _tables,
     eval_W_batch,
     field_values,
     t_is_zero,
@@ -332,26 +336,6 @@ def _sources(terms, lines, powers, eta, theta, x0, rho) -> np.ndarray:
     return np.concatenate(out + [np.ravel(rho)[None] ** powers[:, None]])
 
 
-def _distinct(table: TermMatrix, coefficients: np.ndarray):
-    """Rows of coefficients over the columns of ``table`` folded onto its
-    distinct meridian factors, which do not depend on a harmonic's ``mu``:
-    the folded rows and the harmonics ``(n, m, nu)`` of their columns."""
-    keys = [(int(n), int(m), table.theta_keys[t][1])
-            for n, m, t in zip(table.n, table.m, table.theta_of)]
-    distinct = sorted(set(keys))
-    fold = np.zeros((len(keys), len(distinct)))
-    fold[np.arange(len(keys)), [distinct.index(k) for k in keys]] = 1.0
-    return coefficients @ fold, distinct
-
-
-def _tables(rows, harmonics) -> TermMatrix:
-    """The :class:`TermMatrix` of coefficient rows over harmonics ``(n, m,
-    nu)``, each with ``mu = +``."""
-    return TermMatrix([tuple(DerivativeTerm(HarmonicIndex(n, m, nu, 1), Fraction(c))
-                             for (n, m, nu), c in zip(harmonics, row) if c != 0)
-                       for row in rows])
-
-
 @lru_cache(maxsize=64)
 def _modes(elements: Tuple[BasisElement, ...]) -> Optional[_ModePlan]:
     """The phi-mode plan of the elements, or ``None`` if one of them spans
@@ -382,18 +366,10 @@ def _modes(elements: Tuple[BasisElement, ...]) -> Optional[_ModePlan]:
         terms = _tables(np.eye(len(harmonics)), harmonics)
         blocks.append(folded)
     if pairs:
-        table = _t0_tables(pairs)
+        table, lines, fold = _t0_integrands(pairs)
         slots += [(line_dest[i // table.width], table.phi_keys[table.slot_phi[i]], -1.0)
                   for i in range(len(table.matrix))]
-        folded, harmonics = _distinct(table, table.matrix)
-        flip = np.sign(folded[np.arange(len(folded)), np.argmax(folded != 0, axis=1)])
-        distinct = {}  # each nonzero slot's integrand, first nonzero coefficient positive
-        column = [distinct.setdefault(tuple(row), len(distinct))
-                  for row in folded * flip[:, None] if row.any()]
-        lines = _tables(list(distinct), harmonics)
-        block = np.zeros((len(folded), len(distinct)))
-        block[np.flatnonzero(flip), column] = flip[flip != 0]
-        blocks.append(block)
+        blocks.append(fold)
     powers = []
     for b, el in enumerate(bases):
         if el.kind == "ONE":
@@ -417,8 +393,7 @@ def _modes(elements: Tuple[BasisElement, ...]) -> Optional[_ModePlan]:
         (i, row // 4, p, k, sign * v) for i, (row, (m, mu), sign) in enumerate(slots)
         for p, k, v in _cylindrical(row % 4, m, mu))))
     width = int(mode.max()) + 1
-    probe = to_source @ _sources(terms, lines, powers, *_PROBE,
-                                 *cartesian_arrays(*_PROBE, 0.0)[:2])
+    probe = to_source @ _sources(terms, lines, powers, *_PROBE, *_meridian_arrays(*_PROBE))
     values = np.zeros((len(bases) * width * 8, probe.shape[1]))
     np.add.at(values, (base * width + mode) * 8 + part, fac[:, None] * probe[src])
     energy = (values.reshape(len(bases), width, -1) ** 2).sum(-1)
@@ -496,6 +471,8 @@ def _field_on_grid(f, grid: ExpansionGrid) -> np.ndarray:
 #: the largest condition number :func:`project` accepts for the triangular
 #: factor ``R`` of a group's unit-normalised weighted values
 _CONDITION_CAP = 1e12
+#: the most bases whose factors :func:`project` keeps per grid
+_FACTORS_PER_GRID = 4
 
 
 def _uniform_phi(grid: ExpansionGrid) -> bool:
@@ -509,54 +486,84 @@ def _uniform_phi(grid: ExpansionGrid) -> bool:
             and bool(np.all(w == w[:, :1])))
 
 
-def _field_modes(F: np.ndarray, grid: ExpansionGrid):
-    """The field on a uniform-phi mesh by phi mode, scaled like
-    :func:`_meridian_values`: its parts ``(8, P, K // 2 + 1)`` and the
-    square roots of their Parseval weights ``(P, K // 2 + 1)``.
+def _mode_scale(K: int) -> np.ndarray:
+    """The factor of each ``rfft`` mode of ``K`` phi nodes over the mode's
+    amplitude ``Z``: ``K`` at mode 0 and at the Nyquist mode, ``K / 2``
+    elsewhere.  It also weighs the mode in the grid's squared L2 norm."""
+    scale = np.full(K // 2 + 1, K / 2.0)
+    scale[0] = scale[K // 2 if K % 2 == 0 else 0] = K
+    return scale
 
-    The e1/e2 components are rotated to ``e_rho``/``e_phi``; mode ``k`` of
-    the ``rfft`` is ``K Z`` at ``k = 0`` and at the Nyquist mode, ``K Z /
-    2`` elsewhere, and carries that factor times the node's weight of the
-    grid's squared L2 norm."""
+
+def _field_modes(F: np.ndarray, grid: ExpansionGrid) -> np.ndarray:
+    """The field on a uniform-phi mesh by phi mode, scaled like
+    :func:`_meridian_values`: its parts ``(8, P, K // 2 + 1)``, the e1/e2
+    components rotated to ``e_rho``/``e_phi`` and each ``rfft`` mode
+    divided by :func:`_mode_scale`."""
     P, K = grid.shape
     phi = grid.phi.ravel()
     c, s = np.cos(phi), np.sin(phi)
     F = F.reshape(4, P, K)
     G = np.fft.rfft(np.stack([F[0], F[1] * c + F[2] * s, F[2] * c - F[1] * s, F[3]]))
-    scale = np.full(G.shape[-1], K / 2.0)
-    scale[0] = scale[K // 2 if K % 2 == 0 else 0] = K
-    G /= scale
-    return np.concatenate([G.real, G.imag]), np.sqrt(grid.weights.reshape(P, K)[:, :1] * scale)
+    G /= _mode_scale(K)
+    return np.concatenate([G.real, G.imag])
 
 
-def _solve(V: np.ndarray, groups, H: np.ndarray, sw: np.ndarray, basis):
-    """Least squares by groups ``(mode, elements, parts)``: the elements'
-    values ``V`` (``(elements, parts, points)``) in those parts against the
-    field ``H`` (``(parts, points, modes)``) in the same parts of the
-    group's mode, both weighted by ``sw`` (``(points, modes)``).  A group
-    of mode ``None`` uses the only mode of ``H``.
+def _series_modes(f, grid: ExpansionGrid) -> Optional[np.ndarray]:
+    """A series or element field on a uniform-phi mesh as
+    :func:`_field_modes` gives it, from the coefficient-weighted meridian
+    values of its elements, each in its own mode; ``None`` if an element
+    spans several modes or aliases on the mesh."""
+    terms = f.terms if isinstance(f, SeriesExpansion) else ((f, 1.0),)
+    P, K = grid.shape
+    H = np.zeros((8, P, K // 2 + 1))
+    if not terms:
+        return H
+    elements, coeffs = zip(*terms)
+    plan = _modes(elements)
+    if plan is None or any(2 * mode >= K for mode, _, _ in plan.groups):
+        return None
+    V = _meridian_values(elements, plan, grid)
+    for mode, group, _ in plan.groups:
+        H[:, :, mode] = np.tensordot(np.asarray(coeffs)[group], V[group], 1)
+    return H
 
-    A group's matrix is its weighted values, column-normalised, with the
-    weighted field as a last column.  Its triangular factor ``R`` holds
-    ``Q^T b`` above the last column's diagonal entry ``r``, and ``|r|`` is
-    the group's residual norm ``||b - Q Q^T b||``.  Returns the
-    coefficients, from the triangular solve, and the residual norm: the
-    group residuals and every part and mode no group fits, summed
-    directly, never as a difference of norms.
-    """
-    B = H * sw
-    coeffs, fitted, residual = np.zeros(len(V)), np.zeros(B.shape[::2], dtype=bool), 0.0
+
+class _Group(NamedTuple):
+    """The factors of one group of :func:`_factor`."""
+
+    mode: Optional[int]  # its phi mode, None for the one group of the full values
+    elements: np.ndarray
+    parts: np.ndarray
+    Q: np.ndarray        # (len(parts) * points, len(elements)), orthonormal columns
+    R: np.ndarray        # (len(elements), len(elements)), upper triangular
+    d: np.ndarray        # the column norms of the weighted values
+
+
+class _Factors(NamedTuple):
+    """What :func:`project` keeps of a (basis, grid) pair."""
+
+    by_mode: bool        # the field enters by phi mode (_field_modes), else whole
+    sw: np.ndarray       # square roots of the weights, (points, modes)
+    groups: Tuple[_Group, ...]
+    fitted: np.ndarray   # (parts, modes): True where a group fits the field
+
+
+def _factor(V: np.ndarray, groups, sw: np.ndarray, basis) -> Tuple[_Group, ...]:
+    """The QR factors by groups ``(mode, elements, parts)`` of the
+    elements' values ``V`` (``(elements, parts, points)``) in those parts,
+    weighted by ``sw[:, mode]`` (mode 0 for a group of mode ``None``) and
+    column-normalised.  Raises :class:`IllConditionedGram` when ``cond(R)``
+    of a group exceeds :data:`_CONDITION_CAP`."""
+    out = []
     for mode, group, parts in groups:
-        k, n = mode or 0, len(group)
-        A = np.empty((n + 1, len(parts), B.shape[1]))
-        np.multiply(V[np.ix_(group, parts)], sw[:, k], out=A[:n])
-        A[n] = B[parts, :, k]
-        d = np.sqrt(np.einsum("ijk,ijk->i", A[:n], A[:n]))
+        n = len(group)
+        A = V[np.ix_(group, parts)] * sw[:, mode or 0]
+        d = np.sqrt(np.einsum("ijk,ijk->i", A, A))
         cond = math.inf
         if np.all(d > 0):
-            A[:n] /= d[:, None, None]
-            R = np.linalg.qr(A.reshape(n + 1, -1).T, mode="r")
-            sv = np.linalg.svd(R[:n, :n], compute_uv=False)
+            Q, R = np.linalg.qr((A.reshape(n, -1) / d[:, None]).T, mode="reduced")
+            sv = np.linalg.svd(R, compute_uv=False)
             if len(sv) == n and sv[-1] > 0:
                 cond = float(sv[0] / sv[-1])
         if not cond <= _CONDITION_CAP:
@@ -565,10 +572,72 @@ def _solve(V: np.ndarray, groups, H: np.ndarray, sw: np.ndarray, basis):
                 f"{n} elements of {'one group' if mode is None else f'phi mode {mode}'} "
                 f"({', '.join(labels)}) have cond(R) {cond:.3g} (cap {_CONDITION_CAP:.3g}); "
                 "refine the grid or shrink the basis", cond, n, mode, labels)
-        coeffs[group] = np.linalg.solve(R[:n, :n], R[:n, n]) / d
-        residual += float(R[n:, n] @ R[n:, n])
-        fitted[parts, k] = True
-    residual += float(np.sum(B.transpose(0, 2, 1)[~fitted] ** 2))
+        out.append(_Group(mode, group, parts, Q, R, d))
+    return tuple(out)
+
+
+def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
+    """The factors of a basis on a grid: by phi mode on the meridian values
+    (:func:`_meridian_values`) where the grid and basis allow it, else one
+    group on the full values."""
+    plan = _modes(basis) if _uniform_phi(grid) else None
+    if plan is None:
+        V = _values(basis, grid)
+        groups = ((None, np.arange(len(basis)), np.flatnonzero(V.any(axis=(0, 2)))),)
+        sw = np.sqrt(grid.weights)[:, None]
+    else:
+        P, K = grid.shape
+        for mode, group, _ in plan.groups:
+            if 2 * mode >= K:
+                raise ValueError(f"{basis[group[0]].label()} has phi mode {mode}, which "
+                                 f"aliases on K = {K} phi nodes (modes must be below K/2)")
+        V, groups = _meridian_values(basis, plan, grid), plan.groups
+        sw = np.sqrt(grid.weights.reshape(P, K)[:, :1] * _mode_scale(K))
+    factored = _factor(V, groups, sw, basis)
+    fitted = np.zeros((V.shape[1], sw.shape[1]), dtype=bool)
+    for g in factored:
+        fitted[g.parts, g.mode or 0] = True
+    return _Factors(plan is not None, sw, factored, fitted)
+
+
+#: grid -> {basis: _Factors}, at most _FACTORS_PER_GRID bases, the oldest
+#: dropped first; an entry goes with its grid
+_FACTORS: "weakref.WeakKeyDictionary[ExpansionGrid, Dict[tuple, _Factors]]" = (
+    weakref.WeakKeyDictionary())
+_FACTORS_LOCK = threading.Lock()
+
+
+def _factors(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
+    """The factors of a basis on a grid, kept from an earlier call or made
+    by :func:`_factorise`; a refusal raises before anything is kept."""
+    with _FACTORS_LOCK:
+        factors = _FACTORS.get(grid, {}).get(basis)
+    if factors is None:
+        factors = _factorise(basis, grid)
+        with _FACTORS_LOCK:
+            kept = _FACTORS.setdefault(grid, {})
+            while basis not in kept and len(kept) >= _FACTORS_PER_GRID:
+                del kept[next(iter(kept))]
+            factors = kept.setdefault(basis, factors)
+    return factors
+
+
+def _apply(factors: _Factors, H: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The coefficients and residual norm of the field ``H`` (``(parts,
+    points, modes)``) against the factors.  Per group, with ``b`` the
+    weighted field in its parts and mode: ``Q^T b``, the residual vector
+    ``b - Q Q^T b`` and the coefficients ``R^-1 Q^T b / d``.  The residual
+    is the group residuals and every part and mode no group fits, summed
+    directly, never as a difference of norms."""
+    B = H * factors.sw
+    coeffs, residual = np.zeros(sum(len(g.elements) for g in factors.groups)), 0.0
+    for g in factors.groups:
+        b = B[g.parts, :, g.mode or 0].ravel()
+        qb = g.Q.T @ b
+        r = b - g.Q @ qb
+        residual += float(r @ r)
+        coeffs[g.elements] = np.linalg.solve(g.R, qb) / g.d
+    residual += float(np.sum(B.transpose(0, 2, 1)[~factors.fitted] ** 2))
     return coeffs, math.sqrt(residual)
 
 
@@ -588,28 +657,30 @@ def project(
     :func:`~toroharm.geometry.sample_grid`) each element lies in one phi
     Fourier mode of the frame ``(1, e_rho, e_phi, e3)``, so the problem
     splits exactly by mode: one QR factorisation per mode, of the
-    elements' meridian values (:func:`_meridian_values`) against the
-    field's ``rfft`` in phi (:func:`_solve`).  A basis mode at or above
-    ``K / 2`` for ``K`` phi nodes aliases and raises ``ValueError``.  Any
-    other grid, or a basis with an element in several modes, is solved as
-    one group on the full values.  Refuses (raising
-    :class:`IllConditionedGram`) when ``cond(R)`` of a group exceeds
-    :data:`_CONDITION_CAP`.
+    elements' meridian values (:func:`_meridian_values`), against the
+    field's ``rfft`` in phi (a series or element field from its own
+    meridian values).  A basis mode at or above ``K / 2`` for ``K`` phi
+    nodes aliases and raises ``ValueError``.  Any other grid, or a basis
+    with an element in several modes, is solved as one group on the full
+    values.  Refuses (raising :class:`IllConditionedGram`) when ``cond(R)``
+    of a group exceeds :data:`_CONDITION_CAP`.
+
+    The factors depend on the basis and the grid alone: they are made once
+    (:func:`_factorise`) and kept for the last :data:`_FACTORS_PER_GRID`
+    bases of each grid while the grid lives, so a grid's arrays must not
+    change after its first projection.  Each call transforms the field and
+    solves with two products per group (:func:`_apply`).  Refusals are not
+    kept.
     """
-    F = _field_on_grid(f, grid)
-    plan = _modes(tuple(basis)) if _uniform_phi(grid) else None
-    if plan is None:
-        V = _values(basis, grid)
-        groups = ((None, np.arange(len(basis)), np.flatnonzero(V.any(axis=(0, 2)))),)
-        coeffs, residual = _solve(V, groups, F[..., None], np.sqrt(grid.weights)[:, None], basis)
-    else:
-        K = grid.shape[1]
-        for mode, group, _ in plan.groups:
-            if 2 * mode >= K:
-                raise ValueError(f"{basis[group[0]].label()} has phi mode {mode}, which "
-                                 f"aliases on K = {K} phi nodes (modes must be below K/2)")
-        H, sw = _field_modes(F, grid)
-        coeffs, residual = _solve(_meridian_values(basis, plan, grid), plan.groups, H, sw, basis)
+    basis = tuple(basis)
+    factors = _factors(basis, grid)
+    H = None
+    if factors.by_mode and isinstance(f, (SeriesExpansion, BasisElement)):
+        H = _series_modes(f, grid)
+    if H is None:
+        F = _field_on_grid(f, grid)
+        H = _field_modes(F, grid) if factors.by_mode else F[..., None]
+    coeffs, residual = _apply(factors, H)
     return make_series(zip(basis, coeffs)), residual
 
 

@@ -100,12 +100,13 @@ class TorusDomain:
 
 def to_cartesian(p: ToroidalPoint) -> CartesianPoint:
     """Map toroidal to Cartesian coordinates: :func:`cartesian_arrays` at
-    one point.  Raises ``ValueError`` where ``cosh(eta)`` overflows (eta
-    above about 710)."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    one point.  Raises ``ValueError`` where the coordinates overflow, next
+    to the point at infinity (eta below about 1e-154 with theta 0)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
         x = cartesian_arrays(p.eta, p.theta, p.phi)
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"cosh(eta) overflows at eta = {p.eta}")
+        raise ValueError(f"the Cartesian coordinates overflow at eta = {p.eta}, "
+                         f"theta = {p.theta}")
     return CartesianPoint(*map(float, x))
 
 
@@ -157,16 +158,29 @@ def toroidal_arrays(x0, x1, x2):
     return eta, theta, phi
 
 
-def cartesian_arrays(eta, theta, phi):
-    """Vectorized forward map returning ``(x0, x1, x2)`` arrays."""
+def _meridian_arrays(eta, theta):
+    """Vectorized meridian coordinates ``(x0, rho)`` of toroidal ``(eta,
+    theta)``, with ``rho = sqrt(x1^2 + x2^2)``.
+
+    Both are written with ``e^{-eta}``: with ``D = expm1(-eta)^2 + 4
+    e^{-eta} sin^2(theta / 2)``, which is ``2 e^{-eta} (cosh(eta) -
+    cos(theta))``, ``x0 = 2 e^{-eta} sin(theta) / D`` and ``rho =
+    -expm1(-2 eta) / D``.  No term cancels near the axis, nothing
+    overflows, and on the limit circle (``eta = inf``) they are ``0`` and
+    ``1``.
+    """
     eta = np.asarray(eta, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    denom = np.cosh(eta) - np.cos(theta)
-    return (
-        np.sin(theta) / denom,
-        np.sinh(eta) * np.cos(phi) / denom,
-        np.sinh(eta) * np.sin(phi) / denom,
-    )
+    decay = np.exp(-eta)
+    denom = np.expm1(-eta) ** 2 + 4.0 * decay * np.sin(0.5 * theta) ** 2
+    return 2.0 * decay * np.sin(theta) / denom, -np.expm1(-2.0 * eta) / denom
+
+
+def cartesian_arrays(eta, theta, phi):
+    """Vectorized forward map returning ``(x0, x1, x2)`` arrays, finite up
+    to the limit circle (see :func:`_meridian_arrays`)."""
+    x0, rho = _meridian_arrays(eta, theta)
+    return x0, rho * np.cos(phi), rho * np.sin(phi)
 
 
 def _torus_rule(eta_in: float, n_eta: int, n_theta: int, n_phi: int):
@@ -245,8 +259,8 @@ class ExpansionGrid:
         eta, theta, phi = (np.asarray(c, dtype=float).ravel() for c in (eta, theta, phi))
         E = np.repeat(eta, theta.size)[:, None]
         T = theta[np.arange(eta.size * theta.size) % theta.size, None]
-        x0, x1, x2 = cartesian_arrays(E, T, phi[None])
-        rho = np.sinh(E) / (np.cosh(E) - np.cos(T))
+        x0, rho = _meridian_arrays(E, T)
+        x1, x2 = rho * np.cos(phi[None]), rho * np.sin(phi[None])
         w = (weights * np.ones((eta.size, theta.size, phi.size))).ravel()
         return cls(np.repeat(x0, phi.size), x1.ravel(), x2.ravel(), E, T, phi[None], (x0, rho), w)
 

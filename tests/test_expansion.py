@@ -11,6 +11,7 @@ from toroharm.expansion import (
     basis_A_second,
     basis_H,
     element_T,
+    element_T0,
     element_W,
     element_e3_times,
     element_one,
@@ -225,7 +226,7 @@ def test_t0_batch_matches_single_pairs():
 
 def test_t0_lines_integrate_each_distinct_meridian_point_once(monkeypatch):
     # the x0 lines depend on (x0, rho) alone; the scattered nodes of the
-    # default grid hold 259 distinct pairs (hypot rounds differently across
+    # default grid hold 217 distinct pairs (hypot rounds differently across
     # phi), the mesh its 112 meridian points
     from toroharm import monogenics
 
@@ -242,8 +243,24 @@ def test_t0_lines_integrate_each_distinct_meridian_point_once(monkeypatch):
     a = monogenics._t0_lines(pairs, *mesh.meridian, mesh.phi).reshape(len(pairs), 2, -1)
     b = monogenics._t0_lines(pairs, *scattered.meridian, scattered.phi)
     x0, rho = scattered.meridian
-    assert sizes == [len(mesh) // 14, np.unique(x0 + 1j * rho).size] == [112, 259]
+    assert sizes == [len(mesh) // 14, np.unique(x0 + 1j * rho).size] == [112, 217]
     assert np.max(np.abs(a - b)) <= 1e-15 * np.max(np.abs(b))
+
+
+def test_t0_lines_integrate_each_distinct_integrand_once(monkeypatch):
+    # T0[m]^- integrates the integrands of T0[m]^+ up to sign: one T0[2]^-
+    # has 4 line slots and 2 distinct integrands, the 7 pairs of m <= 3 have
+    # 28 slots and 7
+    from toroharm import monogenics
+
+    widths, x0_lines = [], monogenics._x0_lines
+    monkeypatch.setattr(monogenics, "_x0_lines",
+                        lambda g, x0, tol, width: widths.append(width) or x0_lines(g, x0, tol, width))
+    x0, rho, phi = np.array([0.3]), np.array([1.4]), np.array([0.5])
+    monogenics._t0_lines([(2, -1)], x0, rho, phi)
+    monogenics._t0_lines([(m, mu) for m in range(4) for mu in ((1,) if m == 0 else (1, -1))],
+                         x0, rho, phi)
+    assert widths == [2, 7]
 
 
 def test_series_grid_is_weighted_sum_of_elements(grid):
@@ -261,19 +278,49 @@ def test_projection_refuses_ill_conditioned(grid):
         project(element_W(1, 1), basis, grid)
 
 
-def test_mesh_projection_forms_no_full_mesh_basis_values(grid, monkeypatch):
-    # on a mesh the basis enters through its meridian values alone
+def test_mesh_projection_forms_no_full_mesh_basis_values(monkeypatch):
+    # on a mesh the basis enters through its meridian values alone, and so
+    # does a series field; a fresh grid, so no kept factors hide a call
     from toroharm import expansion
 
-    field = evaluate_series_grid(make_series([(element_T(2, 1, 1, 1), 2.0)]), grid)
+    grid = sample_grid(TorusDomain(1.0), 6, 10, 10, margin=0.3)
+    series = make_series([(element_T(2, 1, 1, 1), 2.0), (element_T0(2, -1), -0.5)])
+    field = evaluate_series_grid(series, grid)
 
     def refuse(*args):
         raise AssertionError("basis values on the full mesh")
 
     monkeypatch.setattr(expansion, "_values", refuse)
-    s, res = project(field, basis_A_second(3, 2), grid)
-    assert_allclose(s.coefficients()[element_T(2, 1, 1, 1)], 2.0, rtol=1e-12)
-    assert res < 1e-12
+    for f in (field, series):
+        s, res = project(f, basis_A_second(3, 2), grid)
+        c = s.coefficients()
+        assert_allclose([c[element_T(2, 1, 1, 1)], c[element_T0(2, -1)]], [2.0, -0.5], rtol=1e-12)
+        assert res < 1e-12
+
+
+def test_series_field_modes_match_its_full_values():
+    # a series field's modes from its elements' meridian values are the
+    # rfft of its values on every node
+    from toroharm.expansion import _field_modes, _series_modes
+
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = basis_H(4, 3)
+    s = make_series(zip(basis, np.random.default_rng(3).uniform(-2.0, 2.0, len(basis))))
+    want = _field_modes(evaluate_series_grid(s, grid), grid)
+    got = _series_modes(s, grid)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_aliasing_series_field_falls_back_to_its_full_values():
+    # W[4]^+ lies in phi mode 5, above K / 2 on 8 phi nodes: the field is
+    # then evaluated on the full mesh, as an array field would be
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, 0.3)
+    series = make_series([(element_W(4, 1), 1.0), (element_T(2, 1, 1, 1), 2.0)])
+    basis = basis_A_second(2, 1)
+    got, res = project(series, basis, grid)
+    want, want_res = project(evaluate_series_grid(series, grid), basis, grid)
+    assert got == want and res == want_res and res > 0.1
 
 
 def test_ill_conditioned_names_the_phi_mode_and_its_group(grid):
@@ -365,12 +412,108 @@ def test_scattered_and_phi_weighted_grids_solve_as_one_group(monkeypatch):
     basis = basis_A_second(3, 3)
     planted = make_series(zip(basis, np.random.default_rng(5).uniform(-2.0, 2.0, len(basis))))
     want = np.array([c for _, c in project(planted, basis, mesh)[0].terms])
-    groups, solve = [], expansion._solve
-    monkeypatch.setattr(expansion, "_solve", lambda V, g, *a: groups.append(g) or solve(V, g, *a))
+    groups, factor = [], expansion._factor
+    monkeypatch.setattr(expansion, "_factor", lambda V, g, *a: groups.append(g) or factor(V, g, *a))
     for g in (scattered, weighted):
         got = np.array([c for _, c in project(planted, basis, g)[0].terms])
         assert np.max(np.abs(got - want)) <= 1e-10
     assert [[mode for mode, _, _ in g] for g in groups] == [[None], [None]]
+
+
+def _coefficient_bytes(result):
+    series, residual = result
+    return np.array([c for _, c in series.terms] + [residual]).tobytes()
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_repeated_projection_reuses_the_factors(monkeypatch, scattered):
+    # the second call on the same basis and grid builds no radial table and
+    # gives the same bytes
+    from toroharm import harmonics
+
+    grid = sample_grid(TorusDomain(1.0), 6, 10, 10, margin=0.3)
+    if scattered:
+        grid = ExpansionGrid.from_samples(list(grid))
+    basis = basis_A_second(3, 2)
+    first = _coefficient_bytes(project(lambda x0, x1, x2: x0, basis, grid))
+    calls, real = [], harmonics.q_half_grid
+    monkeypatch.setattr(harmonics, "q_half_grid", lambda *a: calls.append(a) or real(*a))
+    again = _coefficient_bytes(project(lambda x0, x1, x2: x0, basis, grid))
+    assert again == first and calls == []
+
+
+def test_grids_never_share_factors():
+    # an equal grid built again is another grid: its own factors, and the
+    # same result as on a grid projected first
+    from toroharm.expansion import _FACTORS
+
+    basis = basis_A_second(3, 2)
+    a, b, c = (sample_grid(TorusDomain(1.0), 6, 10, 10, margin) for margin in (0.3, 0.5, 0.5))
+    field = lambda x0, x1, x2: x0 * x1  # noqa: E731
+    project(field, basis, a)
+    on_b = _coefficient_bytes(project(field, basis, b))
+    assert on_b == _coefficient_bytes(project(field, basis, c))
+    kept = [_FACTORS[g][tuple(basis)] for g in (a, b, c)]
+    assert len({id(k) for k in kept}) == 3
+
+
+def test_factors_are_bounded_per_grid_and_released_with_it():
+    import gc
+    import weakref
+
+    from toroharm.expansion import _FACTORS, _FACTORS_PER_GRID
+
+    gc.collect()
+    before = len(_FACTORS)
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
+    bases = [tuple(basis_A_second(n, 1)) for n in range(1, _FACTORS_PER_GRID + 3)]
+    for basis in bases:
+        project(lambda x0, x1, x2: x0, basis, grid)
+    assert list(_FACTORS[grid]) == bases[-_FACTORS_PER_GRID:]
+    assert len(_FACTORS) == before + 1
+    ref = weakref.ref(grid)
+    del grid
+    gc.collect()
+    assert ref() is None and len(_FACTORS) == before
+
+
+def test_threads_projecting_on_one_grid_share_its_factors_safely():
+    # more bases than the grid keeps, from more threads than cores, with a
+    # short switch interval: every result is the sequential one
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    from toroharm.expansion import _FACTORS, _FACTORS_PER_GRID
+
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
+    bases = [tuple(basis_A_second(n, 1)) for n in range(1, _FACTORS_PER_GRID + 3)]
+    field = lambda x0, x1, x2: x0 * x2  # noqa: E731
+    want = [_coefficient_bytes(project(field, b, grid)) for b in bases]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=6) as pool:
+            futures = [pool.submit(lambda i: (i, _coefficient_bytes(project(field, bases[i], grid))),
+                                   i % len(bases)) for i in range(60)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(b == want[i] for i, b in got)
+    assert len(_FACTORS[grid]) == _FACTORS_PER_GRID
+
+
+def test_refusals_are_raised_on_every_call():
+    from toroharm.expansion import _FACTORS
+
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
+    dependent = [element_W(1, 1), element_W(1, 1)]
+    aliasing = basis_A_second(4, 4)
+    for _ in range(2):
+        with pytest.raises(IllConditionedGram):
+            project(element_W(1, 1), dependent, grid)
+        with pytest.raises(ValueError, match="aliases on K = 8"):
+            project(lambda x0, x1, x2: x0, aliasing, grid)
+    assert _FACTORS.get(grid, {}) == {}
 
 
 def test_known_expansions_small_depth(grid):

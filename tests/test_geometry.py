@@ -133,3 +133,35 @@ def test_t0_is_finite_next_to_the_limit_circle():
 
     x = cartesian_arrays(np.array([300.0, 360.0, 700.0]), 0.7, 0.4)
     assert np.all(np.isfinite(eval_T0_batch(2, 1, *x)))
+
+
+@pytest.mark.parametrize("eta", [720.0, 1500.0, math.inf])
+def test_cartesian_arrays_are_finite_up_to_the_limit_circle(eta):
+    # e^{-eta} underflows instead of cosh(eta) overflowing; on the limit
+    # circle itself the point is (0, cos phi, sin phi)
+    import warnings
+
+    theta, phi = np.array([0.7, -2.9, 0.0]), 0.4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x0, x1, x2 = cartesian_arrays(eta, theta, phi)
+        p = to_cartesian(ToroidalPoint(eta, 0.7, phi))
+    assert np.all(np.abs(x0) <= 1e-300)
+    assert np.all(x1 == math.cos(phi)) and np.all(x2 == math.sin(phi))
+    assert (p.x1, p.x2) == (math.cos(phi), math.sin(phi))
+    if eta == math.inf:
+        assert np.all(x0 == 0.0)
+
+
+def test_cartesian_arrays_match_mpmath_near_the_axis_and_limit_circle():
+    import mpmath as mp
+
+    for eta in (1e-9, 1e-4, 0.3, 2.0, 30.0, 600.0):  # x0 is subnormal from about 700
+        for theta in (1e-7, 0.7, -2.9, 3.1):
+            x0, x1, _ = cartesian_arrays(eta, theta, 0.0)
+            with mp.workdps(50):
+                e, t = mp.mpf(eta), mp.mpf(theta)
+                d = mp.cosh(e) - mp.cos(t)
+                want = mp.sin(t) / d, mp.sinh(e) / d
+            assert abs(x0 - want[0]) <= 4e-16 * abs(want[0]), (eta, theta)
+            assert abs(x1 - want[1]) <= 4e-16 * abs(want[1]), (eta, theta)
