@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import threading
-import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -509,26 +508,6 @@ def _field_modes(F: np.ndarray, grid: ExpansionGrid) -> np.ndarray:
     return np.concatenate([G.real, G.imag])
 
 
-def _series_modes(f, grid: ExpansionGrid) -> Optional[np.ndarray]:
-    """A series or element field on a uniform-phi mesh as
-    :func:`_field_modes` gives it, from the coefficient-weighted meridian
-    values of its elements, each in its own mode; ``None`` if an element
-    spans several modes or aliases on the mesh."""
-    terms = f.terms if isinstance(f, SeriesExpansion) else ((f, 1.0),)
-    P, K = grid.shape
-    H = np.zeros((8, P, K // 2 + 1))
-    if not terms:
-        return H
-    elements, coeffs = zip(*terms)
-    plan = _modes(elements)
-    if plan is None or any(2 * mode >= K for mode, _, _ in plan.groups):
-        return None
-    V = _meridian_values(elements, plan, grid)
-    for mode, group, _ in plan.groups:
-        H[:, :, mode] = np.tensordot(np.asarray(coeffs)[group], V[group], 1)
-    return H
-
-
 class _Group(NamedTuple):
     """The factors of one group of :func:`_factor`."""
 
@@ -600,22 +579,22 @@ def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors
     return _Factors(plan is not None, sw, factored, fitted)
 
 
-#: grid -> {basis: _Factors}, at most _FACTORS_PER_GRID bases, the oldest
-#: dropped first; an entry goes with its grid
-_FACTORS: "weakref.WeakKeyDictionary[ExpansionGrid, Dict[tuple, _Factors]]" = (
-    weakref.WeakKeyDictionary())
+#: held while a grid's ``factors`` is read or changed, so that dropping the
+#: oldest basis never interleaves with another thread's insert
 _FACTORS_LOCK = threading.Lock()
 
 
 def _factors(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
     """The factors of a basis on a grid, kept from an earlier call or made
-    by :func:`_factorise`; a refusal raises before anything is kept."""
+    by :func:`_factorise`; a refusal raises before anything is kept.  The
+    grid keeps them (``grid.factors``), for at most
+    :data:`_FACTORS_PER_GRID` bases, the oldest dropped first."""
     with _FACTORS_LOCK:
-        factors = _FACTORS.get(grid, {}).get(basis)
+        factors = grid.factors.get(basis)
     if factors is None:
         factors = _factorise(basis, grid)
         with _FACTORS_LOCK:
-            kept = _FACTORS.setdefault(grid, {})
+            kept = grid.factors
             while basis not in kept and len(kept) >= _FACTORS_PER_GRID:
                 del kept[next(iter(kept))]
             factors = kept.setdefault(basis, factors)
@@ -658,28 +637,23 @@ def project(
     Fourier mode of the frame ``(1, e_rho, e_phi, e3)``, so the problem
     splits exactly by mode: one QR factorisation per mode, of the
     elements' meridian values (:func:`_meridian_values`), against the
-    field's ``rfft`` in phi (a series or element field from its own
-    meridian values).  A basis mode at or above ``K / 2`` for ``K`` phi
-    nodes aliases and raises ``ValueError``.  Any other grid, or a basis
-    with an element in several modes, is solved as one group on the full
-    values.  Refuses (raising :class:`IllConditionedGram`) when ``cond(R)``
-    of a group exceeds :data:`_CONDITION_CAP`.
+    field's ``rfft`` in phi.  A basis mode at or above ``K / 2`` for ``K``
+    phi nodes aliases and raises ``ValueError``.  Any other grid, or a
+    basis with an element in several modes, is solved as one group on the
+    full values.  Refuses (raising :class:`IllConditionedGram`) when
+    ``cond(R)`` of a group exceeds :data:`_CONDITION_CAP`.
 
     The factors depend on the basis and the grid alone: they are made once
-    (:func:`_factorise`) and kept for the last :data:`_FACTORS_PER_GRID`
-    bases of each grid while the grid lives, so a grid's arrays must not
-    change after its first projection.  Each call transforms the field and
+    (:func:`_factorise`) and kept on the grid for its last
+    :data:`_FACTORS_PER_GRID` bases; its arrays are read-only, so they
+    cannot drift from its factors.  Each call transforms the field and
     solves with two products per group (:func:`_apply`).  Refusals are not
     kept.
     """
     basis = tuple(basis)
     factors = _factors(basis, grid)
-    H = None
-    if factors.by_mode and isinstance(f, (SeriesExpansion, BasisElement)):
-        H = _series_modes(f, grid)
-    if H is None:
-        F = _field_on_grid(f, grid)
-        H = _field_modes(F, grid) if factors.by_mode else F[..., None]
+    F = _field_on_grid(f, grid)
+    H = _field_modes(F, grid) if factors.by_mode else F[..., None]
     coeffs, residual = _apply(factors, H)
     return make_series(zip(basis, coeffs)), residual
 

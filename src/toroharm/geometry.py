@@ -16,7 +16,7 @@ circle in the plane x0 = 0; the solid torus of parameter eta0 is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Tuple
 
@@ -230,6 +230,12 @@ def sample_grid(
     return _torus_grid(*_torus_rule(domain.eta0 + margin, n_eta, n_theta, n_phi))
 
 
+def _read_only(a) -> np.ndarray:
+    view = np.asarray(a).view()
+    view.flags.writeable = False
+    return view
+
+
 @dataclass(frozen=True, eq=False)
 class ExpansionGrid:
     """Quadrature nodes and weights in both coordinate systems, and an
@@ -241,6 +247,10 @@ class ExpansionGrid:
     ``meridian`` pair ``(x0, rho)`` have shape ``(P, 1)`` against ``phi``
     of shape ``(1, K)``, so what depends on the meridian alone is computed
     on ``P`` points; scattered points hold ``(N,)`` arrays.
+
+    The arrays are read-only views: ``factors`` holds what
+    :func:`~toroharm.expansion.project` keeps per basis, which is only
+    valid for the nodes and weights it was made on.
     """
 
     x0: np.ndarray
@@ -251,6 +261,12 @@ class ExpansionGrid:
     phi: np.ndarray
     meridian: Tuple[np.ndarray, np.ndarray]
     weights: np.ndarray
+    factors: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("x0", "x1", "x2", "eta", "theta", "phi", "weights"):
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
+        object.__setattr__(self, "meridian", tuple(map(_read_only, self.meridian)))
 
     @classmethod
     def mesh(cls, eta, theta, phi, weights=1.0) -> "ExpansionGrid":

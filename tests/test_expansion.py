@@ -279,8 +279,8 @@ def test_projection_refuses_ill_conditioned(grid):
 
 
 def test_mesh_projection_forms_no_full_mesh_basis_values(monkeypatch):
-    # on a mesh the basis enters through its meridian values alone, and so
-    # does a series field; a fresh grid, so no kept factors hide a call
+    # on a mesh the basis enters through its meridian values alone; a fresh
+    # grid, so no kept factors hide a call
     from toroharm import expansion
 
     grid = sample_grid(TorusDomain(1.0), 6, 10, 10, margin=0.3)
@@ -291,36 +291,10 @@ def test_mesh_projection_forms_no_full_mesh_basis_values(monkeypatch):
         raise AssertionError("basis values on the full mesh")
 
     monkeypatch.setattr(expansion, "_values", refuse)
-    for f in (field, series):
-        s, res = project(f, basis_A_second(3, 2), grid)
-        c = s.coefficients()
-        assert_allclose([c[element_T(2, 1, 1, 1)], c[element_T0(2, -1)]], [2.0, -0.5], rtol=1e-12)
-        assert res < 1e-12
-
-
-def test_series_field_modes_match_its_full_values():
-    # a series field's modes from its elements' meridian values are the
-    # rfft of its values on every node
-    from toroharm.expansion import _field_modes, _series_modes
-
-    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
-    basis = basis_H(4, 3)
-    s = make_series(zip(basis, np.random.default_rng(3).uniform(-2.0, 2.0, len(basis))))
-    want = _field_modes(evaluate_series_grid(s, grid), grid)
-    got = _series_modes(s, grid)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
-
-def test_aliasing_series_field_falls_back_to_its_full_values():
-    # W[4]^+ lies in phi mode 5, above K / 2 on 8 phi nodes: the field is
-    # then evaluated on the full mesh, as an array field would be
-    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, 0.3)
-    series = make_series([(element_W(4, 1), 1.0), (element_T(2, 1, 1, 1), 2.0)])
-    basis = basis_A_second(2, 1)
-    got, res = project(series, basis, grid)
-    want, want_res = project(evaluate_series_grid(series, grid), basis, grid)
-    assert got == want and res == want_res and res > 0.1
+    s, res = project(field, basis_A_second(3, 2), grid)
+    c = s.coefficients()
+    assert_allclose([c[element_T(2, 1, 1, 1)], c[element_T0(2, -1)]], [2.0, -0.5], rtol=1e-12)
+    assert res < 1e-12
 
 
 def test_ill_conditioned_names_the_phi_mode_and_its_group(grid):
@@ -445,15 +419,13 @@ def test_repeated_projection_reuses_the_factors(monkeypatch, scattered):
 def test_grids_never_share_factors():
     # an equal grid built again is another grid: its own factors, and the
     # same result as on a grid projected first
-    from toroharm.expansion import _FACTORS
-
     basis = basis_A_second(3, 2)
     a, b, c = (sample_grid(TorusDomain(1.0), 6, 10, 10, margin) for margin in (0.3, 0.5, 0.5))
     field = lambda x0, x1, x2: x0 * x1  # noqa: E731
     project(field, basis, a)
     on_b = _coefficient_bytes(project(field, basis, b))
     assert on_b == _coefficient_bytes(project(field, basis, c))
-    kept = [_FACTORS[g][tuple(basis)] for g in (a, b, c)]
+    kept = [g.factors[tuple(basis)] for g in (a, b, c)]
     assert len({id(k) for k in kept}) == 3
 
 
@@ -461,20 +433,31 @@ def test_factors_are_bounded_per_grid_and_released_with_it():
     import gc
     import weakref
 
-    from toroharm.expansion import _FACTORS, _FACTORS_PER_GRID
+    from toroharm.expansion import _FACTORS_PER_GRID
 
-    gc.collect()
-    before = len(_FACTORS)
     grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
     bases = [tuple(basis_A_second(n, 1)) for n in range(1, _FACTORS_PER_GRID + 3)]
     for basis in bases:
         project(lambda x0, x1, x2: x0, basis, grid)
-    assert list(_FACTORS[grid]) == bases[-_FACTORS_PER_GRID:]
-    assert len(_FACTORS) == before + 1
-    ref = weakref.ref(grid)
+    assert list(grid.factors) == bases[-_FACTORS_PER_GRID:]
+    refs = [weakref.ref(grid), weakref.ref(grid.factors[bases[-1]].groups[0].Q)]
     del grid
     gc.collect()
-    assert ref() is None and len(_FACTORS) == before
+    assert [ref() for ref in refs] == [None, None]
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_grid_arrays_are_read_only(scattered):
+    # kept factors hold for the nodes and weights they were made on
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
+    if scattered:
+        grid = ExpansionGrid.from_samples(list(grid))
+    project(lambda x0, x1, x2: x0, basis_A_second(2, 1), grid)
+    arrays = [grid.x0, grid.x1, grid.x2, grid.eta, grid.theta, grid.phi, grid.weights,
+              *grid.meridian]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 2.0
 
 
 def test_threads_projecting_on_one_grid_share_its_factors_safely():
@@ -483,7 +466,7 @@ def test_threads_projecting_on_one_grid_share_its_factors_safely():
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    from toroharm.expansion import _FACTORS, _FACTORS_PER_GRID
+    from toroharm.expansion import _FACTORS_PER_GRID
 
     grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
     bases = [tuple(basis_A_second(n, 1)) for n in range(1, _FACTORS_PER_GRID + 3)]
@@ -499,12 +482,10 @@ def test_threads_projecting_on_one_grid_share_its_factors_safely():
     finally:
         sys.setswitchinterval(interval)
     assert all(b == want[i] for i, b in got)
-    assert len(_FACTORS[grid]) == _FACTORS_PER_GRID
+    assert len(grid.factors) == _FACTORS_PER_GRID
 
 
 def test_refusals_are_raised_on_every_call():
-    from toroharm.expansion import _FACTORS
-
     grid = sample_grid(TorusDomain(1.0), 4, 6, 8, margin=0.3)
     dependent = [element_W(1, 1), element_W(1, 1)]
     aliasing = basis_A_second(4, 4)
@@ -513,7 +494,7 @@ def test_refusals_are_raised_on_every_call():
             project(element_W(1, 1), dependent, grid)
         with pytest.raises(ValueError, match="aliases on K = 8"):
             project(lambda x0, x1, x2: x0, aliasing, grid)
-    assert _FACTORS.get(grid, {}) == {}
+    assert grid.factors == {}
 
 
 def test_known_expansions_small_depth(grid):
