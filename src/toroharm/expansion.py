@@ -4,9 +4,14 @@ Provides the basis-element vocabulary (exact toroidal monogenics T, the
 degree-0 family T0, monogenic constants W, the constant 1, right
 multiples by e3, and the plain/starred harmonics used by the known
 closed-form expansions), Gram matrices and least-squares projection on
-sampled grids (one QR factorisation per phi Fourier mode on a mesh), the
-closed-form expansions of 1 and x0, and the Laurent analysis of
-monogenic constants.
+sampled grids, the closed-form expansions of 1 and x0, and the Laurent
+analysis of monogenic constants.
+
+Every value comes from one evaluation core, :func:`_values`.  On a mesh,
+projection splits by phi Fourier mode (one QR factorisation per mode): the
+same core gives each element's mode, on a few probe points, and its
+meridian values by mode, on the mesh's meridian nodes times a few
+azimuths.
 
 Completeness of the infinite families is only falsifiable numerically;
 the desk-scale experiments here test positive-definiteness of Gram
@@ -26,15 +31,11 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .appell import _star_table, alpha_beta, j_coefficient_unit
-from .geometry import CartesianPoint, ExpansionGrid, _meridian_arrays, to_toroidal
+from .geometry import CartesianPoint, ExpansionGrid, to_toroidal
 from .harmonics import DerivativeTerm, HarmonicIndex, Sign, TermMatrix, parse_sign, sign_char
 from .monogenics import (
     Quaternion,
-    _distinct,
-    _slot_lines,
-    _t0_integrands,
     _t0_lines,
-    _tables,
     eval_W_batch,
     field_values,
     t_is_zero,
@@ -269,161 +270,72 @@ def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
 # meridian values by phi mode
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _cylindrical(comp: int, m: int, mu: Sign) -> Tuple[Tuple[int, int, float], ...]:
-    """A Cartesian component ``comp`` equal to ``trig(m phi)``, in the frame
-    ``(1, e_rho, e_phi, e3)`` and by phi mode: ``(part, mode, factor)``
-    triples.  A component ``c`` whose value is ``Re(Z e^{i k phi})`` has
-    ``Re Z`` in part ``c`` and ``Im Z`` in part ``4 + c`` of mode ``k >= 0``
-    (at mode 0, ``Re Z`` alone).
-
-    ``trig(m phi)`` is ``Re(z e^{i m phi})`` with ``z`` 1 (cosine) or ``-i``
-    (sine); ``a_rho = a1 cos + a2 sin`` and ``a_phi = a2 cos - a1 sin``,
-    with ``cos = Re(e^{i phi})`` and ``sin = Re(-i e^{i phi})``; and
-    ``Re(A e^{i a phi}) Re(B e^{i phi})`` is ``Re(A B e^{i (a + 1) phi}) / 2
-    + Re(A conj(B) e^{i (a - 1) phi}) / 2``.
-    """
-    if m == 0 and mu < 0:
-        return ()
-    z = 1.0 if mu > 0 else -1j
-    if comp in (0, 3):
-        terms = [(comp, m, z)]
-    else:
-        frame = ((1, 1.0), (2, 1j)) if comp == 1 else ((1, -1j), (2, 1.0))
-        terms = [(cyl, k, z * (b if k > m else np.conj(b)) / 2)
-                 for cyl, b in frame for k in (m + 1, m - 1)]
-    out = []
-    for cyl, k, w in terms:  # Re(w e^{-i k phi}) = Re(conj(w) e^{i k phi})
-        w = complex(w if k >= 0 else np.conj(w))
-        out += [(part, abs(k), v) for part, v in ((cyl, w.real), (4 + cyl, w.imag))
-                if v != 0 and (k != 0 or part < 4)]
-    return tuple(out)
+def _rotate(F: np.ndarray, phi) -> np.ndarray:
+    """The components ``(1, e1, e2, e3)`` on the first axis of ``F`` in the
+    frame ``(1, e_rho, e_phi, e3)`` at the azimuths ``phi``, which
+    broadcast against the other axes."""
+    c, s = np.cos(phi), np.sin(phi)
+    return np.stack([F[0], F[1] * c + F[2] * s, F[2] * c - F[1] * s, F[3]])
 
 
-#: the e3 multiple on the parts ``Re`` and ``Im`` of ``(a0, a_rho, a_phi,
-#: a3)``: the same signed permutation as on Cartesian components, since
-#: ``(b_rho, b_phi) = (a_phi, -a_rho)``
-_E3_PARTS, _E3_PART_SIGN = [3, 2, 1, 0, 7, 6, 5, 4], np.tile(_E3_SIGN, (2, 1))
-#: meridian points on which :func:`_modes` reads the phi mode of each base
+#: meridian points on which :func:`_modes` reads the phi mode of each element
 _PROBE = np.array([0.6, 1.3, 2.4]), np.array([0.4, 2.2, -1.3])
-#: the largest share of a base's probe values outside its mode
+#: the largest share of an element's probe values outside its mode
 _MODE_LEAK = 1e-12
 
 
-class _ModePlan(NamedTuple):
-    """The meridian values of a basis by phi mode (see :func:`_modes`)."""
-
-    terms: Optional[TermMatrix]  # one row per distinct meridian factor of the harmonics
-    lines: Optional[TermMatrix]  # one row per distinct T0 line integrand
-    powers: np.ndarray           # the powers of rho of the closed forms
-    rows: np.ndarray             # the nonzero rows 8 * element + part of the values
-    matrix: np.ndarray           # their coefficients over the sources
-    groups: tuple                # (mode, element indices, their nonzero parts) per mode
-
-
-def _sources(terms, lines, powers, eta, theta, x0, rho) -> np.ndarray:
-    """The real meridian functions that the values of a basis combine, at
-    meridian points, shape ``(sources, points)``: the rows of ``terms``
-    (one radial table), the x0-line integrals of the rows of ``lines`` and
-    the closed forms ``rho^power``."""
-    out = []
-    if terms is not None:
-        H = terms.meridian(eta, theta)
-        out.append(terms.matrix @ H.reshape(len(H), -1))
-    if lines is not None:
-        out.append(_slot_lines(lines, x0, rho).reshape(lines.rows, -1))
-    return np.concatenate(out + [np.ravel(rho)[None] ** powers[:, None]])
-
-
 @lru_cache(maxsize=64)
-def _modes(elements: Tuple[BasisElement, ...]) -> Optional[_ModePlan]:
-    """The phi-mode plan of the elements, or ``None`` if one of them spans
-    more than one mode.
+def _modes(elements: Tuple[BasisElement, ...]) -> Optional[Tuple[int, ...]]:
+    """The phi mode of each element, or ``None`` if one of them spans more
+    than one mode.
 
-    Every slot of the evaluation plan (:func:`_compiled`) is a real
-    meridian function times ``trig(m phi)`` in one Cartesian component:
-    the ``TermMatrix`` slots (``T``, ``I``, ``I*`` and the ``T0`` scalar
-    parts), the ``T0`` line slots (sign -1) and the closed forms of 1 and
-    ``W``, ``rho^m`` times ``trig(|m| phi)``.  :func:`_cylindrical` turns
-    each into contributions to the cylindrical parts by mode.  The sources
-    are the distinct meridian factors, the distinct line integrands up to
-    sign (``T0[m]^-`` integrates those of ``T0[m]^+``) and the closed
-    forms.  A base's mode is the one that holds its values on a few probe
-    points; its other modes must be zero there to :data:`_MODE_LEAK`, so no
-    mode is assumed per kind.  The plan keeps each element's own mode as
-    one coefficient matrix over the sources (an e3 multiple as a signed
-    permutation of its base's rows).
+    The Cartesian components of every kind are meridian functions times
+    ``trig(j phi)`` with ``j`` at most ``|m| + 1`` for the index ``m`` of
+    the element (or of its inner element), and at most ``|m| + 2`` in the
+    frame ``(1, e_rho, e_phi, e3)``.  On the :data:`_PROBE` points times
+    ``K = 2 max|m| + 6`` uniform azimuths no bin aliases, so, transformed
+    like a field (:func:`_field_modes`), an element's mode is its largest
+    bin; the energy in its other bins, summed directly, must be below
+    :data:`_MODE_LEAK` squared of its total.  No mode is assumed per kind.
     """
-    bases, matrix, row_dest, pairs, line_dest, base_of, e3 = _compiled(elements)
-    slots = []  # (row 4 * base + component, phi factor (m, mu), sign)
-    blocks = []  # the slots' coefficients over the sources, by kind of source
-    terms = lines = None
-    if row_dest:
-        slots += [(row_dest[i // matrix.width], matrix.phi_keys[matrix.slot_phi[i]], 1.0)
-                  for i in range(len(matrix.matrix))]
-        folded, harmonics = _distinct(matrix, matrix.matrix)
-        terms = _tables(np.eye(len(harmonics)), harmonics)
-        blocks.append(folded)
-    if pairs:
-        table, lines, fold = _t0_integrands(pairs)
-        slots += [(line_dest[i // table.width], table.phi_keys[table.slot_phi[i]], -1.0)
-                  for i in range(len(table.matrix))]
-        blocks.append(fold)
-    powers = []
-    for b, el in enumerate(bases):
-        if el.kind == "ONE":
-            slots.append((4 * b, (0, 1), 1.0))
-            powers.append(0)
-        elif el.kind == "W":  # J_m^+ = rho^m cos(m phi), J_m^- = rho^m sin(m phi)
-            a, s = abs(el.m), float(np.sign(el.m))
-            if el.nu > 0:  # W^+ = J^+ e1 - J^- e2
-                slots += [(4 * b + 1, (a, 1), 1.0), (4 * b + 2, (a, -1), -s)]
-            else:          # W^- = J^- e1 + J^+ e2
-                slots += [(4 * b + 1, (a, -1), s), (4 * b + 2, (a, 1), 1.0)]
-            powers += [el.m, el.m]
-    powers = np.array(powers, dtype=float)
-    blocks.append(np.eye(len(powers)))
-    to_source = np.zeros((len(slots), sum(blk.shape[1] for blk in blocks)))
-    r = c = 0
-    for blk in blocks:
-        to_source[r:r + blk.shape[0], c:c + blk.shape[1]] = blk
-        r, c = r + blk.shape[0], c + blk.shape[1]
-    src, base, part, mode, fac = (np.array(v) for v in zip(*(
-        (i, row // 4, p, k, sign * v) for i, (row, (m, mu), sign) in enumerate(slots)
-        for p, k, v in _cylindrical(row % 4, m, mu))))
-    width = int(mode.max()) + 1
-    probe = to_source @ _sources(terms, lines, powers, *_PROBE, *_meridian_arrays(*_PROBE))
-    values = np.zeros((len(bases) * width * 8, probe.shape[1]))
-    np.add.at(values, (base * width + mode) * 8 + part, fac[:, None] * probe[src])
-    energy = (values.reshape(len(bases), width, -1) ** 2).sum(-1)
-    if np.any(energy.sum(1) - energy.max(1) > _MODE_LEAK**2 * energy.sum(1)):
-        return None
+    K = 2 * max(abs((el.inner or el).m) for el in elements) + 6
+    probe = ExpansionGrid.on_meridian(*_PROBE, 2.0 * np.pi * np.arange(K) / K)
+    V = _values(elements, probe).transpose(1, 0, 2)
+    energy = (_field_modes(V, probe).reshape(8, len(elements), -1, K // 2 + 1) ** 2).sum((0, 2))
     own = energy.argmax(1)
-    keep = mode == own[base]
-    C = np.zeros((len(bases), 8, to_source.shape[1]))
-    np.add.at(C.reshape(8 * len(bases), -1), 8 * base[keep] + part[keep],
-              fac[keep, None] * to_source[src[keep]])
-    if base_of is not None:
-        own, C = own[base_of], C[base_of]
-        C[e3] = C[e3][:, _E3_PARTS] * _E3_PART_SIGN
-    nonzero = C.any(2)
-    groups = tuple((k, np.flatnonzero(own == k), np.flatnonzero(nonzero[own == k].any(0)))
-                   for k in sorted(set(own.tolist())))
-    rows = np.flatnonzero(nonzero)
-    return _ModePlan(terms, lines, powers, rows, C.reshape(len(C) * 8, -1)[rows], groups)
+    leak = np.where(np.arange(energy.shape[1]) == own[:, None], 0.0, energy).sum(1)
+    if np.any(leak > _MODE_LEAK**2 * energy.sum(1)):
+        return None
+    return tuple(own.tolist())
 
 
-def _meridian_values(elements: Sequence[BasisElement], plan: _ModePlan,
+def _meridian_values(elements: Sequence[BasisElement], modes: Sequence[int],
                      grid: ExpansionGrid) -> np.ndarray:
-    """The elements on a mesh's meridian nodes by phi mode, shape
-    ``(len(elements), 8, P)``: element ``e`` has component ``c`` equal to
-    ``V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi)`` in the frame ``(1,
-    e_rho, e_phi, e3)``, with ``k`` its mode.  No value is formed on the
-    full mesh."""
-    values = np.zeros((8 * len(elements), grid.shape[0]))
-    values[plan.rows] = plan.matrix @ _sources(plan.terms, plan.lines, plan.powers, grid.eta,
-                                               grid.theta, *grid.meridian)
-    return values.reshape(len(elements), 8, -1)
+    """The elements of the phi ``modes`` on a mesh's meridian nodes, shape
+    ``(len(elements), 8, P)``: element ``e`` of mode ``k`` has component
+    ``c`` equal to ``V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi)`` in the
+    frame ``(1, e_rho, e_phi, e3)``.
+
+    One :func:`_values` call on the meridian nodes times the azimuths 0
+    and ``pi / 2k`` of each mode ``k > 0``: at 0 the frame is ``(1, e1, e2,
+    e3)`` and the values are ``V[e, :4]``; at ``pi / 2k`` the components
+    are ``-V[e, 4:]``.  A part below :data:`_MODE_LEAK` of its element's
+    largest value is round-off (``cos(pi / 2)`` is not 0) and is set to 0.
+    No value is formed on the full mesh.
+    """
+    modes = np.asarray(modes)
+    ks = np.unique(modes[modes > 0])
+    phi = np.concatenate([[0.0], np.pi / (2 * ks)])
+    nodes = ExpansionGrid.on_meridian(grid.eta, grid.theta, phi)
+    values = _values(elements, nodes).reshape(len(elements), 4, -1, len(phi))
+    V = np.zeros((len(elements), 8, values.shape[2]))
+    V[:, :4] = values[..., 0]
+    e = np.flatnonzero(modes > 0)
+    own = values[e, :, :, np.searchsorted(ks, modes[e]) + 1].transpose(1, 0, 2)
+    V[e, 4:] = -_rotate(own, np.pi / (2 * modes[e, None])).transpose(1, 0, 2)
+    size = np.abs(V).max(2)
+    V[size <= _MODE_LEAK * size.max(1, keepdims=True)] = 0.0
+    return V
 
 
 # ---------------------------------------------------------------------------
@@ -495,15 +407,13 @@ def _mode_scale(K: int) -> np.ndarray:
 
 
 def _field_modes(F: np.ndarray, grid: ExpansionGrid) -> np.ndarray:
-    """The field on a uniform-phi mesh by phi mode, scaled like
-    :func:`_meridian_values`: its parts ``(8, P, K // 2 + 1)``, the e1/e2
-    components rotated to ``e_rho``/``e_phi`` and each ``rfft`` mode
-    divided by :func:`_mode_scale`."""
-    P, K = grid.shape
-    phi = grid.phi.ravel()
-    c, s = np.cos(phi), np.sin(phi)
-    F = F.reshape(4, P, K)
-    G = np.fft.rfft(np.stack([F[0], F[1] * c + F[2] * s, F[2] * c - F[1] * s, F[3]]))
+    """The field ``F`` (``(4, ...)``, P-major and K-minor as on the mesh) on
+    a uniform-phi mesh by phi mode, scaled like :func:`_meridian_values`:
+    its parts ``(8, ..., K // 2 + 1)``, rotated to the frame ``(1, e_rho,
+    e_phi, e3)`` (:func:`_rotate`) and each ``rfft`` mode divided by
+    :func:`_mode_scale`."""
+    K = grid.shape[1]
+    G = np.fft.rfft(_rotate(F.reshape(4, -1, K), grid.phi.ravel()))
     G /= _mode_scale(K)
     return np.concatenate([G.real, G.imag])
 
@@ -556,27 +466,32 @@ def _factor(V: np.ndarray, groups, sw: np.ndarray, basis) -> Tuple[_Group, ...]:
 
 
 def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
-    """The factors of a basis on a grid: by phi mode on the meridian values
-    (:func:`_meridian_values`) where the grid and basis allow it, else one
-    group on the full values."""
-    plan = _modes(basis) if _uniform_phi(grid) else None
-    if plan is None:
+    """The factors of a basis on a grid.  Where the grid has uniform phi
+    nodes and every element one phi mode (:func:`_modes`), one group per
+    mode: its elements, and the parts in which one of them is nonzero on
+    the meridian values (:func:`_meridian_values`).  Else one group of
+    every element and nonzero component on the full values."""
+    modes = _modes(basis) if _uniform_phi(grid) else None
+    if modes is None:
         V = _values(basis, grid)
         groups = ((None, np.arange(len(basis)), np.flatnonzero(V.any(axis=(0, 2)))),)
         sw = np.sqrt(grid.weights)[:, None]
     else:
         P, K = grid.shape
-        for mode, group, _ in plan.groups:
-            if 2 * mode >= K:
-                raise ValueError(f"{basis[group[0]].label()} has phi mode {mode}, which "
+        modes = np.array(modes)
+        by_mode = [(k, np.flatnonzero(modes == k)) for k in np.unique(modes).tolist()]
+        for k, group in by_mode:
+            if 2 * k >= K:
+                raise ValueError(f"{basis[group[0]].label()} has phi mode {k}, which "
                                  f"aliases on K = {K} phi nodes (modes must be below K/2)")
-        V, groups = _meridian_values(basis, plan, grid), plan.groups
+        V = _meridian_values(basis, modes, grid)
+        groups = [(k, group, np.flatnonzero(V[group].any(axis=(0, 2)))) for k, group in by_mode]
         sw = np.sqrt(grid.weights.reshape(P, K)[:, :1] * _mode_scale(K))
     factored = _factor(V, groups, sw, basis)
     fitted = np.zeros((V.shape[1], sw.shape[1]), dtype=bool)
     for g in factored:
         fitted[g.parts, g.mode or 0] = True
-    return _Factors(plan is not None, sw, factored, fitted)
+    return _Factors(modes is not None, sw, factored, fitted)
 
 
 #: held while a grid's ``factors`` is read or changed, so that dropping the
@@ -634,14 +549,16 @@ def project(
 
     On a mesh with uniform phi nodes and phi-independent weights (as from
     :func:`~toroharm.geometry.sample_grid`) each element lies in one phi
-    Fourier mode of the frame ``(1, e_rho, e_phi, e3)``, so the problem
-    splits exactly by mode: one QR factorisation per mode, of the
-    elements' meridian values (:func:`_meridian_values`), against the
-    field's ``rfft`` in phi.  A basis mode at or above ``K / 2`` for ``K``
-    phi nodes aliases and raises ``ValueError``.  Any other grid, or a
-    basis with an element in several modes, is solved as one group on the
-    full values.  Refuses (raising :class:`IllConditionedGram`) when
-    ``cond(R)`` of a group exceeds :data:`_CONDITION_CAP`.
+    Fourier mode of the frame ``(1, e_rho, e_phi, e3)`` (:func:`_modes`),
+    so the problem splits exactly by mode: one QR factorisation per mode,
+    of the elements' meridian values (:func:`_meridian_values`, read from
+    their values at two azimuths per mode, never on the full mesh),
+    against the field's ``rfft`` in phi.  A basis mode at or above ``K /
+    2`` for ``K`` phi nodes aliases and raises ``ValueError``.  Any other
+    grid, or a basis with an element in several modes, is solved as one
+    group on the full values.  Refuses (raising
+    :class:`IllConditionedGram`) when ``cond(R)`` of a group exceeds
+    :data:`_CONDITION_CAP`.
 
     The factors depend on the basis and the grid alone: they are made once
     (:func:`_factorise`) and kept on the grid for its last

@@ -158,21 +158,27 @@ def toroidal_arrays(x0, x1, x2):
     return eta, theta, phi
 
 
+def _denominator(eta, theta):
+    """``e^{-eta}`` and ``D = expm1(-eta)^2 + 4 e^{-eta} sin^2(theta / 2)``,
+    which is ``2 e^{-eta} (cosh(eta) - cos(theta))`` without cancellation
+    near the axis or overflow toward the limit circle."""
+    decay = np.exp(-eta)
+    return decay, np.expm1(-eta) ** 2 + 4.0 * decay * np.sin(0.5 * theta) ** 2
+
+
 def _meridian_arrays(eta, theta):
     """Vectorized meridian coordinates ``(x0, rho)`` of toroidal ``(eta,
     theta)``, with ``rho = sqrt(x1^2 + x2^2)``.
 
-    Both are written with ``e^{-eta}``: with ``D = expm1(-eta)^2 + 4
-    e^{-eta} sin^2(theta / 2)``, which is ``2 e^{-eta} (cosh(eta) -
-    cos(theta))``, ``x0 = 2 e^{-eta} sin(theta) / D`` and ``rho =
+    Both are written with ``e^{-eta}`` and the ``D`` of
+    :func:`_denominator`: ``x0 = 2 e^{-eta} sin(theta) / D`` and ``rho =
     -expm1(-2 eta) / D``.  No term cancels near the axis, nothing
     overflows, and on the limit circle (``eta = inf``) they are ``0`` and
     ``1``.
     """
     eta = np.asarray(eta, dtype=float)
     theta = np.asarray(theta, dtype=float)
-    decay = np.exp(-eta)
-    denom = np.expm1(-eta) ** 2 + 4.0 * decay * np.sin(0.5 * theta) ** 2
+    decay, denom = _denominator(eta, theta)
     return 2.0 * decay * np.sin(theta) / denom, -np.expm1(-2.0 * eta) / denom
 
 
@@ -203,10 +209,13 @@ def _torus_rule(eta_in: float, n_eta: int, n_theta: int, n_phi: int):
 
 def _torus_grid(eta, w_eta, theta, phi) -> "ExpansionGrid":
     """The mesh of a :func:`_torus_rule`, with weights that carry the
-    volume element ``sinh(eta) (cosh(eta) - cos(theta))^-3``."""
-    E, T = eta[:, None, None], theta[:, None]
+    volume element ``sinh(eta) (cosh(eta) - cos(theta))^-3``, written as
+    ``-4 expm1(-2 eta) e^{-2 eta} / D^3`` (:func:`_denominator`) so that it
+    stays finite down to underflow next to the limit circle."""
+    E = eta[:, None, None]
+    decay, denom = _denominator(E, theta[:, None])
     return ExpansionGrid.mesh(eta, theta, phi,
-                              w_eta[:, None, None] * np.sinh(E) / (np.cosh(E) - np.cos(T)) ** 3)
+                              -4.0 * w_eta[:, None, None] * np.expm1(-2.0 * E) * decay**2 / denom**3)
 
 
 def sample_grid(
@@ -267,18 +276,29 @@ class ExpansionGrid:
         for name in ("x0", "x1", "x2", "eta", "theta", "phi", "weights"):
             object.__setattr__(self, name, _read_only(getattr(self, name)))
         object.__setattr__(self, "meridian", tuple(map(_read_only, self.meridian)))
+        if not np.all(np.isfinite(self.weights) & (self.weights >= 0.0)):
+            raise ValueError("grid weights must be finite and non-negative")
 
     @classmethod
     def mesh(cls, eta, theta, phi, weights=1.0) -> "ExpansionGrid":
         """The tensor grid of the 1-D node arrays ``eta x theta x phi``;
         ``weights`` broadcast to ``(eta.size, theta.size, phi.size)``."""
         eta, theta, phi = (np.asarray(c, dtype=float).ravel() for c in (eta, theta, phi))
-        E = np.repeat(eta, theta.size)[:, None]
-        T = theta[np.arange(eta.size * theta.size) % theta.size, None]
+        w = weights * np.ones((eta.size, theta.size, phi.size))
+        return cls.on_meridian(np.repeat(eta, theta.size), np.tile(theta, eta.size), phi,
+                               w.reshape(-1, phi.size))
+
+    @classmethod
+    def on_meridian(cls, eta, theta, phi, weights=1.0) -> "ExpansionGrid":
+        """The mesh of the meridian nodes ``(eta, theta)`` (paired 1-D
+        arrays of ``P`` nodes) times the ``K`` azimuths ``phi``; ``weights``
+        broadcast to ``(P, K)``."""
+        E, T = (np.asarray(c, dtype=float).reshape(-1, 1) for c in (eta, theta))
+        phi = np.asarray(phi, dtype=float).reshape(1, -1)
         x0, rho = _meridian_arrays(E, T)
-        x1, x2 = rho * np.cos(phi[None]), rho * np.sin(phi[None])
-        w = (weights * np.ones((eta.size, theta.size, phi.size))).ravel()
-        return cls(np.repeat(x0, phi.size), x1.ravel(), x2.ravel(), E, T, phi[None], (x0, rho), w)
+        x1, x2 = rho * np.cos(phi), rho * np.sin(phi)
+        w = (weights * np.ones(x1.shape)).ravel()
+        return cls(np.repeat(x0, phi.size), x1.ravel(), x2.ravel(), E, T, phi, (x0, rho), w)
 
     @classmethod
     def from_samples(cls, samples) -> "ExpansionGrid":

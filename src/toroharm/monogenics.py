@@ -533,83 +533,62 @@ def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     return np.concatenate([scalar[None], _t0_lines(((m, mu),), x0, rho, phi)[0]])
 
 
-def _distinct(table: TermMatrix, coefficients: np.ndarray):
-    """Rows of coefficients over the columns of ``table`` folded onto its
-    distinct meridian factors, which do not depend on a harmonic's ``mu``:
-    the folded rows and the harmonics ``(n, m, nu)`` of their columns."""
-    keys = [(int(n), int(m), table.theta_keys[t][1])
-            for n, m, t in zip(table.n, table.m, table.theta_of)]
-    distinct = sorted(set(keys))
-    fold = np.zeros((len(keys), len(distinct)))
-    fold[np.arange(len(keys)), [distinct.index(k) for k in keys]] = 1.0
-    return coefficients @ fold, distinct
-
-
-def _tables(rows, harmonics) -> TermMatrix:
-    """The :class:`TermMatrix` of coefficient rows over harmonics ``(n, m,
-    nu)``, each with ``mu = +``."""
-    return TermMatrix([tuple(DerivativeTerm(HarmonicIndex(n, m, nu, 1), Fraction(c))
-                             for (n, m, nu), c in zip(harmonics, row) if c != 0)
-                       for row in rows])
-
-
 @lru_cache(maxsize=64)
 def _t0_integrands(pairs: Tuple[Tuple[int, Sign], ...]):
     """The x0-line slots of the pairs ``(m, mu)``: the ``d1`` and ``d2``
     tables of ``I_{0,m}^{+,mu}``, two rows per pair; their distinct
-    integrands up to sign over the distinct meridian factors (``T0[m]^-``
-    integrates those of ``T0[m]^+``), each with its first nonzero
-    coefficient positive; and the signed ``(slots, integrands)`` fold that
-    gives each slot from them (a zero row for an empty slot)."""
+    integrands up to sign over the distinct meridian factors (which do not
+    depend on a harmonic's ``mu``, so ``T0[m]^-`` integrates those of
+    ``T0[m]^+``), each with its first nonzero coefficient positive; and
+    the signed ``(slots, integrands)`` fold that gives each slot from them
+    (a zero row for an empty slot)."""
     tables = TermMatrix([tuple(table(HarmonicIndex(0, m, 1, mu)))
                          for m, mu in pairs for table in (d1_terms, d2_terms)])
-    rows, harmonics = _distinct(tables, tables.matrix)
+    keys = [(int(n), int(m), tables.theta_keys[t][1])
+            for n, m, t in zip(tables.n, tables.m, tables.theta_of)]
+    harmonics = sorted(set(keys))
+    onto = np.zeros((len(keys), len(harmonics)))
+    onto[np.arange(len(keys)), [harmonics.index(k) for k in keys]] = 1.0
+    rows = tables.matrix @ onto
     flip = np.sign(rows[np.arange(len(rows)), np.argmax(rows != 0, axis=1)])
     distinct = {}
     column = [distinct.setdefault(tuple(row), len(distinct))
               for row in rows * flip[:, None] if row.any()]
     fold = np.zeros((len(rows), len(distinct)))
     fold[np.flatnonzero(flip), column] = flip[flip != 0]
-    return tables, _tables(list(distinct), harmonics), fold
+    lines = TermMatrix([tuple(DerivativeTerm(HarmonicIndex(n, m, nu, 1), Fraction(c))
+                              for (n, m, nu), c in zip(harmonics, row) if c != 0)
+                        for row in distinct])
+    return tables, lines, fold
 
 
-def _slot_lines(tables: TermMatrix, x0, rho) -> np.ndarray:
-    """The x0-line integrals of the slots of ``tables`` (a component's
-    terms with one phi factor, without it) at meridian coordinates ``x0``
-    and ``rho``: shape ``(slots,)`` plus their broadcast shape.  With the
-    tables of :func:`_t0_integrands`, ``-tables.phi_sum(lines, phi)`` is
-    the e1/e2 part of ``T0``.
+def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
+    """The e1/e2 parts of ``T0[m]^mu`` for the pairs ``(m, mu)`` at meridian
+    coordinates ``x0``, ``rho`` and azimuth ``phi`` that broadcast against
+    them: shape ``(len(pairs), 2)`` plus the broadcast shape.
 
-    A harmonic's ``trig(m phi)`` is constant along a line, so each slot is
-    integrated along x0 once per distinct meridian point, all slots in one
-    :func:`_x0_lines` call with one radial table per slab.  The terms of a
-    slot cancel toward the axis, so its rounding scales with ``|C| @ |H|``,
-    the sum of their absolute values.
+    Each distinct integrand (:func:`_t0_integrands`) is integrated along
+    x0 once per distinct meridian point, since a harmonic's ``trig(m phi)``
+    is constant along a line: all of them in one :func:`_x0_lines` call
+    with one radial table per slab.  The terms of an integrand cancel
+    toward the axis, so its rounding scales with ``|C| @ |H|``, the sum of
+    their absolute values.  The slots are their signed sums (the fold),
+    times their phi factors.
     """
-    C, size = tables.matrix, np.abs(tables.matrix)
+    tables, lines, fold = _t0_integrands(tuple(pairs))
+    C, size = lines.matrix, np.abs(lines.matrix)
     x0, rho = np.broadcast_arrays(np.asarray(x0, dtype=float), np.asarray(rho, dtype=float))
     meridian, inverse = np.unique((x0 + 1j * rho).ravel(), return_inverse=True)
     rho_flat = meridian.imag
 
     def g(t, i):
         eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
-        H = tables.meridian(eta, theta)
+        H = lines.meridian(eta, theta)
         H = H.reshape(len(H), -1)
         return (C @ H).reshape((-1,) + t.shape), (size @ np.abs(H)).reshape((-1,) + t.shape)
 
-    lines = _x0_lines(g, meridian.real, 0.0, len(C))
-    return lines[:, inverse.reshape(-1)].reshape((len(C),) + x0.shape)
-
-
-def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
-    """The e1/e2 parts of ``T0[m]^mu`` for the pairs ``(m, mu)`` at meridian
-    coordinates ``x0``, ``rho`` and azimuth ``phi`` that broadcast against
-    them: shape ``(len(pairs), 2)`` plus the broadcast shape; the slot lines
-    of :func:`_slot_lines`, each distinct integrand once
-    (:func:`_t0_integrands`), times their phi factors."""
-    tables, lines, fold = _t0_integrands(tuple(pairs))
-    values = _slot_lines(lines, x0, rho)
-    slots = (fold @ values.reshape(len(values), -1)).reshape((len(fold),) + values.shape[1:])
+    values = _x0_lines(g, meridian.real, 0.0, len(C))[:, inverse.reshape(-1)]
+    slots = (fold @ values).reshape((len(fold),) + x0.shape)
     e12 = -tables.phi_sum(slots, phi)
     return e12.reshape((len(pairs), 2) + e12.shape[1:])
 

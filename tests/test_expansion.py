@@ -279,19 +279,17 @@ def test_projection_refuses_ill_conditioned(grid):
 
 
 def test_mesh_projection_forms_no_full_mesh_basis_values(monkeypatch):
-    # on a mesh the basis enters through its meridian values alone; a fresh
-    # grid, so no kept factors hide a call
+    # on a mesh the basis enters through its values on the meridian nodes
+    # times a few azimuths alone; a fresh grid, so no kept factors hide a call
     from toroharm import expansion
 
     grid = sample_grid(TorusDomain(1.0), 6, 10, 10, margin=0.3)
     series = make_series([(element_T(2, 1, 1, 1), 2.0), (element_T0(2, -1), -0.5)])
     field = evaluate_series_grid(series, grid)
-
-    def refuse(*args):
-        raise AssertionError("basis values on the full mesh")
-
-    monkeypatch.setattr(expansion, "_values", refuse)
+    sizes, values = [], expansion._values
+    monkeypatch.setattr(expansion, "_values", lambda els, g: sizes.append(len(g)) or values(els, g))
     s, res = project(field, basis_A_second(3, 2), grid)
+    assert sizes and len(grid) not in sizes
     c = s.coefficients()
     assert_allclose([c[element_T(2, 1, 1, 1)], c[element_T0(2, -1)]], [2.0, -0.5], rtol=1e-12)
     assert res < 1e-12
@@ -319,6 +317,13 @@ def _mode_energy(values, grid):
     return (np.abs(np.fft.rfft(cyl)) ** 2).sum(axis=(1, 2))
 
 
+def _expected_mode(el):
+    """W[m] lies in phi mode |m + 1|, an e3 multiple in its inner
+    element's mode, every other element in its m."""
+    el = el.inner or el
+    return abs(el.m + 1) if el.kind == "W" else el.m
+
+
 @pytest.mark.parametrize("family", [basis_A, basis_A_second, basis_H])
 def test_each_element_lies_in_its_phi_mode(family):
     # the modes come from probe points; the full values on the default mesh
@@ -327,9 +332,8 @@ def test_each_element_lies_in_its_phi_mode(family):
 
     grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
     basis = family(8, 3)
-    mode = np.empty(len(basis), dtype=int)
-    for k, group, _ in _modes(tuple(basis)).groups:
-        mode[group] = k
+    mode = _modes(tuple(basis))
+    assert list(mode) == [_expected_mode(el) for el in basis]
     energy = _mode_energy(_values(basis, grid), grid)
     for el, e, k in zip(basis, energy, mode):
         assert np.delete(e, k).sum() <= 1e-13 * e.sum(), (el.label(), k, e)
@@ -342,10 +346,11 @@ def test_meridian_values_rebuild_the_grid_values():
 
     grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
     basis = basis_H(4, 3)
-    plan = _modes(tuple(basis))
-    V = _meridian_values(basis, plan, grid)
+    modes = np.array(_modes(tuple(basis)))
+    V = _meridian_values(basis, modes, grid)
     phi = grid.phi.ravel()
-    for k, group, _ in plan.groups:
+    for k in np.unique(modes):
+        group = np.flatnonzero(modes == k)
         cyl = (V[group, :4, :, None] * np.cos(k * phi) - V[group, 4:, :, None] * np.sin(k * phi))
         rebuilt = np.stack([cyl[:, 0], cyl[:, 1] * np.cos(phi) - cyl[:, 2] * np.sin(phi),
                             cyl[:, 1] * np.sin(phi) + cyl[:, 2] * np.cos(phi), cyl[:, 3]], axis=1)
@@ -363,16 +368,26 @@ def test_mode_at_half_the_phi_nodes_aliases():
 def test_reduced_basis_leaves_e3_out_of_its_blocks(grid):
     # no element of the reduced basis has an e3 part: the blocks drop it,
     # and a field in e3 alone is left whole in the residual
-    from toroharm.expansion import _modes
-
     basis = basis_A_second(3, 2)
-    assert all(3 not in parts and 7 not in parts for _, _, parts in _modes(tuple(basis)).groups)
     field = np.zeros((4, len(grid)))
     field[3] = grid.x0
     for g in (grid, ExpansionGrid.from_samples(list(grid))):
         s, res = project(field, basis, g)
         assert all(c == 0.0 for _, c in s.terms)
         assert_allclose(res, np.sqrt(np.sum(g.weights * g.x0**2)), rtol=1e-13)
+    groups = grid.factors[tuple(basis)].groups
+    assert [g.mode for g in groups] == [0, 1, 2, 3]
+    assert all(3 not in g.parts and 7 not in g.parts for g in groups)
+
+
+def test_cosine_elements_leave_their_round_off_parts_out_of_the_blocks():
+    # their values at pi / 2k are 0 but for cos(pi / 2) round-off in the
+    # scalar and e_rho parts, which must not enter the blocks as parts
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = (element_T(2, 1, 1, 1), element_T(3, 1, 1, 1), element_T(3, 2, -1, 1))
+    project(lambda x0, x1, x2: x0, basis, grid)
+    groups = grid.factors[basis].groups
+    assert [(g.mode, g.parts.tolist()) for g in groups] == [(1, [0, 1, 6]), (2, [0, 1, 6])]
 
 
 def test_scattered_and_phi_weighted_grids_solve_as_one_group(monkeypatch):

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from toroharm.geometry import (
     CartesianPoint,
     DegenerateLocusError,
+    ExpansionGrid,
     TorusDomain,
     ToroidalPoint,
     cartesian_arrays,
@@ -86,6 +87,32 @@ def test_sample_grid_weights_sum_to_shifted_volume():
     total = sum(w for _, w in nodes)
     ref = 2 * math.pi**2 * math.cosh(1.3) / math.sinh(1.3) ** 3
     assert_allclose(total, ref, rtol=1e-6)
+
+
+def test_sample_grid_weights_stay_finite_next_to_the_limit_circle():
+    # sinh(eta) / (cosh(eta) - cos(theta))^3 overflows from eta about 237;
+    # written with e^{-eta}, the weights still sum to the volume
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        total = sample_grid(TorusDomain(240.0), 4, 4, 4, 0.3).weights.sum()
+    assert_allclose(total, torus_volume(240.3), rtol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+def test_grids_reject_negative_and_non_finite_weights(bad):
+    eta, theta, phi = [1.5, 2.0], [0.1, 1.0, 2.0], [0.0, 1.0, 2.0, 3.0]
+    weights = np.ones((2, 3, 4))
+    samples = list(ExpansionGrid.mesh(eta, theta, phi, weights))
+    weights[1, 2, 3] = 0.0  # zero stays allowed
+    ExpansionGrid.mesh(eta, theta, phi, weights)
+    weights[0, 1, 2] = bad
+    samples[5] = (samples[5][0], bad)
+    with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        ExpansionGrid.mesh(eta, theta, phi, weights)
+    with pytest.raises(ValueError, match="weights must be finite and non-negative"):
+        ExpansionGrid.from_samples(samples)
 
 
 def test_sample_grid_respects_margin():
