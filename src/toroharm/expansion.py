@@ -47,6 +47,11 @@ from .monogenics import (
 # basis elements
 # ---------------------------------------------------------------------------
 
+#: the element kinds, whose index (not a salted ``str`` hash) enters an
+#: element's stored hash
+_KINDS = ("T", "T0", "W", "ONE", "E3", "I", "ISTAR")
+
+
 @dataclass(frozen=True)
 class BasisElement:
     """One element of a monogenic (or harmonic) basis.
@@ -63,6 +68,11 @@ class BasisElement:
     ``allow_excluded`` is set; this covers in particular the index
     (1, 0, +, +) that the second-basis enumeration explicitly swaps for
     the constant 1.
+
+    Elements are dictionary keys (kept projection factors, series terms),
+    so each stores its hash when it is built, from its kind's index and its
+    integer fields: the same in every process, so it holds for an unpickled
+    element too.
     """
 
     kind: str
@@ -74,7 +84,7 @@ class BasisElement:
     allow_excluded: bool = field(default=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.kind not in ("T", "T0", "W", "ONE", "E3", "I", "ISTAR"):
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown basis element kind {self.kind!r}")
         if self.kind == "E3":
             if self.inner is None:
@@ -98,6 +108,11 @@ class BasisElement:
             HarmonicIndex(self.n, self.m, self.nu, self.mu)
         if self.kind == "W" and self.nu not in (1, -1):
             raise ValueError("W sign must be +-1")
+        key = (_KINDS.index(self.kind), self.n, self.m, self.nu, self.mu)
+        object.__setattr__(self, "_hash", hash(key + ((self.inner._hash,) if self.inner else ())))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def label(self) -> str:
         if self.kind == "ONE":
@@ -241,11 +256,12 @@ class SeriesExpansion:
     terms: Tuple[Tuple[BasisElement, float], ...]
 
     def __post_init__(self) -> None:
-        seen = set()
+        elements = [el for el, _ in self.terms]
+        if len(set(elements)) < len(elements):
+            seen = set()
+            el = next(el for el in elements if el in seen or seen.add(el))
+            raise ValueError(f"duplicate basis element {el.label()}")
         for el, c in self.terms:
-            if el in seen:
-                raise ValueError(f"duplicate basis element {el.label()}")
-            seen.add(el)
             if not math.isfinite(c):
                 raise ValueError(f"non-finite coefficient for {el.label()}")
 
@@ -270,12 +286,11 @@ def evaluate_series_grid(s: SeriesExpansion, grid: ExpansionGrid) -> np.ndarray:
 # meridian values by phi mode
 # ---------------------------------------------------------------------------
 
-def _rotate(F: np.ndarray, phi) -> np.ndarray:
+def _rotate(F: np.ndarray, cos, sin) -> np.ndarray:
     """The components ``(1, e1, e2, e3)`` on the first axis of ``F`` in the
-    frame ``(1, e_rho, e_phi, e3)`` at the azimuths ``phi``, which
-    broadcast against the other axes."""
-    c, s = np.cos(phi), np.sin(phi)
-    return np.stack([F[0], F[1] * c + F[2] * s, F[2] * c - F[1] * s, F[3]])
+    frame ``(1, e_rho, e_phi, e3)`` at the azimuths of cosines ``cos`` and
+    sines ``sin``, which broadcast against the other axes."""
+    return np.stack([F[0], F[1] * cos + F[2] * sin, F[2] * cos - F[1] * sin, F[3]])
 
 
 #: meridian points on which :func:`_modes` reads the phi mode of each element
@@ -294,14 +309,16 @@ def _modes(elements: Tuple[BasisElement, ...]) -> Optional[Tuple[int, ...]]:
     the element (or of its inner element), and at most ``|m| + 2`` in the
     frame ``(1, e_rho, e_phi, e3)``.  On the :data:`_PROBE` points times
     ``K = 2 max|m| + 6`` uniform azimuths no bin aliases, so, transformed
-    like a field (:func:`_field_modes`), an element's mode is its largest
-    bin; the energy in its other bins, summed directly, must be below
-    :data:`_MODE_LEAK` squared of its total.  No mode is assumed per kind.
+    like a field (rotated by :func:`_rotate`, each ``rfft`` mode divided by
+    :func:`_mode_scale`), an element's mode is its largest bin; the energy
+    in its other bins, summed directly, must be below :data:`_MODE_LEAK`
+    squared of its total.  No mode is assumed per kind.
     """
     K = 2 * max(abs((el.inner or el).m) for el in elements) + 6
-    probe = ExpansionGrid.on_meridian(*_PROBE, 2.0 * np.pi * np.arange(K) / K)
-    V = _values(elements, probe).transpose(1, 0, 2)
-    energy = (_field_modes(V, probe).reshape(8, len(elements), -1, K // 2 + 1) ** 2).sum((0, 2))
+    phi = 2.0 * np.pi * np.arange(K) / K
+    V = _values(elements, ExpansionGrid.on_meridian(*_PROBE, phi)).transpose(1, 0, 2)
+    G = np.fft.rfft(_rotate(V.reshape(4, len(elements), -1, K), np.cos(phi), np.sin(phi)))
+    energy = (np.abs(G / _mode_scale(K)) ** 2).sum((0, 2))
     own = energy.argmax(1)
     leak = np.where(np.arange(energy.shape[1]) == own[:, None], 0.0, energy).sum(1)
     if np.any(leak > _MODE_LEAK**2 * energy.sum(1)):
@@ -309,30 +326,27 @@ def _modes(elements: Tuple[BasisElement, ...]) -> Optional[Tuple[int, ...]]:
     return tuple(own.tolist())
 
 
-def _meridian_values(elements: Sequence[BasisElement], modes: Sequence[int],
-                     grid: ExpansionGrid) -> np.ndarray:
-    """The elements of the phi ``modes`` on a mesh's meridian nodes, shape
-    ``(len(elements), 8, P)``: element ``e`` of mode ``k`` has component
-    ``c`` equal to ``V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi)`` in the
-    frame ``(1, e_rho, e_phi, e3)``.
+def _meridian_values(elements: Sequence[BasisElement], k: int, grid: ExpansionGrid) -> np.ndarray:
+    """Elements of the phi mode ``k`` on a mesh's meridian nodes, shape
+    ``(len(elements), 8, P)``: element ``e`` has component ``c`` equal to
+    ``V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi)`` in the frame ``(1,
+    e_rho, e_phi, e3)``.
 
-    One :func:`_values` call on the meridian nodes times the azimuths 0
-    and ``pi / 2k`` of each mode ``k > 0``: at 0 the frame is ``(1, e1, e2,
-    e3)`` and the values are ``V[e, :4]``; at ``pi / 2k`` the components
-    are ``-V[e, 4:]``.  A part below :data:`_MODE_LEAK` of its element's
-    largest value is round-off (``cos(pi / 2)`` is not 0) and is set to 0.
-    No value is formed on the full mesh.
+    One :func:`_values` call on the meridian nodes times the azimuth 0 and,
+    for ``k > 0``, ``pi / 2k``: at 0 the frame is ``(1, e1, e2, e3)`` and
+    the values are ``V[e, :4]``; at ``pi / 2k`` the components are ``-V[e,
+    4:]``.  A part below :data:`_MODE_LEAK` of its element's largest value
+    is round-off (``cos(pi / 2)`` is not 0) and is set to 0.  No value is
+    formed on the full mesh.
     """
-    modes = np.asarray(modes)
-    ks = np.unique(modes[modes > 0])
-    phi = np.concatenate([[0.0], np.pi / (2 * ks)])
+    phi = [0.0, np.pi / (2 * k)] if k else [0.0]
     nodes = ExpansionGrid.on_meridian(grid.eta, grid.theta, phi)
     values = _values(elements, nodes).reshape(len(elements), 4, -1, len(phi))
     V = np.zeros((len(elements), 8, values.shape[2]))
     V[:, :4] = values[..., 0]
-    e = np.flatnonzero(modes > 0)
-    own = values[e, :, :, np.searchsorted(ks, modes[e]) + 1].transpose(1, 0, 2)
-    V[e, 4:] = -_rotate(own, np.pi / (2 * modes[e, None])).transpose(1, 0, 2)
+    if k:
+        own = values[..., 1].transpose(1, 0, 2)
+        V[:, 4:] = -_rotate(own, math.cos(phi[1]), math.sin(phi[1])).transpose(1, 0, 2)
     size = np.abs(V).max(2)
     V[size <= _MODE_LEAK * size.max(1, keepdims=True)] = 0.0
     return V
@@ -406,76 +420,82 @@ def _mode_scale(K: int) -> np.ndarray:
     return scale
 
 
-def _field_modes(F: np.ndarray, grid: ExpansionGrid) -> np.ndarray:
-    """The field ``F`` (``(4, ...)``, P-major and K-minor as on the mesh) on
-    a uniform-phi mesh by phi mode, scaled like :func:`_meridian_values`:
-    its parts ``(8, ..., K // 2 + 1)``, rotated to the frame ``(1, e_rho,
-    e_phi, e3)`` (:func:`_rotate`) and each ``rfft`` mode divided by
-    :func:`_mode_scale`."""
-    K = grid.shape[1]
-    G = np.fft.rfft(_rotate(F.reshape(4, -1, K), grid.phi.ravel()))
-    G /= _mode_scale(K)
-    return np.concatenate([G.real, G.imag])
-
-
 class _Group(NamedTuple):
-    """The factors of one group of :func:`_factor`."""
+    """Elements that :func:`_factorise` solves together."""
 
-    mode: Optional[int]  # its phi mode, None for the one group of the full values
-    elements: np.ndarray
-    parts: np.ndarray
-    Q: np.ndarray        # (len(parts) * points, len(elements)), orthonormal columns
-    R: np.ndarray        # (len(elements), len(elements)), upper triangular
-    d: np.ndarray        # the column norms of the weighted values
+    mode: Optional[int]  # their phi mode, None for the one group of the full values
+    elements: np.ndarray  # their places in the basis
+    parts: np.ndarray    # the parts in which one of them is nonzero
 
 
 class _Factors(NamedTuple):
-    """What :func:`project` keeps of a (basis, grid) pair."""
+    """What :func:`project` keeps of a (basis, grid) pair
+    (:func:`_factorise`): the field's transform and weight, and the factors
+    of every group, stacked and padded to the most rows and elements of
+    any group.
 
-    by_mode: bool        # the field enters by phi mode (_field_modes), else whole
-    sw: np.ndarray       # square roots of the weights, (points, modes)
+    The weighted field is ``H * weight``, flat, with a zero slot appended:
+    on a mesh ``H`` is the ``rfft`` in phi of the field rotated to the frame
+    ``(1, e_rho, e_phi, e3)`` (:func:`_rotate` at the kept ``azimuths``),
+    real and imaginary parts interleaved; else (``azimuths`` is ``None``)
+    the field itself."""
+
+    azimuths: Optional[Tuple[np.ndarray, np.ndarray]]  # cos and sin of the mesh's phi
+    weight: np.ndarray   # sqrt(weights), on a mesh over sqrt(_mode_scale); broadcasts against H
     groups: Tuple[_Group, ...]
-    fitted: np.ndarray   # (parts, modes): True where a group fits the field
+    gather: np.ndarray   # (groups, rows): each group's b in the weighted field, padding at its zero slot
+    Q: np.ndarray        # (groups, rows, elements), orthonormal columns, zero padded
+    R: np.ndarray        # (groups, elements, elements), upper triangular, identity padded
+    d: np.ndarray        # (groups, elements): column norms of the weighted values, padded with ones
+    scatter: np.ndarray  # each basis element's place in the flat (groups * elements) solution
+    rest: np.ndarray     # the entries of the weighted field that no group fits
 
 
-def _factor(V: np.ndarray, groups, sw: np.ndarray, basis) -> Tuple[_Group, ...]:
-    """The QR factors by groups ``(mode, elements, parts)`` of the
-    elements' values ``V`` (``(elements, parts, points)``) in those parts,
-    weighted by ``sw[:, mode]`` (mode 0 for a group of mode ``None``) and
-    column-normalised.  Raises :class:`IllConditionedGram` when ``cond(R)``
-    of a group exceeds :data:`_CONDITION_CAP`."""
-    out = []
-    for mode, group, parts in groups:
-        n = len(group)
-        A = V[np.ix_(group, parts)] * sw[:, mode or 0]
-        d = np.sqrt(np.einsum("ijk,ijk->i", A, A))
-        cond = math.inf
-        if np.all(d > 0):
-            Q, R = np.linalg.qr((A.reshape(n, -1) / d[:, None]).T, mode="reduced")
-            sv = np.linalg.svd(R, compute_uv=False)
-            if len(sv) == n and sv[-1] > 0:
-                cond = float(sv[0] / sv[-1])
-        if not cond <= _CONDITION_CAP:
-            labels = tuple(basis[i].label() for i in group)
-            raise IllConditionedGram(
-                f"{n} elements of {'one group' if mode is None else f'phi mode {mode}'} "
-                f"({', '.join(labels)}) have cond(R) {cond:.3g} (cap {_CONDITION_CAP:.3g}); "
-                "refine the grid or shrink the basis", cond, n, mode, labels)
-        out.append(_Group(mode, group, parts, Q, R, d))
-    return tuple(out)
+def _factor(A: np.ndarray, mode: Optional[int], elements: np.ndarray,
+            basis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The QR factors ``Q``, ``R`` of a group's weighted values ``A``
+    (``(elements, parts, points)``, scaled in place to unit columns) and
+    their column norms ``d``.  Raises :class:`IllConditionedGram` when
+    ``cond(R)`` exceeds :data:`_CONDITION_CAP`."""
+    n = len(A)
+    d = np.sqrt(np.einsum("ijk,ijk->i", A, A))
+    cond = math.inf
+    if np.all(d > 0):
+        A /= d[:, None, None]
+        Q, R = np.linalg.qr(A.reshape(n, -1).T, mode="reduced")
+        sv = np.linalg.svd(R, compute_uv=False)
+        if len(sv) == n and sv[-1] > 0:
+            cond = float(sv[0] / sv[-1])
+    if not cond <= _CONDITION_CAP:
+        labels = tuple(basis[i].label() for i in elements)
+        raise IllConditionedGram(
+            f"{n} elements of {'one group' if mode is None else f'phi mode {mode}'} "
+            f"({', '.join(labels)}) have cond(R) {cond:.3g} (cap {_CONDITION_CAP:.3g}); "
+            "refine the grid or shrink the basis", cond, n, mode, labels)
+    return Q, R, d
 
 
 def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
     """The factors of a basis on a grid.  Where the grid has uniform phi
     nodes and every element one phi mode (:func:`_modes`), one group per
     mode: its elements, and the parts in which one of them is nonzero on
-    the meridian values (:func:`_meridian_values`).  Else one group of
-    every element and nonzero component on the full values."""
+    the meridian values (:func:`_meridian_values`), evaluated and factored
+    one mode at a time.  Else one group of every element and nonzero
+    component on the full values.  The groups' factors are then stacked:
+    ``Q`` zero padded to the most rows and elements of any group, ``R``
+    padded with the identity (an upper triangular ``R`` so padded pivots
+    like the group's own) and ``d`` with ones."""
     modes = _modes(basis) if _uniform_phi(grid) else None
+    groups, factored = [], []
     if modes is None:
         V = _values(basis, grid)
-        groups = ((None, np.arange(len(basis)), np.flatnonzero(V.any(axis=(0, 2)))),)
-        sw = np.sqrt(grid.weights)[:, None]
+        parts = np.flatnonzero(V.any(axis=(0, 2)))
+        groups.append(_Group(None, np.arange(len(basis)), parts))
+        weight = np.sqrt(grid.weights)
+        factored.append(_factor(V[:, parts] * weight, None, groups[0].elements, basis))
+        azimuths = None
+        # the entry of each (part, point, mode) in the flat weighted field
+        entry = np.arange(4 * len(grid)).reshape(4, -1, 1)
     else:
         P, K = grid.shape
         modes = np.array(modes)
@@ -484,14 +504,34 @@ def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors
             if 2 * k >= K:
                 raise ValueError(f"{basis[group[0]].label()} has phi mode {k}, which "
                                  f"aliases on K = {K} phi nodes (modes must be below K/2)")
-        V = _meridian_values(basis, modes, grid)
-        groups = [(k, group, np.flatnonzero(V[group].any(axis=(0, 2)))) for k, group in by_mode]
-        sw = np.sqrt(grid.weights.reshape(P, K)[:, :1] * _mode_scale(K))
-    factored = _factor(V, groups, sw, basis)
-    fitted = np.zeros((V.shape[1], sw.shape[1]), dtype=bool)
-    for g in factored:
-        fitted[g.parts, g.mode or 0] = True
-    return _Factors(modes is not None, sw, factored, fitted)
+        scale = _mode_scale(K)
+        sw = np.sqrt(grid.weights.reshape(P, K)[:, :1] * scale)
+        for k, group in by_mode:
+            V = _meridian_values([basis[i] for i in group], k, grid)
+            parts = np.flatnonzero(V.any(axis=(0, 2)))
+            groups.append(_Group(k, group, parts))
+            factored.append(_factor(V[:, parts] * sw[:, k], k, group, basis))
+        phi = grid.phi.ravel()
+        azimuths, weight = (np.cos(phi), np.sin(phi)), np.repeat(sw / scale, 2, axis=1)
+        entry = np.arange(8 * P * len(scale)).reshape(4, P, -1, 2)
+        entry = entry.transpose(3, 0, 1, 2).reshape(8, P, -1)
+    del V  # not kept: free it before the stacked factors are formed
+    n = max(len(g.elements) for g in groups)
+    Q = np.zeros((len(groups), max(len(q) for q, _, _ in factored), n))
+    R = np.tile(np.eye(n), (len(groups), 1, 1))
+    d = np.ones((len(groups), n))
+    gather = np.full(Q.shape[:2], entry.size)
+    scatter = np.empty(len(basis), dtype=np.intp)
+    for i, (g, (q, r, norms)) in enumerate(zip(groups, factored)):
+        m = len(g.elements)
+        Q[i, :len(q), :m], R[i, :m, :m], d[i, :m] = q, r, norms
+        rows = entry[g.parts, :, g.mode or 0].ravel()
+        gather[i, :len(rows)] = rows
+        scatter[g.elements] = i * n + np.arange(m)
+    fitted = np.zeros(entry.size + 1, dtype=bool)
+    fitted[gather] = True
+    return _Factors(azimuths, weight, tuple(groups), gather, Q, R, d, scatter,
+                    np.flatnonzero(~fitted[:-1]))
 
 
 #: held while a grid's ``factors`` is read or changed, so that dropping the
@@ -516,23 +556,27 @@ def _factors(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
     return factors
 
 
-def _apply(factors: _Factors, H: np.ndarray) -> Tuple[np.ndarray, float]:
-    """The coefficients and residual norm of the field ``H`` (``(parts,
-    points, modes)``) against the factors.  Per group, with ``b`` the
-    weighted field in its parts and mode: ``Q^T b``, the residual vector
-    ``b - Q Q^T b`` and the coefficients ``R^-1 Q^T b / d``.  The residual
-    is the group residuals and every part and mode no group fits, summed
-    directly, never as a difference of norms."""
-    B = H * factors.sw
-    coeffs, residual = np.zeros(sum(len(g.elements) for g in factors.groups)), 0.0
-    for g in factors.groups:
-        b = B[g.parts, :, g.mode or 0].ravel()
-        qb = g.Q.T @ b
-        r = b - g.Q @ qb
-        residual += float(r @ r)
-        coeffs[g.elements] = np.linalg.solve(g.R, qb) / g.d
-    residual += float(np.sum(B.transpose(0, 2, 1)[~factors.fitted] ** 2))
-    return coeffs, math.sqrt(residual)
+def _apply(factors: _Factors, F: np.ndarray) -> Tuple[np.ndarray, float]:
+    """The coefficients and residual norm of the field ``F`` (``(4,
+    points)``) against the factors, in the same few array operations for
+    any number of groups: on a mesh one rotation and one ``rfft``; one
+    scaling into the weighted field; one gather of every group's ``b``;
+    ``Q^T b`` and ``Q Q^T b`` as two batched products; one batched solve
+    for the coefficients ``R^-1 Q^T b / d``.  The residual is the vectors
+    ``b - Q Q^T b`` and every entry no group fits, summed directly, never
+    as a difference of norms."""
+    if factors.azimuths is not None:
+        cos, sin = factors.azimuths
+        F = np.fft.rfft(_rotate(F.reshape(4, -1, len(cos)), cos, sin)).view(np.float64)
+    B = np.empty(F.size + 1)
+    B[-1] = 0.0
+    np.multiply(F, factors.weight, out=B[:-1].reshape(F.shape))
+    b = B[factors.gather]
+    qb = np.matmul(b[:, None], factors.Q)
+    r = (b - np.matmul(qb, factors.Q.transpose(0, 2, 1))[:, 0]).ravel()
+    rest = B[factors.rest]
+    x = np.linalg.solve(factors.R, qb.transpose(0, 2, 1))[..., 0] / factors.d
+    return x.ravel()[factors.scatter], math.sqrt(float(r @ r + rest @ rest))
 
 
 def project(
@@ -558,21 +602,20 @@ def project(
     grid, or a basis with an element in several modes, is solved as one
     group on the full values.  Refuses (raising
     :class:`IllConditionedGram`) when ``cond(R)`` of a group exceeds
-    :data:`_CONDITION_CAP`.
+    :data:`_CONDITION_CAP`, and raises ``ValueError`` on an empty basis.
 
     The factors depend on the basis and the grid alone: they are made once
     (:func:`_factorise`) and kept on the grid for its last
     :data:`_FACTORS_PER_GRID` bases; its arrays are read-only, so they
-    cannot drift from its factors.  Each call transforms the field and
-    solves with two products per group (:func:`_apply`).  Refusals are not
-    kept.
+    cannot drift from its factors.  Each call transforms and weighs the
+    field and solves every group at once (:func:`_apply`).  Refusals are
+    not kept.
     """
     basis = tuple(basis)
-    factors = _factors(basis, grid)
-    F = _field_on_grid(f, grid)
-    H = _field_modes(F, grid) if factors.by_mode else F[..., None]
-    coeffs, residual = _apply(factors, H)
-    return make_series(zip(basis, coeffs)), residual
+    if not basis:
+        raise ValueError("cannot project onto an empty basis")
+    coeffs, residual = _apply(_factors(basis, grid), _field_on_grid(f, grid))
+    return make_series(zip(basis, coeffs.tolist())), residual
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,48 @@ def test_e3_action():
 def test_duplicate_terms_rejected():
     with pytest.raises(ValueError):
         make_series([(element_one(), 1.0), (element_one(), 2.0)])
+    with pytest.raises(ValueError, match=r"duplicate basis element T\[2,1\]\^\(\+,-\)\*e3"):
+        make_series([(element_e3_times(element_T(2, 1, 1, -1)), 1.0), (element_one(), 0.5),
+                     (element_e3_times(element_T(2, 1, 1, -1)), 2.0)])
+    with pytest.raises(ValueError, match="non-finite coefficient for 1"):
+        make_series([(element_W(1, 1), 1.0), (element_one(), np.nan)])
+
+
+def test_equal_elements_hash_equal():
+    # the hash is stored when an element is built; e3 multiples built
+    # separately are equal and hash equal, and differ from their inner element
+    pairs = [(element_e3_times(element_T(2, 1, 1, -1)), element_e3_times(element_T(2, 1, 1, -1))),
+             (element_e3_times(element_one()), element_e3_times(element_one())),
+             (element_T0(2, -1), element_T0(2, -1)), (element_W(-1, 1), element_W(-1, 1))]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    inner = element_T(2, 1, 1, -1)
+    assert element_e3_times(inner) != inner and len({element_e3_times(inner), inner}) == 2
+    assert len(set(basis_H(4, 3))) == len(basis_H(4, 3))
+
+
+def test_unpickled_elements_hash_the_same_in_another_process():
+    # the hash depends on no salted str hash: a process with another
+    # PYTHONHASHSEED unpickles elements equal to fresh ones, with the hashes
+    # of this process
+    import os
+    import pickle
+    import subprocess
+    import sys
+
+    import toroharm
+
+    basis = basis_H(2, 1)
+    code = ("import pickle, sys\n"
+            "from toroharm.expansion import basis_H\n"
+            "got, fresh = pickle.loads(sys.stdin.buffer.read()), basis_H(2, 1)\n"
+            "assert got == fresh and {el: i for i, el in enumerate(fresh)}[got[-1]] == len(got) - 1\n"
+            "print(*[hash(el) for el in got + fresh])\n")
+    src = os.path.dirname(os.path.dirname(toroharm.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
+    out = subprocess.run([sys.executable, "-c", code], input=pickle.dumps(basis), env=env,
+                         capture_output=True, check=True, timeout=60).stdout
+    assert list(map(int, out.split())) == [hash(el) for el in basis] * 2
 
 
 def test_basis_enumeration_skips_zero_slots():
@@ -124,8 +166,10 @@ def test_projection_round_trip(grid):
 
 
 def test_project_builds_one_grid_radial_table(monkeypatch):
-    # every T element of the basis reads the same table on the grid's own
-    # eta; the T0 line tables are built on the line nodes, not on the grid
+    # the T elements of one phi mode read the same table on the grid's own
+    # eta: one table for each of the modes 0-3 of the T and T0 elements,
+    # none for the W elements alone in mode 4; the T0 line tables are built
+    # on the line nodes, not on the grid
     from toroharm import harmonics
     from toroharm.checks import _gram_grid
 
@@ -136,7 +180,7 @@ def test_project_builds_one_grid_radial_table(monkeypatch):
                         lambda *args: calls.append(args[2]) or real(*args))
     project(lambda x0, x1, x2: x0, basis_A_second(4, 3), grid)
     eta = grid.eta.ravel()
-    assert sum(np.array_equal(e, eta) for e in calls) == 1
+    assert sum(np.array_equal(e, eta) for e in calls) == 4
 
 
 def test_mesh_matches_scattered_nodes():
@@ -347,11 +391,11 @@ def test_meridian_values_rebuild_the_grid_values():
     grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
     basis = basis_H(4, 3)
     modes = np.array(_modes(tuple(basis)))
-    V = _meridian_values(basis, modes, grid)
     phi = grid.phi.ravel()
-    for k in np.unique(modes):
+    for k in np.unique(modes).tolist():
         group = np.flatnonzero(modes == k)
-        cyl = (V[group, :4, :, None] * np.cos(k * phi) - V[group, 4:, :, None] * np.sin(k * phi))
+        V = _meridian_values([basis[i] for i in group], k, grid)
+        cyl = (V[:, :4, :, None] * np.cos(k * phi) - V[:, 4:, :, None] * np.sin(k * phi))
         rebuilt = np.stack([cyl[:, 0], cyl[:, 1] * np.cos(phi) - cyl[:, 2] * np.sin(phi),
                             cyl[:, 1] * np.sin(phi) + cyl[:, 2] * np.cos(phi), cyl[:, 3]], axis=1)
         want = _values([basis[i] for i in group], grid)
@@ -401,12 +445,12 @@ def test_scattered_and_phi_weighted_grids_solve_as_one_group(monkeypatch):
     basis = basis_A_second(3, 3)
     planted = make_series(zip(basis, np.random.default_rng(5).uniform(-2.0, 2.0, len(basis))))
     want = np.array([c for _, c in project(planted, basis, mesh)[0].terms])
-    groups, factor = [], expansion._factor
-    monkeypatch.setattr(expansion, "_factor", lambda V, g, *a: groups.append(g) or factor(V, g, *a))
+    modes, factor = [], expansion._factor
+    monkeypatch.setattr(expansion, "_factor", lambda A, k, *a: modes.append(k) or factor(A, k, *a))
     for g in (scattered, weighted):
         got = np.array([c for _, c in project(planted, basis, g)[0].terms])
         assert np.max(np.abs(got - want)) <= 1e-10
-    assert [[mode for mode, _, _ in g] for g in groups] == [[None], [None]]
+    assert modes == [None, None]
 
 
 def _coefficient_bytes(result):
@@ -455,7 +499,7 @@ def test_factors_are_bounded_per_grid_and_released_with_it():
     for basis in bases:
         project(lambda x0, x1, x2: x0, basis, grid)
     assert list(grid.factors) == bases[-_FACTORS_PER_GRID:]
-    refs = [weakref.ref(grid), weakref.ref(grid.factors[bases[-1]].groups[0].Q)]
+    refs = [weakref.ref(grid), weakref.ref(grid.factors[bases[-1]].Q)]
     del grid
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
@@ -498,6 +542,87 @@ def test_threads_projecting_on_one_grid_share_its_factors_safely():
         sys.setswitchinterval(interval)
     assert all(b == want[i] for i, b in got)
     assert len(grid.factors) == _FACTORS_PER_GRID
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_project_refuses_an_empty_basis(scattered):
+    grid = sample_grid(TorusDomain(1.0), 4, 6, 8, 0.3)
+    if scattered:
+        grid = ExpansionGrid.from_samples(list(grid))
+    with pytest.raises(ValueError, match="empty basis"):
+        project(lambda x0, x1, x2: x0, [], grid)
+    assert grid.factors == {}
+
+
+def test_factor_step_keeps_its_memory_down():
+    # each phi mode's meridian values are evaluated and factored on their
+    # own, so the full basis is never evaluated at every mode's azimuths
+    import tracemalloc
+
+    from toroharm.expansion import _factorise
+
+    grid = sample_grid(TorusDomain(1.0), 16, 28, 16, 0.3)
+    basis = tuple(basis_A_second(8, 3))
+    _factorise(basis, grid)  # the term tables and evaluation plans are made here
+    tracemalloc.start()
+    try:
+        _factorise(basis, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+
+
+def test_kept_factors_pad_to_at_most_twice_the_groups():
+    # the stacked factors are padded to the largest group: for the default
+    # basis on the default mesh they take at most twice the bytes of the
+    # groups' own Q, R and d
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = tuple(basis_A_second(4, 3))
+    project(lambda x0, x1, x2: x0, basis, grid)
+    factors = grid.factors[basis]
+    P = grid.shape[0]
+    own = sum(8 * (len(g.parts) * P * len(g.elements) + len(g.elements) ** 2 + len(g.elements))
+              for g in factors.groups)
+    kept = sum(a.nbytes for a in (factors.weight, factors.gather, factors.Q, factors.R,
+                                  factors.d, factors.scatter, factors.rest, *factors.azimuths))
+    assert kept <= 2 * own
+
+
+def test_batched_apply_matches_a_global_least_squares():
+    # planted coefficients of the degree-8 basis on the default mesh: the
+    # stacked per-mode solve agrees with one lstsq on the full weighted
+    # values to the round-trip gate of the deep-truncation check
+    from toroharm.expansion import _values
+
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = basis_A_second(8, 3)
+    values = _values(basis, grid)
+    A = (values * np.sqrt(grid.weights)).reshape(len(basis), -1).T
+    norms = np.linalg.norm(A, axis=0)
+    planted = np.random.default_rng(23).standard_normal(len(basis)) / norms
+    field = np.tensordot(planted, values, 1)
+    b = (field * np.sqrt(grid.weights)).ravel()
+    want = np.linalg.lstsq(A / norms, b, rcond=None)[0] / norms
+    series, residual = project(field, basis, grid)
+    got = np.array([c for _, c in series.terms])
+    assert np.max(np.abs(got - want) * norms) <= 1e-6
+    assert np.max(np.abs(got - planted) * norms) <= 1e-6
+    assert residual <= 1e-9 * np.linalg.norm(b)
+
+
+@pytest.mark.parametrize("scattered", [False, True])
+def test_kept_projection_solves_every_group_in_one_call(monkeypatch, scattered):
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    if scattered:
+        grid = ExpansionGrid.from_samples(list(grid))
+    basis = basis_A_second(4, 3)
+    field = lambda x0, x1, x2: x0 * x1  # noqa: E731
+    first = _coefficient_bytes(project(field, basis, grid))
+    calls, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda *a: calls.append(a) or solve(*a))
+    assert _coefficient_bytes(project(field, basis, grid)) == first
+    assert len(calls) == 1
 
 
 def test_refusals_are_raised_on_every_call():
