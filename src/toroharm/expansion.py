@@ -443,7 +443,7 @@ class _Factors(NamedTuple):
     azimuths: Optional[Tuple[np.ndarray, np.ndarray]]  # cos and sin of the mesh's phi
     weight: np.ndarray   # sqrt(weights), on a mesh over sqrt(_mode_scale); broadcasts against H
     groups: Tuple[_Group, ...]
-    gather: np.ndarray   # (groups, rows): each group's b in the weighted field, padding at its zero slot
+    gather: np.ndarray   # (groups, rows): where each b is in the weighted field (padding: zero slot)
     Q: np.ndarray        # (groups, rows, elements), orthonormal columns, zero padded
     R: np.ndarray        # (groups, elements, elements), upper triangular, identity padded
     d: np.ndarray        # (groups, elements): column norms of the weighted values, padded with ones

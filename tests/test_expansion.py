@@ -121,7 +121,8 @@ def test_unpickled_elements_hash_the_same_in_another_process():
     code = ("import pickle, sys\n"
             "from toroharm.expansion import basis_H\n"
             "got, fresh = pickle.loads(sys.stdin.buffer.read()), basis_H(2, 1)\n"
-            "assert got == fresh and {el: i for i, el in enumerate(fresh)}[got[-1]] == len(got) - 1\n"
+            "place = {el: i for i, el in enumerate(fresh)}\n"
+            "assert got == fresh and [place[el] for el in got] == list(range(len(got)))\n"
             "print(*[hash(el) for el in got + fresh])\n")
     src = os.path.dirname(os.path.dirname(toroharm.__file__))
     env = dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="12345")
