@@ -887,7 +887,7 @@ def check_H_projection() -> CheckResult:
 
 
 def check_deep_truncation() -> List[CheckResult]:
-    """Projection past degree 4, one QR per phi mode: planted coefficients
+    """Projection past degree 4, one SVD per phi mode: planted coefficients
     of the second reduced basis at degree 8 come back, and the Cauchy
     kernel with its pole in the hole is approximated at degree 10."""
     grid = _gram_grid()

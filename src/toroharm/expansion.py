@@ -8,10 +8,11 @@ sampled grids, the closed-form expansions of 1 and x0, and the Laurent
 analysis of monogenic constants.
 
 Every value comes from one evaluation core, :func:`_values`.  On a mesh,
-projection splits by phi Fourier mode (one QR factorisation per mode): the
-same core gives each element's mode, on a few probe points, and its
-meridian values by mode, on the mesh's meridian nodes times a few
-azimuths.
+projection splits by phi Fourier mode (one SVD per mode): the same core
+gives each element's mode, on a few probe points, and its meridian values
+by mode, on the mesh's meridian nodes times a few azimuths.  One real
+matrix per azimuth count (:func:`_phi_modes`) takes values on uniform
+azimuths to their phi modes, for the elements and for every field.
 
 Completeness of the infinite families is only falsifiable numerically;
 the desk-scale experiments here test positive-definiteness of Gram
@@ -293,6 +294,27 @@ def _rotate(F: np.ndarray, cos, sin) -> np.ndarray:
     return np.stack([F[0], F[1] * cos + F[2] * sin, F[2] * cos - F[1] * sin, F[3]])
 
 
+@lru_cache(maxsize=16)
+def _phi_modes(K: int) -> np.ndarray:
+    """The phi-mode matrix of ``K`` uniform azimuths ``2 pi l / K``, shape
+    ``(4K, 8(K//2 + 1))``, read-only.  A field's values at one meridian
+    node, laid out ``(component, azimuth)`` with the components in ``(1,
+    e1, e2, e3)``, times this matrix are its phi modes laid out ``(mode,
+    part)``: part ``c`` is the real and part ``4 + c`` the imaginary part
+    of the ``rfft`` of component ``c`` in the frame ``(1, e_rho, e_phi,
+    e3)`` (:func:`_rotate`), divided by the square root of
+    :func:`_mode_scale`, so that the squares of a mode's parts sum to its
+    share of the field's squared L2 norm over the azimuths."""
+    phi = 2.0 * np.pi * np.arange(K) / K
+    # rotation[f, c, l]: component f in (1, e_rho, e_phi, e3) of e_c at azimuth l
+    rotation = _rotate(np.eye(4)[:, :, None].repeat(K, 2), np.cos(phi), np.sin(phi))
+    angle = 2.0 * np.pi / K * (np.outer(np.arange(K), np.arange(K // 2 + 1)) % K)
+    trig = np.stack([np.cos(angle), -np.sin(angle)], axis=2) / np.sqrt(_mode_scale(K))[:, None]
+    M = np.einsum("fcl,lkr->clkrf", rotation, trig).reshape(4 * K, -1)
+    M.setflags(write=False)
+    return M
+
+
 #: meridian points on which :func:`_modes` reads the phi mode of each element
 _PROBE = np.array([0.6, 1.3, 2.4]), np.array([0.4, 2.2, -1.3])
 #: the largest share of an element's probe values outside its mode
@@ -309,16 +331,16 @@ def _modes(elements: Tuple[BasisElement, ...]) -> Optional[Tuple[int, ...]]:
     the element (or of its inner element), and at most ``|m| + 2`` in the
     frame ``(1, e_rho, e_phi, e3)``.  On the :data:`_PROBE` points times
     ``K = 2 max|m| + 6`` uniform azimuths no bin aliases, so, transformed
-    like a field (rotated by :func:`_rotate`, each ``rfft`` mode divided by
-    :func:`_mode_scale`), an element's mode is its largest bin; the energy
-    in its other bins, summed directly, must be below :data:`_MODE_LEAK`
-    squared of its total.  No mode is assumed per kind.
+    like a field (by :func:`_phi_modes`), an element's mode is the one that
+    holds most of its energy; the energy in its other modes, summed
+    directly, must be below :data:`_MODE_LEAK` squared of its total.  No
+    mode is assumed per kind.
     """
+    n, P = len(elements), len(_PROBE[0])
     K = 2 * max(abs((el.inner or el).m) for el in elements) + 6
-    phi = 2.0 * np.pi * np.arange(K) / K
-    V = _values(elements, ExpansionGrid.on_meridian(*_PROBE, phi)).transpose(1, 0, 2)
-    G = np.fft.rfft(_rotate(V.reshape(4, len(elements), -1, K), np.cos(phi), np.sin(phi)))
-    energy = (np.abs(G / _mode_scale(K)) ** 2).sum((0, 2))
+    V = _values(elements, ExpansionGrid.on_meridian(*_PROBE, 2.0 * np.pi * np.arange(K) / K))
+    H = V.reshape(n, 4, P, K).transpose(0, 2, 1, 3).reshape(n * P, 4 * K) @ _phi_modes(K)
+    energy = (H.reshape(n, P, -1, 8) ** 2).sum((1, 3))
     own = energy.argmax(1)
     leak = np.where(np.arange(energy.shape[1]) == own[:, None], 0.0, energy).sum(1)
     if np.any(leak > _MODE_LEAK**2 * energy.sum(1)):
@@ -368,9 +390,10 @@ def gram(basis: Sequence[BasisElement], grid: ExpansionGrid) -> np.ndarray:
 class IllConditionedGram(ValueError):
     """Projection refused: the weighted values of a group of elements (the
     elements of one phi mode) are numerically dependent.  ``condition`` is
-    ``cond(R)`` of the group, ``size`` its element count, ``mode`` its phi
-    mode (``None`` for the one group of a scattered grid) and ``labels``
-    its element labels."""
+    the ratio of the largest to the smallest singular value of the group's
+    unit-normalised weighted values (``cond(R)`` of their QR factor),
+    ``size`` its element count, ``mode`` its phi mode (``None`` for the one
+    group of a scattered grid) and ``labels`` its element labels."""
 
     def __init__(self, message: str, condition: float, size: int,
                  mode: Optional[int] = None, labels: Tuple[str, ...] = ()):
@@ -393,8 +416,8 @@ def _field_on_grid(f, grid: ExpansionGrid) -> np.ndarray:
     return field_values(f, grid.x0, grid.x1, grid.x2)
 
 
-#: the largest condition number :func:`project` accepts for the triangular
-#: factor ``R`` of a group's unit-normalised weighted values
+#: the largest condition number :func:`project` accepts for a group's
+#: unit-normalised weighted values
 _CONDITION_CAP = 1e12
 #: the most bases whose factors :func:`project` keeps per grid
 _FACTORS_PER_GRID = 4
@@ -434,45 +457,44 @@ class _Factors(NamedTuple):
     of every group, stacked and padded to the most rows and elements of
     any group.
 
-    The weighted field is ``H * weight``, flat, with a zero slot appended:
-    on a mesh ``H`` is the ``rfft`` in phi of the field rotated to the frame
-    ``(1, e_rho, e_phi, e3)`` (:func:`_rotate` at the kept ``azimuths``),
-    real and imaginary parts interleaved; else (``azimuths`` is ``None``)
-    the field itself."""
+    The field ``(4, nodes)`` is relaid as ``(nodes, 4)`` (on a mesh ``(P,
+    4K)``, the ``K`` azimuths of each meridian node together) and weighted
+    per node; on a mesh the ``transform`` (:func:`_phi_modes`) then takes
+    it to its phi modes.  The flat result, with a zero slot appended, is
+    the weighted field."""
 
-    azimuths: Optional[Tuple[np.ndarray, np.ndarray]]  # cos and sin of the mesh's phi
-    weight: np.ndarray   # sqrt(weights), on a mesh over sqrt(_mode_scale); broadcasts against H
+    transform: Optional[np.ndarray]  # the phi-mode matrix on a mesh, else None
+    weight: np.ndarray   # (P or nodes, 1, 1): the square roots of the node weights
     groups: Tuple[_Group, ...]
     gather: np.ndarray   # (groups, rows): where each b is in the weighted field (padding: zero slot)
-    Q: np.ndarray        # (groups, rows, elements), orthonormal columns, zero padded
-    R: np.ndarray        # (groups, elements, elements), upper triangular, identity padded
-    d: np.ndarray        # (groups, elements): column norms of the weighted values, padded with ones
+    U: np.ndarray        # (groups, rows, elements): left singular vectors, zero padded
+    C: np.ndarray        # (groups, elements, elements): V diag(1/s) / d, zero padded
     scatter: np.ndarray  # each basis element's place in the flat (groups * elements) solution
     rest: np.ndarray     # the entries of the weighted field that no group fits
 
 
 def _factor(A: np.ndarray, mode: Optional[int], elements: np.ndarray,
-            basis) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The QR factors ``Q``, ``R`` of a group's weighted values ``A``
-    (``(elements, parts, points)``, scaled in place to unit columns) and
-    their column norms ``d``.  Raises :class:`IllConditionedGram` when
-    ``cond(R)`` exceeds :data:`_CONDITION_CAP`."""
+            basis) -> Tuple[np.ndarray, np.ndarray]:
+    """One SVD ``U diag(s) V^T`` of a group's weighted values ``A``
+    (``(elements, parts, points)``, scaled in place to unit columns by
+    their norms ``d``): ``U`` and ``C = V diag(1/s) / d``, which takes ``U^T
+    b`` to the coefficients.  Raises :class:`IllConditionedGram` when
+    ``s_max / s_min`` exceeds :data:`_CONDITION_CAP`."""
     n = len(A)
     d = np.sqrt(np.einsum("ijk,ijk->i", A, A))
     cond = math.inf
     if np.all(d > 0):
         A /= d[:, None, None]
-        Q, R = np.linalg.qr(A.reshape(n, -1).T, mode="reduced")
-        sv = np.linalg.svd(R, compute_uv=False)
-        if len(sv) == n and sv[-1] > 0:
-            cond = float(sv[0] / sv[-1])
+        U, s, Vt = np.linalg.svd(A.reshape(n, -1).T, full_matrices=False)
+        if len(s) == n and s[-1] > 0:
+            cond = float(s[0] / s[-1])
     if not cond <= _CONDITION_CAP:
         labels = tuple(basis[i].label() for i in elements)
         raise IllConditionedGram(
             f"{n} elements of {'one group' if mode is None else f'phi mode {mode}'} "
             f"({', '.join(labels)}) have cond(R) {cond:.3g} (cap {_CONDITION_CAP:.3g}); "
             "refine the grid or shrink the basis", cond, n, mode, labels)
-    return Q, R, d
+    return U, Vt.T / s / d[:, None]
 
 
 def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
@@ -481,10 +503,10 @@ def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors
     mode: its elements, and the parts in which one of them is nonzero on
     the meridian values (:func:`_meridian_values`), evaluated and factored
     one mode at a time.  Else one group of every element and nonzero
-    component on the full values.  The groups' factors are then stacked:
-    ``Q`` zero padded to the most rows and elements of any group, ``R``
-    padded with the identity (an upper triangular ``R`` so padded pivots
-    like the group's own) and ``d`` with ones."""
+    component on the full values.  The groups' factors are then stacked,
+    ``U`` and ``C`` zero padded to the most rows and elements of any
+    group, and the gather and the rest laid out in the weighted field's
+    order (see :class:`_Factors`)."""
     modes = _modes(basis) if _uniform_phi(grid) else None
     groups, factored = [], []
     if modes is None:
@@ -493,9 +515,9 @@ def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors
         groups.append(_Group(None, np.arange(len(basis)), parts))
         weight = np.sqrt(grid.weights)
         factored.append(_factor(V[:, parts] * weight, None, groups[0].elements, basis))
-        azimuths = None
-        # the entry of each (part, point, mode) in the flat weighted field
-        entry = np.arange(4 * len(grid)).reshape(4, -1, 1)
+        transform = None
+        # the entry of each (part, node, mode) in the weighted field, laid out (node, part)
+        entry = np.arange(4 * len(grid)).reshape(-1, 4, 1).transpose(1, 0, 2)
     else:
         P, K = grid.shape
         modes = np.array(modes)
@@ -504,33 +526,31 @@ def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors
             if 2 * k >= K:
                 raise ValueError(f"{basis[group[0]].label()} has phi mode {k}, which "
                                  f"aliases on K = {K} phi nodes (modes must be below K/2)")
-        scale = _mode_scale(K)
-        sw = np.sqrt(grid.weights.reshape(P, K)[:, :1] * scale)
+        weight = np.sqrt(grid.weights.reshape(P, K)[:, 0])
+        sw = weight[:, None] * np.sqrt(_mode_scale(K))
         for k, group in by_mode:
             V = _meridian_values([basis[i] for i in group], k, grid)
             parts = np.flatnonzero(V.any(axis=(0, 2)))
             groups.append(_Group(k, group, parts))
             factored.append(_factor(V[:, parts] * sw[:, k], k, group, basis))
-        phi = grid.phi.ravel()
-        azimuths, weight = (np.cos(phi), np.sin(phi)), np.repeat(sw / scale, 2, axis=1)
-        entry = np.arange(8 * P * len(scale)).reshape(4, P, -1, 2)
-        entry = entry.transpose(3, 0, 1, 2).reshape(8, P, -1)
+        transform = _phi_modes(K)
+        # laid out (meridian node, mode, part)
+        entry = np.arange(P * transform.shape[1]).reshape(P, -1, 8).transpose(2, 0, 1)
     del V  # not kept: free it before the stacked factors are formed
     n = max(len(g.elements) for g in groups)
-    Q = np.zeros((len(groups), max(len(q) for q, _, _ in factored), n))
-    R = np.tile(np.eye(n), (len(groups), 1, 1))
-    d = np.ones((len(groups), n))
-    gather = np.full(Q.shape[:2], entry.size)
+    U = np.zeros((len(groups), max(len(u) for u, _ in factored), n))
+    C = np.zeros((len(groups), n, n))
+    gather = np.full(U.shape[:2], entry.size)
     scatter = np.empty(len(basis), dtype=np.intp)
-    for i, (g, (q, r, norms)) in enumerate(zip(groups, factored)):
+    for i, (g, (u, c)) in enumerate(zip(groups, factored)):
         m = len(g.elements)
-        Q[i, :len(q), :m], R[i, :m, :m], d[i, :m] = q, r, norms
+        U[i, :len(u), :m], C[i, :m, :m] = u, c
         rows = entry[g.parts, :, g.mode or 0].ravel()
         gather[i, :len(rows)] = rows
         scatter[g.elements] = i * n + np.arange(m)
     fitted = np.zeros(entry.size + 1, dtype=bool)
     fitted[gather] = True
-    return _Factors(azimuths, weight, tuple(groups), gather, Q, R, d, scatter,
+    return _Factors(transform, weight[:, None, None], tuple(groups), gather, U, C, scatter,
                     np.flatnonzero(~fitted[:-1]))
 
 
@@ -558,25 +578,25 @@ def _factors(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
 
 def _apply(factors: _Factors, F: np.ndarray) -> Tuple[np.ndarray, float]:
     """The coefficients and residual norm of the field ``F`` (``(4,
-    points)``) against the factors, in the same few array operations for
-    any number of groups: on a mesh one rotation and one ``rfft``; one
-    scaling into the weighted field; one gather of every group's ``b``;
-    ``Q^T b`` and ``Q Q^T b`` as two batched products; one batched solve
-    for the coefficients ``R^-1 Q^T b / d``.  The residual is the vectors
-    ``b - Q Q^T b`` and every entry no group fits, summed directly, never
-    as a difference of norms."""
-    if factors.azimuths is not None:
-        cos, sin = factors.azimuths
-        F = np.fft.rfft(_rotate(F.reshape(4, -1, len(cos)), cos, sin)).view(np.float64)
-    B = np.empty(F.size + 1)
+    points)``) against the factors, in a fixed chain of products for any
+    number of groups: one weighted relayout, on a mesh one product with
+    the phi-mode matrix, one gather of every group's ``b``, and the batched
+    products ``U^T b``, ``U (U^T b)`` and the coefficients ``C (U^T b)``.
+    The residual is the vectors ``b - U U^T b`` and every entry no group
+    fits, summed directly, never as a difference of norms."""
+    M, w = factors.transform, factors.weight
+    B = np.empty((F.size if M is None else len(w) * M.shape[1]) + 1)
     B[-1] = 0.0
-    np.multiply(F, factors.weight, out=B[:-1].reshape(F.shape))
-    b = B[factors.gather]
-    qb = np.matmul(b[:, None], factors.Q)
-    r = (b - np.matmul(qb, factors.Q.transpose(0, 2, 1))[:, 0]).ravel()
+    X = B[:-1] if M is None else np.empty(F.size)
+    np.multiply(F.reshape(4, len(w), -1).transpose(1, 0, 2), w, out=X.reshape(len(w), 4, -1))
+    if M is not None:
+        np.matmul(X.reshape(len(w), -1), M, out=B[:-1].reshape(len(w), -1))
+    b = B[factors.gather][..., None]
+    ub = np.matmul(factors.U.mT, b)
+    r = b - np.matmul(factors.U, ub)
     rest = B[factors.rest]
-    x = np.linalg.solve(factors.R, qb.transpose(0, 2, 1))[..., 0] / factors.d
-    return x.ravel()[factors.scatter], math.sqrt(float(r @ r + rest @ rest))
+    x = np.matmul(factors.C, ub)
+    return x.ravel()[factors.scatter], math.sqrt(float(np.vdot(r, r) + rest @ rest))
 
 
 def project(
@@ -589,32 +609,38 @@ def project(
     ``f`` may be a field (see :func:`monogenics.field_values`), a
     :class:`SeriesExpansion`, a :class:`BasisElement`, or a values array
     of shape (4, npts).  Returns the coefficient series and the L2
-    residual norm on the grid.
+    residual norm on the grid.  A field that is not finite on every node
+    raises ``ValueError``.
 
     On a mesh with uniform phi nodes and phi-independent weights (as from
     :func:`~toroharm.geometry.sample_grid`) each element lies in one phi
     Fourier mode of the frame ``(1, e_rho, e_phi, e3)`` (:func:`_modes`),
-    so the problem splits exactly by mode: one QR factorisation per mode,
-    of the elements' meridian values (:func:`_meridian_values`, read from
-    their values at two azimuths per mode, never on the full mesh),
-    against the field's ``rfft`` in phi.  A basis mode at or above ``K /
-    2`` for ``K`` phi nodes aliases and raises ``ValueError``.  Any other
-    grid, or a basis with an element in several modes, is solved as one
-    group on the full values.  Refuses (raising
-    :class:`IllConditionedGram`) when ``cond(R)`` of a group exceeds
-    :data:`_CONDITION_CAP`, and raises ``ValueError`` on an empty basis.
+    so the problem splits exactly by mode: one SVD per mode, of the
+    elements' unit-normalised meridian values (:func:`_meridian_values`,
+    read from their values at two azimuths per mode, never on the full
+    mesh), against the field's phi modes (:func:`_phi_modes`).  A basis
+    mode at or above ``K / 2`` for ``K`` phi nodes aliases and raises
+    ``ValueError``.  Any other grid, or a basis with an element in several
+    modes, is solved as one group on the full values.  Refuses (raising
+    :class:`IllConditionedGram`) when the ratio of the extreme singular
+    values of a group exceeds :data:`_CONDITION_CAP`, and raises
+    ``ValueError`` on an empty basis.
 
     The factors depend on the basis and the grid alone: they are made once
     (:func:`_factorise`) and kept on the grid for its last
     :data:`_FACTORS_PER_GRID` bases; its arrays are read-only, so they
     cannot drift from its factors.  Each call transforms and weighs the
-    field and solves every group at once (:func:`_apply`).  Refusals are
-    not kept.
+    field and applies every group's factors in a few batched products
+    (:func:`_apply`), with no solve.  Refusals are not kept.
     """
     basis = tuple(basis)
     if not basis:
         raise ValueError("cannot project onto an empty basis")
-    coeffs, residual = _apply(_factors(basis, grid), _field_on_grid(f, grid))
+    factors, F = _factors(basis, grid), _field_on_grid(f, grid)
+    if not np.isfinite(F).all():
+        bad = np.count_nonzero(~np.isfinite(F).all(0))
+        raise ValueError(f"the field is not finite on {bad} of the grid's {len(grid)} nodes")
+    coeffs, residual = _apply(factors, F)
     return make_series(zip(basis, coeffs.tolist())), residual
 
 

@@ -144,7 +144,7 @@ def test_criterion_11_basis_experiments():
 
 
 def test_deep_truncation_projection():
-    # one QR per phi mode reaches degree 8 (planted, 1e-6) and 10 (the
+    # one SVD per phi mode reaches degree 8 (planted, 1e-6) and 10 (the
     # Cauchy kernel with its pole in the hole, relative residual 1e-5)
     results = check_deep_truncation()
     assert [(r.name, r.tolerance) for r in results] == [
