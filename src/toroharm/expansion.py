@@ -592,7 +592,7 @@ def _apply(factors: _Factors, F: np.ndarray) -> Tuple[np.ndarray, float]:
     if M is not None:
         np.matmul(X.reshape(len(w), -1), M, out=B[:-1].reshape(len(w), -1))
     b = B[factors.gather][..., None]
-    ub = np.matmul(factors.U.mT, b)
+    ub = np.matmul(factors.U.transpose(0, 2, 1), b)
     r = b - np.matmul(factors.U, ub)
     rest = B[factors.rest]
     x = np.matmul(factors.C, ub)
