@@ -57,7 +57,7 @@ from .harmonics import (
     eval_I_batch,
     parse_sign,
 )
-from .quadrature import QuadratureError, QuadratureResult, _gauss_legendre, _map_gauss
+from .quadrature import QuadratureError, QuadratureResult, _gauss_legendre
 
 # The cohomology line integral, evaluated literally with the circle
 # parametrized as (0, cos t, sin t), assigns the generator W_{-1}^- the
@@ -247,36 +247,75 @@ _TEODORESCU_LEVELS = 7
 _TEODORESCU_SLAB_NODES = 2**20
 
 
+@lru_cache(maxsize=None)
+def _teodorescu_rule(level: int):
+    """Level ``level`` of the Teodorescu mode transform, built once and
+    read-only: ``(U, V, weights, circle)``.
+
+    With ``t`` the ``8 * 2**level`` Gauss-Legendre nodes on [0, 1], the
+    radii at a point of modulus ``rho`` are ``(r_in, r_out) * U + rho *
+    V``: ``U = (1 - t, t)`` and ``V = (t, 1 - t)`` (shape ``(2, n_r)``)
+    map ``t`` onto ``[r_in, rho]`` and ``[rho, r_out]``.  ``weights`` are
+    the matching Gauss-Legendre weights times ``2 / n_t``, the factor 2 of
+    the transform and the ``1 / n_t`` of its discrete Fourier transform.
+    ``circle`` (shape ``(2, 1, n_t)``) holds the ``n_t = 16 * 2**level``
+    angles of each side: conjugated inside ``|w|``, so that the modes
+    ``f_{-n}`` the inner sum needs are the first ones of its transform, as
+    are the modes ``f_{n+1}`` of the outer sum.
+    """
+    n_t, (x, wx) = 16 << level, _gauss_legendre(8 << level)
+    t = 0.5 * (x + 1.0)
+    circle = np.exp(2j * np.pi * np.arange(n_t) / n_t)
+    rule = (np.stack([1.0 - t, t]), np.stack([t, 1.0 - t]), wx / n_t,
+            np.stack([circle.conj(), circle])[:, None])
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _teodorescu_level(f, w: np.ndarray, r_in: float, r_out: float, level: int) -> np.ndarray:
     """One level of the mode transform at the points ``w`` (1-D complex).
 
     ``f`` is sampled on ``n_t`` angles at Gauss-Legendre radii of ``[r_in,
-    |w|]`` and of ``[|w|, r_out]``, and transformed in the angle to its
-    modes ``f_k(r)``.  With ``w = rho e^{i alpha}``, the kernel's
+    |w|]`` and of ``[|w|, r_out]`` (:func:`_teodorescu_rule`), and
+    transformed in the angle to its modes ``f_k(r)``.  The kernel's
     expansions ``1/(z - w) = -sum_n z^n / w^(n+1)`` inside ``|w|`` and
     ``sum_n w^n / z^(n+1)`` outside turn the transform into one radial
     sum per mode:
 
-        2 sum_n e^{-i(n+1) alpha} int_{r_in}^{rho} f_{-n}(r) (r/rho)^(n+1) dr
-      - 2 sum_n e^{i n alpha} int_{rho}^{r_out} f_{n+1}(r) (rho/r)^n dr,
+        2 sum_n int_{r_in}^{|w|} f_{-n}(r) (r/w)^(n+1) dr
+      - 2 sum_n int_{|w|}^{r_out} f_{n+1}(r) (w/r)^n dr,
 
     with n below ``n_t / 2`` (the Nyquist mode is dropped).  No power
-    exceeds 1.
+    exceeds 1 in modulus.  The powers, each radius's weight folded into
+    mode 0, are a running product over the 8 modes of level 0; each
+    doubling beyond is one product with ``z^k``.  A point's value is a sum
+    over its own row, so it does not depend on the other points.
     """
-    n_t, n_r = 16 << level, 8 << level
-    rho, alpha = np.abs(w), np.angle(w)
-    lo = np.stack([np.full_like(rho, r_in), rho])
-    hi = np.stack([rho, np.full_like(rho, r_out)])
-    r, wr = _map_gauss(*_gauss_legendre(n_r), lo[..., None], hi[..., None])
-    circle = np.exp(2j * np.pi * np.arange(n_t) / n_t)
-    modes = np.fft.fft(f(r[..., None] * circle), axis=-1) / n_t  # (side, point, radius, mode)
-    n = np.arange(n_t // 2)
-    ratio_in = (r[0] / rho[:, None])[..., None]
-    ratio_out = (rho[:, None] / r[1])[..., None]
-    inner = np.sum(wr[0][..., None] * modes[0][..., -n % n_t] * ratio_in ** (n + 1), axis=1)
-    outer = np.sum(wr[1][..., None] * modes[1][..., n[1:]] * ratio_out ** n[:-1], axis=1)
-    return 2.0 * (np.sum(inner * np.exp(-1j * np.multiply.outer(alpha, n + 1)), axis=-1)
-                  - np.sum(outer * np.exp(1j * np.multiply.outer(alpha, n[:-1])), axis=-1))
+    U, V, wt, circle = _teodorescu_rule(level)
+    half = circle.shape[-1] // 2
+    rho = np.abs(w)[:, None, None]
+    ends = np.array([[r_in], [r_out]])
+    r = ends * U + rho * V  # (point, side, radius)
+    modes = np.fft.fft(f(r[..., None] * circle), axis=-1)[..., :half]
+    z = r / w[:, None, None]
+    # the factor of mode 0: the radius's weight (negated outside |w|) times
+    # r/w, which is the power 1 of r/w inside |w| and the power -1 of w/r
+    # outside, where the power 0 goes with mode 1
+    first = (rho - ends) * wt * z
+    z[:, 1] = 1.0 / z[:, 1]
+    z = z[..., None]
+    powers = np.empty(modes.shape, dtype=complex)
+    k = 8  # the modes of level 0: a running product
+    head = powers[..., :k]
+    head[...] = z
+    head[..., 0] = first
+    np.multiply.accumulate(head, axis=-1, out=head)
+    while k < half:  # each doubling: the first k times z^k
+        np.multiply(powers[..., :k], z**k, out=powers[..., k:2 * k])
+        k *= 2
+    powers[:, 1, :, 0] = 0.0  # the outer sum starts at mode 1
+    return np.sum(np.multiply(modes, powers, out=powers).reshape(len(w), U.size * half), axis=-1)
 
 
 def teodorescu(
@@ -311,24 +350,19 @@ def teodorescu(
     array for an array ``w``).
     """
     w = np.asarray(w, dtype=complex)
-    if not np.all((np.abs(w) > r_in) & (np.abs(w) < r_out)):
-        raise ValueError(f"the points w must lie inside the annulus ({r_in:.6g}, {r_out:.6g})")
     flat = w.ravel()
-    value = np.zeros(flat.shape, dtype=complex)
-    active = np.arange(flat.size)
-    evaluations, err = 0, np.inf
-    for level in range(_TEODORESCU_LEVELS):
-        per_point = 2 * (16 << level) * (8 << level)
-        slab = max(1, _TEODORESCU_SLAB_NODES // per_point)
-        new = [_teodorescu_level(f, flat[active[i:i + slab]], r_in, r_out, level)
-               for i in range(0, active.size, slab)]
-        new = np.concatenate(new) if new else value[active]
-        evaluations += active.size * per_point
+    radius = np.abs(flat)
+    if not np.all((radius > r_in) & (radius < r_out)):
+        raise ValueError(f"the points w must lie inside the annulus ({r_in:.6g}, {r_out:.6g})")
+    value, active = _teodorescu_slabs(f, flat, r_in, r_out, 0), np.arange(flat.size)
+    evaluations, err = flat.size * _teodorescu_nodes(0), np.inf
+    for level in range(1, _TEODORESCU_LEVELS):
+        new = _teodorescu_slabs(f, flat[active], r_in, r_out, level)
+        evaluations += active.size * _teodorescu_nodes(level)
         change = np.abs(new - value[active])
         value[active] = new
-        if level:
-            err = float(np.max(change, initial=0.0))
-            active = active[change >= tol]
+        err = float(np.max(change, initial=0.0))
+        active = active[change >= tol]
         if not active.size:
             return value.reshape(w.shape)[()]
     raise QuadratureError(
@@ -336,6 +370,22 @@ def teodorescu(
         f"(last change {err:g})",
         QuadratureResult(value.reshape(w.shape)[()], err, evaluations),
     )
+
+
+def _teodorescu_nodes(level: int) -> int:
+    """Source values per point at level ``level``: ``16 * 2**level`` angles
+    at ``8 * 2**level`` radii on each side of ``|w|``."""
+    return 2 * (16 << level) * (8 << level)
+
+
+def _teodorescu_slabs(f, w: np.ndarray, r_in: float, r_out: float, level: int) -> np.ndarray:
+    """:func:`_teodorescu_level` at the points ``w`` (1-D), in slabs of at
+    most ``_TEODORESCU_SLAB_NODES`` source values (or one point)."""
+    slab = max(1, _TEODORESCU_SLAB_NODES // _teodorescu_nodes(level))
+    if w.size <= slab:
+        return _teodorescu_level(f, w, r_in, r_out, level)
+    return np.concatenate([_teodorescu_level(f, w[i:i + slab], r_in, r_out, level)
+                           for i in range(0, w.size, slab)])
 
 
 #: the x0 line rule of :class:`Psi` and :func:`eval_T0_batch`: level k
@@ -466,7 +516,11 @@ class Psi:
     def _w(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
         """The Teodorescu transform at the slice points ``(x1, x2)``: one
         call over the distinct ones."""
-        slice_pts, inverse = np.unique((x1 + 1j * x2).ravel(), return_inverse=True)
+        z = (x1 + 1j * x2).ravel()
+        if z.size == 1:
+            return teodorescu(self._slice_source, z, self.r_in, self.r_out,
+                              self.tol).reshape(x1.shape)
+        slice_pts, inverse = np.unique(z, return_inverse=True)
         w = teodorescu(self._slice_source, slice_pts, self.r_in, self.r_out, self.tol)
         return w[inverse.reshape(-1)].reshape(x1.shape)
 
@@ -476,9 +530,11 @@ class Psi:
         shift1, shift2 = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]])[..., None, None]
 
         def g(t, i):  # f0 at x1 +- h, then x2 +- h: shape (4, len(i), n)
-            v = np.broadcast_to(self.f0(t, x1[i, None] + shift1, x2[i, None] + shift2),
-                                (4,) + t.shape)
-            d = np.stack([v[0] - v[1], v[2] - v[3]]) / (2.0 * h)
+            shape = (4,) + t.shape
+            v = self.f0(t, x1[i, None] + shift1, x2[i, None] + shift2)
+            if np.shape(v) != shape:
+                v = np.broadcast_to(v, shape)
+            d = (v[::2] - v[1::2]) / (2.0 * h)
             return d, np.abs(d)
 
         return _x0_lines(g, x0, self.tol, 2)

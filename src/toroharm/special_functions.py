@@ -108,6 +108,11 @@ def _seeds(eta: np.ndarray) -> np.ndarray:
                      [q1, 0.5 * (coth * q1 - csch * q0)]])
 
 
+#: the largest block of the table ``2 n cosh(eta)`` (degrees times points)
+#: that :func:`q_half_grid`'s backward recurrence holds at once
+_Q_TABLE_VALUES = 2**16
+
+
 def q_half_grid(n_max: int, m_max: int, eta) -> np.ndarray:
     """Vectorized table of ``Q_{n-1/2}^m(cosh(eta))``, by the method and to
     the accuracy stated in the module docstring.
@@ -164,12 +169,22 @@ def q_half_grid(n_max: int, m_max: int, eta) -> np.ndarray:
             with np.errstate(over="ignore"):
                 t = np.cosh(e)
                 depth = n_max + int(np.ceil(22.0 / np.min(e))) + 10
+                # r_n = (n + m - 1/2) / (2 n cosh(eta) - (n - m + 1/2) r_{n+1}):
+                # three in-place products per degree, over tables of the
+                # degrees' coefficients and of 2 n cosh(eta), the latter in
+                # blocks of at most _Q_TABLE_VALUES values
+                k = np.arange(depth + 1)
+                above, below = k[:, None, None] + m - 0.5, k[:, None, None] - m + 0.5
                 ratios = np.empty((n_max, seeds.shape[1], t.shape[0]))
-                r = np.zeros_like(ratios[0])
-                for n in range(depth, 0, -1):
-                    r = (n + m - 0.5) / (2.0 * n * t - (n - m + 0.5) * r)
-                    if n <= n_max:
-                        ratios[n - 1] = r
+                r, den = np.zeros_like(ratios[0]), np.empty_like(ratios[0])
+                rows = max(1, _Q_TABLE_VALUES // t.shape[0])
+                for top in range(depth, 0, -rows):
+                    low = max(top - rows, 0)
+                    twice_t = np.multiply.outer(2.0 * k[low + 1:top + 1], t)
+                    for n in range(top, low, -1):
+                        np.multiply(below[n], r, out=den)
+                        np.subtract(twice_t[n - low - 1], den, out=den)
+                        r = np.divide(above[n], den, out=ratios[n - 1] if n <= n_max else r)
             cols[1:, :, down] = seeds[0][:, down] * np.cumprod(ratios, axis=0)
 
     # raise the order: Q_nu^m = -2(m-1) coth(eta) Q_nu^{m-1}

@@ -4,11 +4,12 @@ import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
 from toroharm import monogenics
-from toroharm.checks import _cauchy_pompeiu
+from toroharm.checks import _cauchy_pompeiu, _random_interior_points
 from toroharm.geometry import (
     CartesianPoint,
     TorusDomain,
     ToroidalPoint,
+    cartesian_arrays,
     to_cartesian,
     toroidal_arrays,
 )
@@ -140,6 +141,44 @@ def test_teodorescu_matches_cauchy_pompeiu_on_polynomials(a, b):
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
+def test_teodorescu_deep_levels_match_cauchy_pompeiu(monkeypatch):
+    # exp(3z + 2 zbar) has modes of both signs far beyond level 1's 32: the
+    # points run to level 3 (128 modes, 64 radii a side)
+    levels = []
+    level_fn = monogenics._teodorescu_level
+
+    def spy(f, w, r_in, r_out, level):
+        levels.append(level)
+        return level_fn(f, w, r_in, r_out, level)
+
+    monkeypatch.setattr(monogenics, "_teodorescu_level", spy)
+    r_in, r_out = TorusDomain(1.0).slice_radii()
+    rng = np.random.default_rng(20261020)
+    w = (r_in + (r_out - r_in) * rng.uniform(0.05, 0.95, 4)) * np.exp(2j * np.pi * rng.random(4))
+    got = teodorescu(lambda z: np.exp(3.0 * z + 2.0 * np.conj(z)), w, r_in, r_out, tol=1e-10)
+    assert max(levels) >= 3
+    want = np.array([_cauchy_pompeiu(lambda z: np.exp(3.0 * z + 2.0 * np.conj(z)) / 2.0,
+                                     v, r_in, r_out) for v in w])
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_teodorescu_rule_is_read_only_and_built_once_per_level():
+    monogenics._teodorescu_rule.cache_clear()
+    w = np.array([0.7 + 0.2j, -1.1 + 0.9j])
+    for _ in range(2):  # the constant source stops at level 1
+        teodorescu(lambda z: np.ones_like(z), w, 0.5, 2.0, tol=1e-9)
+        teodorescu(lambda z: np.ones_like(z), w[0], 0.5, 2.0, tol=1e-9)
+    info = monogenics._teodorescu_rule.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    for level in range(2):
+        rule = monogenics._teodorescu_rule(level)
+        assert rule is monogenics._teodorescu_rule(level)
+        for a in rule:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[...] = 0.0
+
+
 def test_teodorescu_rejects_points_outside_the_annulus():
     for w in (0.4, 2.0j, np.array([1.0, 2.5])):
         with pytest.raises(ValueError, match="inside the annulus"):
@@ -195,6 +234,21 @@ def test_psi_preserves_scalar_part():
     assert isinstance(v, Quaternion)
     assert v.a3 == 0.0
     assert v.a0 == float(f0(X.x0, X.x1, X.x2))
+
+
+def test_psi_scalar_part_is_the_source_bit_for_bit():
+    # the scalar slot is f0 called on the coordinates as given: on the
+    # point's own floats for psi, on the arrays for a Psi call.  numpy's
+    # array power can differ from Python's float power in the last bit, so
+    # the two are compared each on its own footing
+    def f0(x0, x1, x2):
+        return x0**3 - 3.0 * x0 * x1 * x1
+
+    dom = TorusDomain(1.0)
+    x0, x1, x2 = cartesian_arrays(*_random_interior_points(2000, 1.0, 20261021))
+    for p in zip(x0[:200].tolist(), x1[:200].tolist(), x2[:200].tolist()):
+        assert psi(f0, dom, CartesianPoint(*p), tol=1e-9).a0 == f0(*p), p
+    assert_array_equal(Psi(f0, dom, tol=1e-9)(x0, x1, x2)[0], f0(x0, x1, x2))
 
 
 def _mp_I0(m, mu, x0, x1, x2):
