@@ -257,17 +257,14 @@ class SeriesExpansion:
     terms: Tuple[Tuple[BasisElement, float], ...]
 
     def __post_init__(self) -> None:
-        elements, coeffs = zip(*self.terms) if self.terms else ((), ())
+        elements = [el for el, _ in self.terms]
         if len(set(elements)) < len(elements):
             seen = set()
             el = next(el for el in elements if el in seen or seen.add(el))
             raise ValueError(f"duplicate basis element {el.label()}")
-        # one pass: the sum is finite unless a coefficient is not, or the sum
-        # of finite ones overflows, which the search tells apart
-        if not math.isfinite(sum(coeffs)):
-            bad = [el for el, c in self.terms if not math.isfinite(c)]
-            if bad:
-                raise ValueError(f"non-finite coefficient for {bad[0].label()}")
+        for el, c in self.terms:
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient for {el.label()}")
 
     def coefficients(self) -> Dict[BasisElement, float]:
         return dict(self.terms)

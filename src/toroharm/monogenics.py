@@ -382,10 +382,10 @@ def _teodorescu_slabs(f, w: np.ndarray, r_in: float, r_out: float, level: int) -
     """:func:`_teodorescu_level` at the points ``w`` (1-D), in slabs of at
     most ``_TEODORESCU_SLAB_NODES`` source values (or one point)."""
     slab = max(1, _TEODORESCU_SLAB_NODES // _teodorescu_nodes(level))
-    if w.size <= slab:
-        return _teodorescu_level(f, w, r_in, r_out, level)
-    return np.concatenate([_teodorescu_level(f, w[i:i + slab], r_in, r_out, level)
-                           for i in range(0, w.size, slab)])
+    out = np.empty(w.size, dtype=complex)
+    for i in range(0, w.size, slab):
+        out[i:i + slab] = _teodorescu_level(f, w[i:i + slab], r_in, r_out, level)
+    return out
 
 
 #: the x0 line rule of :class:`Psi` and :func:`eval_T0_batch`: level k
@@ -530,10 +530,8 @@ class Psi:
         shift1, shift2 = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]])[..., None, None]
 
         def g(t, i):  # f0 at x1 +- h, then x2 +- h: shape (4, len(i), n)
-            shape = (4,) + t.shape
-            v = self.f0(t, x1[i, None] + shift1, x2[i, None] + shift2)
-            if np.shape(v) != shape:
-                v = np.broadcast_to(v, shape)
+            v = np.empty((4,) + t.shape)
+            v[...] = self.f0(t, x1[i, None] + shift1, x2[i, None] + shift2)
             d = (v[::2] - v[1::2]) / (2.0 * h)
             return d, np.abs(d)
 

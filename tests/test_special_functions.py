@@ -4,9 +4,10 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy import special
 
+from toroharm import special_functions
 from toroharm.special_functions import (
     _elliptic_K_csum,
     gamma_half,
@@ -76,6 +77,19 @@ def test_degree_recurrence_on_grid():
             rhs = 2 * n * t * q[n, m] - (n + m - 0.5) * q[n - 1, m]
             scale = np.abs(2 * n * t * q[n, m]) + np.abs(lhs)
             assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
+
+
+@pytest.mark.parametrize("values", [1, 20, 61, 300])
+def test_backward_recurrence_blocks_do_not_change_values(monkeypatch, values):
+    # the 2 n cosh(eta) table is built in blocks of at most _Q_TABLE_VALUES
+    # values; block edges (one degree per block at 1) leave every bit as is
+    eta = np.array([1e-3, 0.05, 0.3, 1.0, 3.0, 12.0, 40.0, np.inf])
+    cases = [(n_max, m_max, e) for n_max, m_max in [(1, 0), (2, 2), (8, 3), (30, 5)]
+             for e in (eta, eta[3:], eta[-1:])]
+    want = [q_half_grid(n_max, m_max, e) for n_max, m_max, e in cases]
+    monkeypatch.setattr(special_functions, "_Q_TABLE_VALUES", values)
+    for (n_max, m_max, e), q in zip(cases, want):
+        assert_array_equal(q_half_grid(n_max, m_max, e), q)
 
 
 def test_rejects_bad_arguments():
