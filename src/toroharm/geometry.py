@@ -97,6 +97,20 @@ class TorusDomain:
         """Inner and outer radii of the annulus cut by the plane x0 = 0."""
         return math.tanh(self.eta0 / 2.0), 1.0 / math.tanh(self.eta0 / 2.0)
 
+    def contains(self, x0, x1, x2) -> np.ndarray:
+        """Membership ``eta > eta0`` of Cartesian coordinate arrays, without
+        the coordinate map.
+
+        ``eta`` is the log-ratio of the distances from the meridian point
+        ``(rho, x0)`` to the foci ``(1, 0)`` and ``(-1, 0)`` (see
+        :func:`toroidal_arrays`), so the test is ``d_near < e^{-eta0}
+        d_far``.  The limit circle (``d_near = 0``) is inside and the axis
+        outside.  ``hypot`` neither overflows nor warns, so NaN and
+        infinite coordinates are outside, with no warning.
+        """
+        rho = np.hypot(x1, x2)
+        return np.hypot(x0, rho - 1.0) < math.exp(-self.eta0) * np.hypot(x0, rho + 1.0)
+
 
 def to_cartesian(p: ToroidalPoint) -> CartesianPoint:
     """Map toroidal to Cartesian coordinates: :func:`cartesian_arrays` at

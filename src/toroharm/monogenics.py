@@ -247,6 +247,13 @@ _TEODORESCU_LEVELS = 7
 _TEODORESCU_SLAB_NODES = 2**20
 
 
+def _check_tol(tol: float) -> None:
+    """Reject a tolerance that no level can meet (0 or below), that every
+    level meets (infinite) or that no comparison reads (NaN)."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol!r}")
+
+
 @lru_cache(maxsize=None)
 def _teodorescu_rule(level: int):
     """Level ``level`` of the Teodorescu mode transform, built once and
@@ -315,7 +322,7 @@ def _teodorescu_level(f, w: np.ndarray, r_in: float, r_out: float, level: int) -
         np.multiply(powers[..., :k], z**k, out=powers[..., k:2 * k])
         k *= 2
     powers[:, 1, :, 0] = 0.0  # the outer sum starts at mode 1
-    return np.sum(np.multiply(modes, powers, out=powers).reshape(len(w), U.size * half), axis=-1)
+    return np.multiply(modes, powers, out=powers).reshape(len(w), U.size * half).sum(-1)
 
 
 def teodorescu(
@@ -336,40 +343,46 @@ def teodorescu(
 
     Each point runs the levels of :func:`_teodorescu_level` (16, 32, 64,
     ... angular modes, half as many radii on either side of |w|) until two
-    levels agree to ``tol`` (absolute, on the transform), so an array of
-    points gives the values of one call per point.  The error of a level
-    is the part of ``f`` beyond its angular modes plus the Gauss-Legendre
-    error of its radial sums; for a source analytic near the closed
-    annulus both fall geometrically.  The package's sources stop at level
-    1 (32 modes, 16 radii a side, 1280 evaluations per point in all):
-    ``f = 1`` is within 5e-16 relative of its closed form, and
-    ``exp(z/2 + conj(z)/3)`` (modes of both signs) at tol 1e-10 within
-    6e-16 relative of the Cauchy-Pompeiu formula on the boundary circles.
-    A source whose modes do not settle within ``_TEODORESCU_LEVELS``
-    levels raises :class:`QuadratureError` carrying the last values (an
-    array for an array ``w``).
+    levels agree to ``tol`` (absolute, on the transform; positive and
+    finite), so an array of points gives the values of one call per point.
+    Levels 0 and 1 run at every point, the later ones at the points still
+    open.  The error of a level is the part of ``f`` beyond its angular
+    modes plus the Gauss-Legendre error of its radial sums; for a source
+    analytic near the closed annulus both fall geometrically.  The
+    package's sources stop at level 1 (32 modes, 16 radii a side, 1280
+    evaluations per point in all): ``f = 1`` is within 5e-16 relative of
+    its closed form, and ``exp(z/2 + conj(z)/3)`` (modes of both signs) at
+    tol 1e-10 within 6e-16 relative of the Cauchy-Pompeiu formula on the
+    boundary circles.  A source whose modes do not settle within
+    ``_TEODORESCU_LEVELS`` levels raises :class:`QuadratureError` carrying
+    the last values (an array for an array ``w``).
     """
+    _check_tol(tol)
     w = np.asarray(w, dtype=complex)
     flat = w.ravel()
     radius = np.abs(flat)
-    if not np.all((radius > r_in) & (radius < r_out)):
+    if not ((radius > r_in) & (radius < r_out)).all():
         raise ValueError(f"the points w must lie inside the annulus ({r_in:.6g}, {r_out:.6g})")
-    value, active = _teodorescu_slabs(f, flat, r_in, r_out, 0), np.arange(flat.size)
-    evaluations, err = flat.size * _teodorescu_nodes(0), np.inf
-    for level in range(1, _TEODORESCU_LEVELS):
+    coarse = _teodorescu_slabs(f, flat, r_in, r_out, 0)
+    value = _teodorescu_slabs(f, flat, r_in, r_out, 1)
+    change = np.abs(value - coarse)
+    active, level = (change >= tol).nonzero()[0], 1
+    evaluations = flat.size * (_teodorescu_nodes(0) + _teodorescu_nodes(1))
+    while active.size:
+        level += 1
+        if level == _TEODORESCU_LEVELS:
+            err = float(change.max())
+            raise QuadratureError(
+                f"teodorescu: {active.size} points did not reach tol={tol:g} "
+                f"(last change {err:g})",
+                QuadratureResult(value.reshape(w.shape)[()], err, evaluations),
+            )
         new = _teodorescu_slabs(f, flat[active], r_in, r_out, level)
         evaluations += active.size * _teodorescu_nodes(level)
         change = np.abs(new - value[active])
         value[active] = new
-        err = float(np.max(change, initial=0.0))
         active = active[change >= tol]
-        if not active.size:
-            return value.reshape(w.shape)[()]
-    raise QuadratureError(
-        f"teodorescu: {active.size} points did not reach tol={tol:g} "
-        f"(last change {err:g})",
-        QuadratureResult(value.reshape(w.shape)[()], err, evaluations),
-    )
+    return value.reshape(w.shape)[()]
 
 
 def _teodorescu_nodes(level: int) -> int:
@@ -404,57 +417,64 @@ _FD_STEP = 1e-5
 @lru_cache(maxsize=None)
 def _line_rule(level: int):
     """Level ``level`` of the x0 line rule: the nodes of its coarse and fine
-    Gauss-Legendre rules on [0, 2], the coarse count, both weights, and the
-    fine weights."""
+    Gauss-Legendre rules on [0, 2], the coarse count and both weights."""
     (xc, wc), (xf, wf) = _gauss_legendre(8 << level), _gauss_legendre(16 << level)
-    return np.concatenate([xc, xf]) + 1.0, xc.size, np.concatenate([wc, wf]), wf
+    return np.concatenate([xc, xf]) + 1.0, xc.size, np.concatenate([wc, wf])
+
+
+def _line_level(g, half: np.ndarray, i: np.ndarray, level: int, width: int):
+    """Level ``level`` of the x0 line rule on the lines through the flat
+    points ``i`` at ``x0 = 2 half``, in slabs of at most
+    ``_LINE_SLAB_VALUES`` integrand values (or one point): the finer rule's
+    integrals and the excess of the two rules' difference over the
+    round-off allowance, both of shape ``(width, len(i))``."""
+    nodes, n, w = _line_rule(level)
+    fine, coarse = np.empty((2, width, i.size)), np.empty((width, i.size))
+    slab = max(1, _LINE_SLAB_VALUES // (nodes.size * width))
+    for s in range(0, i.size, slab):
+        vw = g(half[s:s + slab, None] * nodes, i[s:s + slab])
+        vw *= w
+        np.add.reduce(vw[..., n:], axis=-1, out=fine[:, :, s:s + slab])
+        np.add.reduce(vw[0, ..., :n], axis=-1, out=coarse[:, s:s + slab])
+    fine, scale = fine
+    return fine * half, np.abs(half) * (np.abs(fine - coarse) - _LINE_ROUNDOFF * scale)
 
 
 def _x0_lines(g, x0: np.ndarray, tol: float, width: int) -> np.ndarray:
     """Integrals from 0 to ``x0`` of the ``width`` integrands ``g``, point
     by point.
 
-    ``g(t, i)`` returns the values, shape ``(width, len(i), n)``, of the
-    integrands at the nodes ``t`` (shape ``(len(i), n)``) of the lines
-    through the flat points ``i``, and the magnitudes their rounding scales
-    with.  An integrand settles at a point at the first level whose two
-    rules agree to ``tol`` plus ``_LINE_ROUNDOFF`` times the integral of
-    its magnitudes; its value is that level's finer rule, and depends on
-    that integrand and point alone.  A point runs until all its integrands
-    settle.  Returns ``(width,) + x0.shape``; a point unsettled after
-    ``_LINE_LEVELS`` levels raises :class:`QuadratureError`.
+    ``g(t, i)`` returns a new array of shape ``(2, width, len(i), n)``:
+    the values of the integrands at the nodes ``t`` (shape ``(len(i), n)``)
+    of the lines through the flat points ``i``, and the magnitudes their
+    rounding scales with.  An integrand settles at a point at the first
+    level whose two rules agree to ``tol`` plus ``_LINE_ROUNDOFF`` times
+    the integral of its magnitudes; its value is that level's finer rule,
+    and depends on that integrand and point alone.  Level 0 runs at every point, each
+    later level at the points with an integrand still open.  Returns
+    ``(width,) + x0.shape``; a point unsettled after ``_LINE_LEVELS``
+    levels raises :class:`QuadratureError`.
     """
-    flat = x0.ravel()
-    value, open_ = np.empty((width, flat.size)), np.ones((width, flat.size), dtype=bool)
-    active, evaluations = np.arange(flat.size), 0
-    for level in range(_LINE_LEVELS):
-        nodes, n, w, wf = _line_rule(level)
-        slab = max(1, _LINE_SLAB_VALUES // (nodes.size * width))
-        unsettled, err = [], 0.0
-        for s in range(0, max(active.size, 1), slab):
-            i = active[s:s + slab]
-            half = 0.5 * flat[i]
-            v, size = g(half[:, None] * nodes, i)
-            vw = v * w
-            fine = vw[..., n:].sum(-1)
-            excess = np.abs(half) * (np.abs(fine - vw[..., :n].sum(-1))
-                                     - _LINE_ROUNDOFF * (size[..., n:] * wf).sum(-1))
-            was_open = open_[:, i]
-            value[:, i] = np.where(was_open, fine * half, value[:, i])
-            open_[:, i] = was_open & (excess > tol)
-            left = open_[:, i].any(0)
-            if left.any():
-                unsettled.append(i[left])
-                err = max(err, float(excess[was_open].max()))
-        evaluations += active.size * nodes.size
-        if not unsettled:
-            return value.reshape((width,) + x0.shape)
-        active = np.concatenate(unsettled)
-    raise QuadratureError(
-        f"x0 line rule: {active.size} points did not settle to tol={tol:g} "
-        f"within {16 << (_LINE_LEVELS - 1)} nodes (last change {err:g})",
-        QuadratureResult(value.reshape((width,) + x0.shape), err, evaluations),
-    )
+    flat, level = x0.ravel(), 0
+    i = np.arange(flat.size)
+    value, excess = _line_level(g, 0.5 * flat, i, level, width)
+    open_, evaluations = excess > tol, i.size * _line_rule(level)[0].size
+    while open_.any():
+        if level == _LINE_LEVELS - 1:
+            err = float(excess[open_[:, i]].max())
+            raise QuadratureError(
+                f"x0 line rule: {np.count_nonzero(open_.any(0))} points did not settle to "
+                f"tol={tol:g} within {16 << level} nodes (last change {err:g})",
+                QuadratureResult(value.reshape((width,) + x0.shape), err, evaluations),
+            )
+        level += 1
+        i = open_.any(0).nonzero()[0]
+        new, excess = _line_level(g, 0.5 * flat[i], i, level, width)
+        evaluations += i.size * _line_rule(level)[0].size
+        was_open = open_[:, i]
+        value[:, i] = np.where(was_open, new, value[:, i])
+        open_[:, i] = was_open & (excess > tol)
+    return value.reshape((width,) + x0.shape)
 
 
 class Psi:
@@ -498,6 +518,7 @@ class Psi:
     """
 
     def __init__(self, f0, domain: TorusDomain, tol: float = 1e-8):
+        _check_tol(tol)
         self.f0 = f0
         self.domain = domain
         self.tol = tol
@@ -514,44 +535,46 @@ class Psi:
         return (self.f0(h, z.real, z.imag) - self.f0(-h, z.real, z.imag)) / (2.0 * h)
 
     def _w(self, x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-        """The Teodorescu transform at the slice points ``(x1, x2)``: one
-        call over the distinct ones."""
-        z = (x1 + 1j * x2).ravel()
-        if z.size == 1:
-            return teodorescu(self._slice_source, z, self.r_in, self.r_out,
-                              self.tol).reshape(x1.shape)
-        slice_pts, inverse = np.unique(z, return_inverse=True)
-        w = teodorescu(self._slice_source, slice_pts, self.r_in, self.r_out, self.tol)
-        return w[inverse.reshape(-1)].reshape(x1.shape)
+        """The Teodorescu transform at the slice points ``(x1, x2)`` (1-D):
+        one call over the distinct ones, in order of first appearance."""
+        distinct = {}
+        inverse = [distinct.setdefault(z, len(distinct)) for z in (x1 + 1j * x2).tolist()]
+        w = teodorescu(self._slice_source, list(distinct), self.r_in, self.r_out, self.tol)
+        return w.take(inverse)
 
-    def _line_integrals(self, x0, x1, x2) -> np.ndarray:
-        x1, x2 = x1.ravel(), x2.ravel()
+    def _line_integrals(self, x: np.ndarray) -> np.ndarray:
+        """The x0-line integrals of ``d1 f0`` and ``d2 f0`` at the points
+        ``x`` (shape ``(3,) + s``): shape ``(2,) + s``."""
         h = _FD_STEP
-        shift1, shift2 = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]])[..., None, None]
+        # x1 +- h, then x1 twice; x2 twice, then x2 +- h: shape (4, N) each
+        shifts = np.array([[h, -h, 0.0, 0.0], [0.0, 0.0, h, -h]])
+        x1, x2 = x[1:].reshape(2, 1, -1) + shifts[..., None]
 
-        def g(t, i):  # f0 at x1 +- h, then x2 +- h: shape (4, len(i), n)
+        def g(t, i):  # f0 at the four shifted lines, differenced
             v = np.empty((4,) + t.shape)
-            v[...] = self.f0(t, x1[i, None] + shift1, x2[i, None] + shift2)
+            v[...] = self.f0(t, x1[:, i, None], x2[:, i, None])
             d = (v[::2] - v[1::2]) / (2.0 * h)
-            return d, np.abs(d)
+            return np.array([d, np.abs(d)])
 
-        return _x0_lines(g, x0, self.tol, 2)
+        return _x0_lines(g, x[0], self.tol, 2)
 
     def __call__(self, x0, x1, x2) -> np.ndarray:
         """The completion at coordinate arrays.  The scalar slot is ``f0``
         called on the arguments as given, so it equals ``f0`` there bit
         for bit."""
-        c0, c1, c2 = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (x0, x1, x2)))
+        out = np.empty((3,) + np.broadcast(x0, x1, x2).shape)
+        x = np.empty(out.shape)
+        x[0], x[1], x[2] = x0, x1, x2
         # the cross-section of the torus is a disc centred on the slice
         # plane, so the segment from (0, x1, x2) to x stays inside with x
-        with np.errstate(divide="ignore"):
-            eta = toroidal_arrays(c0, c1, c2)[0]
-        if not np.all(eta > self.domain.eta0):
+        if not self.domain.contains(*x).all():
             raise ValueError("the completion is evaluated outside its domain")
-        L1, L2 = self._line_integrals(c0, c1, c2)
-        w = self._w(c1, c2)
-        f0 = np.broadcast_to(self.f0(x0, x1, x2), c0.shape)
-        return np.stack([f0, -L1 + w.real / 2.0, -L2 - w.imag / 2.0])
+        out[0] = self.f0(x0, x1, x2)
+        L1, L2 = self._line_integrals(x)
+        w = self._w(x[1].ravel(), x[2].ravel()).reshape(L1.shape)
+        out[1] = -L1 + w.real / 2.0
+        out[2] = -L2 - w.imag / 2.0
+        return out
 
 
 def psi(f0, domain: TorusDomain, x: CartesianPoint, tol: float = 1e-8) -> Quaternion:
@@ -639,7 +662,10 @@ def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
         eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
         H = lines.meridian(eta, theta)
         H = H.reshape(len(H), -1)
-        return (C @ H).reshape((-1,) + t.shape), (size @ np.abs(H)).reshape((-1,) + t.shape)
+        out = np.empty((2, len(C)) + t.shape)
+        np.matmul(C, H, out=out[0].reshape(len(C), -1))
+        np.matmul(size, np.abs(H), out=out[1].reshape(len(C), -1))
+        return out
 
     values = _x0_lines(g, meridian.real, 0.0, len(C))[:, inverse.reshape(-1)]
     slots = (fold @ values).reshape((len(fold),) + x0.shape)

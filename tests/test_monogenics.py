@@ -202,13 +202,52 @@ def test_psi_of_constant():
 
 
 def test_psi_domain_membership():
-    # Psi holds the membership rule eta > eta0; the axis lies outside
-    op = Psi(lambda x0, x1, x2: np.ones(np.broadcast(x0, x1, x2).shape), TorusDomain(1.0))
+    # Psi holds the membership rule eta > eta0: the axis lies outside, the
+    # limit circle inside, and a NaN or infinite coordinate outside, with
+    # Psi's own ValueError and no warning
+    dom = TorusDomain(1.0)
+    op = Psi(lambda x0, x1, x2: np.ones(np.broadcast(x0, x1, x2).shape), dom)
     inside = to_cartesian(ToroidalPoint(1.5, 0.3, 0.1))
-    assert_allclose(op(inside.x0, inside.x1, inside.x2), [1.0, 0.0, 0.0], atol=1e-9)
-    for x in (to_cartesian(ToroidalPoint(0.5, 0.3, 0.1)), CartesianPoint(2.0, 0.0, 0.0)):
+    for x in (inside, CartesianPoint(0.0, 1.0, 0.0), CartesianPoint(0.0, 0.0, -1.0)):
+        assert_allclose(op(x.x0, x.x1, x.x2), [1.0, 0.0, 0.0], atol=1e-9)
+    outside = [to_cartesian(ToroidalPoint(0.5, 0.3, 0.1)), CartesianPoint(2.0, 0.0, 0.0)]
+    outside = [[x.x0, x.x1, x.x2] for x in outside]
+    for k in range(3):
+        for v in (np.inf, -np.inf, np.nan):
+            outside.append([inside.x0, inside.x1, inside.x2])
+            outside[-1][k] = v
+    for p in outside:
         with pytest.raises(ValueError, match="outside its domain"):
-            op(x.x0, x.x1, x.x2)
+            op(*p)
+    # seeded points, scattered and next to the boundary, agree with the
+    # coordinate map's eta outside a band of 1e-12 around eta0
+    rng = np.random.default_rng(20261022)
+    near = cartesian_arrays(dom.eta0 + rng.uniform(-1e-3, 1e-3, 2000),
+                            rng.uniform(-np.pi, np.pi, 2000), rng.uniform(-np.pi, np.pi, 2000))
+    x0, x1, x2 = np.concatenate([rng.uniform(-2.5, 2.5, (3, 2000)), near], axis=1)
+    eta = toroidal_arrays(x0, x1, x2)[0]
+    clear = np.abs(eta - dom.eta0) > 1e-12
+    want = eta > dom.eta0
+    assert 0.1 < want.mean() < 0.9
+    assert_array_equal(dom.contains(x0, x1, x2)[clear], want[clear])
+    for k in np.flatnonzero(clear)[::100]:
+        if want[k]:
+            assert_allclose(op(x0[k], x1[k], x2[k]), [1.0, 0.0, 0.0], atol=1e-9)
+        else:
+            with pytest.raises(ValueError, match="outside its domain"):
+                op(x0[k], x1[k], x2[k])
+
+
+@pytest.mark.parametrize("tol", [np.nan, 0.0, -1e-8, np.inf])
+def test_bad_tolerance_is_rejected(tol):
+    # a NaN tol passes every agreement test unread, 0 or below none, inf all
+    f0 = lambda x0, x1, x2: x0 * x1
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        teodorescu(_smooth_source, 1.0 + 0.5j, 0.5, 2.0, tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        Psi(f0, TorusDomain(1.0), tol=tol)
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        psi(f0, TorusDomain(1.0), X, tol=tol)
 
 
 def test_psi_of_x0_closed_form():
@@ -364,7 +403,8 @@ def test_cohomology_radius_independent():
 
 def test_psi_repeated_slice_points_take_their_distinct_values():
     # the transform runs once per distinct slice point (x1, x2); every copy
-    # of a point gets the value of that point alone
+    # of a point gets the value of that point alone, and the point API
+    # (psi) gives the e1/e2 parts of the batched call bit for bit
     dom = TorusDomain(1.0)
     f0 = lambda x0, x1, x2: x0 * x1
     pts = [to_cartesian(ToroidalPoint(*p)) for p in ((1.3, 0.4, 0.2), (1.6, -0.5, 2.0))]
@@ -376,3 +416,5 @@ def test_psi_repeated_slice_points_take_their_distinct_values():
     for k in range(len(order)):
         want = Psi(f0, dom, tol=1e-10)(x0[k:k + 1], x1[k:k + 1], x2[k:k + 1])[:, 0]
         assert_array_equal(got[:, k], want)
+        point = psi(f0, dom, CartesianPoint(x0[k], x1[k], x2[k]), tol=1e-10)
+        assert [point.a1, point.a2] == got[1:, k].tolist()
