@@ -11,8 +11,8 @@ Subcommands:
   and write CSV or JSON suitable for bit-exact round trips.
 
 Configuration precedence is flags > config file > built-in defaults.
-Exit codes: 0 success, 1 failed check or golden mismatch, 2 usage,
-configuration, or I/O error.
+Exit codes: 0 success, 1 failed check, golden mismatch or quadrature
+that does not settle, 2 usage, configuration, or I/O error.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ from .geometry import (
 )
 from .harmonics import kappa, parse_sign
 from .monogenics import t_is_zero
+from .quadrature import QuadratureError
 
 #: version of the golden, ``coeffs`` and ``grid-export`` JSON documents
 SCHEMA_VERSION = 1
@@ -462,9 +463,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(args, cfg)
-    except UsageError as exc:
+    except (UsageError, QuadratureError) as exc:  # the latter a numerical failure
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, UsageError) else 1
 
 
 if __name__ == "__main__":

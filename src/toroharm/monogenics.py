@@ -57,7 +57,7 @@ from .harmonics import (
     eval_I_batch,
     parse_sign,
 )
-from .quadrature import QuadratureError, QuadratureResult, _gauss_legendre
+from .quadrature import _gauss_legendre, _refine
 
 # The cohomology line integral, evaluated literally with the circle
 # parametrized as (0, cos t, sin t), assigns the generator W_{-1}^- the
@@ -342,20 +342,21 @@ def teodorescu(
     ``conj(w) - r_in^2 / w``.
 
     Each point runs the levels of :func:`_teodorescu_level` (16, 32, 64,
-    ... angular modes, half as many radii on either side of |w|) until two
-    levels agree to ``tol`` (absolute, on the transform; positive and
-    finite), so an array of points gives the values of one call per point.
-    Levels 0 and 1 run at every point, the later ones at the points still
-    open.  The error of a level is the part of ``f`` beyond its angular
-    modes plus the Gauss-Legendre error of its radial sums; for a source
-    analytic near the closed annulus both fall geometrically.  The
-    package's sources stop at level 1 (32 modes, 16 radii a side, 1280
-    evaluations per point in all): ``f = 1`` is within 5e-16 relative of
-    its closed form, and ``exp(z/2 + conj(z)/3)`` (modes of both signs) at
-    tol 1e-10 within 6e-16 relative of the Cauchy-Pompeiu formula on the
-    boundary circles.  A source whose modes do not settle within
-    ``_TEODORESCU_LEVELS`` levels raises :class:`QuadratureError` carrying
-    the last values (an array for an array ``w``).
+    ... angular modes, half as many radii on either side of |w|) until a
+    level is within ``tol`` of the one before (absolute, on the transform;
+    positive and finite), so an array of points gives the values of one
+    call per point.  Levels 0 and 1 run at every point, later ones at the
+    points still open (:func:`~toroharm.quadrature._refine`).  The error of
+    a level is the part of ``f`` beyond its angular modes plus the
+    Gauss-Legendre error of its radial sums; for a source analytic near the
+    closed annulus both fall geometrically.  The package's sources stop at
+    level 1 (32 modes, 16 radii a side, 1280 evaluations per point in all):
+    ``f = 1`` is within 5e-16 relative of its closed form, and ``exp(z/2 +
+    conj(z)/3)`` (modes of both signs) at tol 1e-10 within 6e-16 relative
+    of the Cauchy-Pompeiu formula on the boundary circles.  A source whose
+    modes do not settle within ``_TEODORESCU_LEVELS`` levels, or a NaN or
+    infinite change, raises :class:`QuadratureError` carrying the last
+    values (an array for an array ``w``).
     """
     _check_tol(tol)
     w = np.asarray(w, dtype=complex)
@@ -363,49 +364,21 @@ def teodorescu(
     radius = np.abs(flat)
     if not ((radius > r_in) & (radius < r_out)).all():
         raise ValueError(f"the points w must lie inside the annulus ({r_in:.6g}, {r_out:.6g})")
-    coarse = _teodorescu_slabs(f, flat, r_in, r_out, 0)
-    value = _teodorescu_slabs(f, flat, r_in, r_out, 1)
-    change = np.abs(value - coarse)
-    active, level = (change >= tol).nonzero()[0], 1
-    evaluations = flat.size * (_teodorescu_nodes(0) + _teodorescu_nodes(1))
-    while active.size:
-        level += 1
-        if level == _TEODORESCU_LEVELS:
-            err = float(change.max())
-            raise QuadratureError(
-                f"teodorescu: {active.size} points did not reach tol={tol:g} "
-                f"(last change {err:g})",
-                QuadratureResult(value.reshape(w.shape)[()], err, evaluations),
-            )
-        new = _teodorescu_slabs(f, flat[active], r_in, r_out, level)
-        evaluations += active.size * _teodorescu_nodes(level)
-        change = np.abs(new - value[active])
-        value[active] = new
-        active = active[change >= tol]
-    return value.reshape(w.shape)[()]
+
+    def step(level, i, prev):
+        prev = _teodorescu_level(f, flat[i], r_in, r_out, 0) if prev is None else prev
+        value = _teodorescu_level(f, flat[i], r_in, r_out, level)
+        return value, np.abs(value - prev)
+
+    return _refine(step, flat.size, lambda k: 2 * (16 << k) * (8 << k), _TEODORESCU_LEVELS,
+                   _TEODORESCU_SLAB_NODES, tol, "teodorescu",
+                   lambda v: v.reshape(w.shape)[()])[0]
 
 
-def _teodorescu_nodes(level: int) -> int:
-    """Source values per point at level ``level``: ``16 * 2**level`` angles
-    at ``8 * 2**level`` radii on each side of ``|w|``."""
-    return 2 * (16 << level) * (8 << level)
-
-
-def _teodorescu_slabs(f, w: np.ndarray, r_in: float, r_out: float, level: int) -> np.ndarray:
-    """:func:`_teodorescu_level` at the points ``w`` (1-D), in slabs of at
-    most ``_TEODORESCU_SLAB_NODES`` source values (or one point)."""
-    slab = max(1, _TEODORESCU_SLAB_NODES // _teodorescu_nodes(level))
-    out = np.empty(w.size, dtype=complex)
-    for i in range(0, w.size, slab):
-        out[i:i + slab] = _teodorescu_level(f, w[i:i + slab], r_in, r_out, level)
-    return out
-
-
-#: the x0 line rule of :class:`Psi` and :func:`eval_T0_batch`: level k
-#: compares the Gauss-Legendre rules of ``8 * 2**k`` and ``16 * 2**k`` nodes,
-#: evaluated in slabs of at most ``_LINE_SLAB_VALUES`` integrand values (or
-#: one point)
-_LINE_LEVELS = 7
+#: the x0 line rule of :class:`Psi` and :func:`eval_T0_batch`: rule k is
+#: Gauss-Legendre with ``8 * 2**k`` nodes, evaluated in slabs of at most
+#: ``_LINE_SLAB_VALUES`` integrand values (or one point)
+_LINE_RULES = 8
 _LINE_SLAB_VALUES = 2**19
 #: round-off allowance of its convergence test (see :func:`_x0_lines`)
 _LINE_ROUNDOFF = 1e-13
@@ -415,29 +388,11 @@ _FD_STEP = 1e-5
 
 
 @lru_cache(maxsize=None)
-def _line_rule(level: int):
-    """Level ``level`` of the x0 line rule: the nodes of its coarse and fine
-    Gauss-Legendre rules on [0, 2], the coarse count and both weights."""
-    (xc, wc), (xf, wf) = _gauss_legendre(8 << level), _gauss_legendre(16 << level)
-    return np.concatenate([xc, xf]) + 1.0, xc.size, np.concatenate([wc, wf])
-
-
-def _line_level(g, half: np.ndarray, i: np.ndarray, level: int, width: int):
-    """Level ``level`` of the x0 line rule on the lines through the flat
-    points ``i`` at ``x0 = 2 half``, in slabs of at most
-    ``_LINE_SLAB_VALUES`` integrand values (or one point): the finer rule's
-    integrals and the excess of the two rules' difference over the
-    round-off allowance, both of shape ``(width, len(i))``."""
-    nodes, n, w = _line_rule(level)
-    fine, coarse = np.empty((2, width, i.size)), np.empty((width, i.size))
-    slab = max(1, _LINE_SLAB_VALUES // (nodes.size * width))
-    for s in range(0, i.size, slab):
-        vw = g(half[s:s + slab, None] * nodes, i[s:s + slab])
-        vw *= w
-        np.add.reduce(vw[..., n:], axis=-1, out=fine[:, :, s:s + slab])
-        np.add.reduce(vw[0, ..., :n], axis=-1, out=coarse[:, s:s + slab])
-    fine, scale = fine
-    return fine * half, np.abs(half) * (np.abs(fine - coarse) - _LINE_ROUNDOFF * scale)
+def _line_rule(*rules: int):
+    """The nodes on [0, 2] and the weights of the x0 line rules ``rules``,
+    concatenated."""
+    nodes, weights = (np.concatenate(a) for a in zip(*(_gauss_legendre(8 << k) for k in rules)))
+    return nodes + 1.0, weights
 
 
 def _x0_lines(g, x0: np.ndarray, tol: float, width: int) -> np.ndarray:
@@ -447,34 +402,29 @@ def _x0_lines(g, x0: np.ndarray, tol: float, width: int) -> np.ndarray:
     ``g(t, i)`` returns a new array of shape ``(2, width, len(i), n)``:
     the values of the integrands at the nodes ``t`` (shape ``(len(i), n)``)
     of the lines through the flat points ``i``, and the magnitudes their
-    rounding scales with.  An integrand settles at a point at the first
-    level whose two rules agree to ``tol`` plus ``_LINE_ROUNDOFF`` times
-    the integral of its magnitudes; its value is that level's finer rule,
-    and depends on that integrand and point alone.  Level 0 runs at every point, each
-    later level at the points with an integrand still open.  Returns
-    ``(width,) + x0.shape``; a point unsettled after ``_LINE_LEVELS``
-    levels raises :class:`QuadratureError`.
+    rounding scales with.  Rules 0 and 1 run in one call of ``g`` at every
+    point, later ones at the points with an integrand still open
+    (:func:`~toroharm.quadrature._refine`).  An integrand settles at the
+    first rule within ``tol`` of the one before, plus ``_LINE_ROUNDOFF``
+    times the integral of its magnitudes, and keeps that rule's value,
+    which depends on that integrand and point alone.  Returns ``(width,) +
+    x0.shape``; :class:`QuadratureError` past 1024 nodes or on a
+    non-finite change.
     """
-    flat, level = x0.ravel(), 0
-    i = np.arange(flat.size)
-    value, excess = _line_level(g, 0.5 * flat, i, level, width)
-    open_, evaluations = excess > tol, i.size * _line_rule(level)[0].size
-    while open_.any():
-        if level == _LINE_LEVELS - 1:
-            err = float(excess[open_[:, i]].max())
-            raise QuadratureError(
-                f"x0 line rule: {np.count_nonzero(open_.any(0))} points did not settle to "
-                f"tol={tol:g} within {16 << level} nodes (last change {err:g})",
-                QuadratureResult(value.reshape((width,) + x0.shape), err, evaluations),
-            )
-        level += 1
-        i = open_.any(0).nonzero()[0]
-        new, excess = _line_level(g, 0.5 * flat[i], i, level, width)
-        evaluations += i.size * _line_rule(level)[0].size
-        was_open = open_[:, i]
-        value[:, i] = np.where(was_open, new, value[:, i])
-        open_[:, i] = was_open & (excess > tol)
-    return value.reshape((width,) + x0.shape)
+    half = 0.5 * x0.ravel()
+
+    def step(k, i, prev):
+        t, w = _line_rule(k) if prev is not None else _line_rule(0, 1)
+        vw = g(half[i, None] * t, i)
+        vw *= w
+        if prev is None:  # rule 0 leads the shared call
+            prev = np.add.reduce(vw[0, ..., :8], axis=-1)
+            vw = vw[..., 8:]
+        value, scale = np.add.reduce(vw, axis=-1)
+        return value, np.abs(half[i]) * (np.abs(value - prev) - _LINE_ROUNDOFF * scale)
+
+    return _refine(step, half.size, lambda k: 8 << k, _LINE_RULES, _LINE_SLAB_VALUES // width,
+                   tol, "x0 line rule", lambda v: (v * half).reshape((width,) + x0.shape))[0]
 
 
 class Psi:
@@ -503,9 +453,10 @@ class Psi:
         Absolute tolerance of the Teodorescu transform (see
         :func:`teodorescu`: the package's sources stop at 32 angular modes)
         and of the x0 line rule (:func:`_x0_lines`, with round-off
-        allowance 1e-13 of the integral of ``|d f0|``).  The rule runs the
-        8- and 16-node rules in one call of ``f0`` and doubles while they
-        differ; polynomial sources and the degree-0 harmonics stop at 16.
+        allowance 1e-13 of the integral of ``|d f0|``): Gauss-Legendre
+        rules of 8, 16, 32, ... nodes, the first two in one call of ``f0``;
+        polynomial sources and the degree-0 harmonics stop at 16.  Either
+        raises :class:`QuadratureError` on a NaN or infinite change.
 
     Notes
     -----
@@ -598,7 +549,8 @@ def eval_T0_batch(m: int, mu: Sign, x0, x1, x2) -> np.ndarray:
     parts are x0-line integrals of the exact ``d1``/``d2`` tables of
     ``I_{0,m}`` (:func:`_t0_lines`).  The rule is :func:`_x0_lines` at
     ``tol = 0``, to round-off: 16 nodes at interior points, up to 512 near
-    the axis (eta down to 1e-6), :class:`QuadratureError` past 1024.
+    the axis (eta down to 1e-6), :class:`QuadratureError` past 1024 or on
+    NaN integrands (next to the limit circle, x0 = 5e-324 near eta 745).
     Against mpmath the components are within 1e-15 of the largest, inside
     and at eta 1e-3 and 20.
     """

@@ -256,6 +256,17 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_unsettled_quadrature_exits_1_with_one_line(capsys):
+    # next to the limit circle (x0 = 5e-324, the least subnormal) the T0
+    # line integrands are NaN: a numerical failure, not a usage error
+    code, out, err = run(capsys, "eval", "T0", "1", "+", "--eta", "745", "--theta", "0.7",
+                         "--phi", "0.4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: x0 line rule") and err.count("\n") == 1
+
+
 def test_eta0_is_a_grid_export_flag(capsys):
     # only grid-export reads eta0; elsewhere the flag is unknown
     with pytest.raises(SystemExit) as exc:

@@ -349,6 +349,31 @@ def test_psi_line_rule_raises_past_its_cap():
     with pytest.raises(QuadratureError, match="1024 nodes") as info:
         op(X.x0, X.x1, X.x2)
     assert info.value.partial.value.shape == (2,)
+    # rule k has 8 * 2**k nodes and runs once: rules 0 to 7
+    assert info.value.partial.evaluations == sum(8 << k for k in range(8)) == 2040
+
+
+def test_empty_point_sets_give_empty_results():
+    got = teodorescu(_smooth_source, np.zeros((0, 3), complex), 0.5, 2.0)
+    assert got.shape == (0, 3) and got.dtype == complex
+    e = np.array([])
+    assert Psi(lambda x0, x1, x2: x0 * x1, TorusDomain(1.0))(e, e, e).shape == (3, 0)
+
+
+def test_nan_source_raises_instead_of_settling():
+    # NaN fails every agreement test, so it must not count as settled
+    with pytest.raises(QuadratureError, match="last change nan") as info:
+        teodorescu(lambda z: np.full_like(z, np.nan), 1 + 0.5j, 0.5, 2.0)
+    assert info.value.partial.evaluations == 256 + 1024  # rules 0 and 1 only
+    # NaN on the slice annulus beyond x1 = 0.8 reaches the transform
+    f0 = lambda x0, x1, x2: np.where(x1 > 0.8, np.nan, x0 * x1)
+    with pytest.raises(QuadratureError, match="teodorescu"):
+        Psi(f0, TorusDomain(1.0))(0.1, 0.7, 0.2)
+    # NaN beyond x0 = 0.05 reaches the x0 lines, not the slice source
+    f0 = lambda x0, x1, x2: np.where(x0 > 0.05, np.nan, x0 * x1)
+    with pytest.raises(QuadratureError, match="x0 line rule") as info:
+        Psi(f0, TorusDomain(1.0))(0.1, 0.7, 0.2)
+    assert info.value.partial.evaluations == 8 + 16
 
 
 @pytest.mark.parametrize("m,mu", [(1, 1), (2, -1)])

@@ -57,6 +57,13 @@ def test_integrate_torus_node_budget(monkeypatch):
     assert exc.value.partial.error_estimate > 0
 
 
+def test_integrate_torus_nan_raises_after_two_rules():
+    # a NaN change never settles: no rule past the first comparison runs
+    with pytest.raises(QuadratureError, match="last change nan") as exc:
+        integrate_torus(lambda x0, x1, x2: np.full_like(x0, np.nan), 1.0)
+    assert exc.value.partial.evaluations == 24 * 16**2 + 48 * 32**2
+
+
 def test_integrate_torus_slabs_keep_the_value(monkeypatch):
     def f(x0, x1, x2):
         return x0**2 + x1
