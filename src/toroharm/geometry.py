@@ -166,7 +166,8 @@ def toroidal_arrays(x0, x1, x2):
     far = np.isinf(eta)
     if far.any():
         r, x = np.broadcast_arrays(rho, x0)
-        eta = np.where(far, 0.5 * np.log(4.0 * r) - np.log(np.hypot(r - 1.0, x)), eta)
+        with np.errstate(divide="ignore"):  # log(0) = -inf on the limit circle
+            eta = np.where(far, 0.5 * np.log(4.0 * r) - np.log(np.hypot(r - 1.0, x)), eta)
     theta = np.arctan2(2.0 * x0, rho * rho + x0 * x0 - 1.0)
     phi = np.arctan2(x2, x1)
     return eta, theta, phi

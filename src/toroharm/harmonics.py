@@ -277,8 +277,8 @@ class TermMatrix:
         nd = max(eta.ndim, theta.ndim)  # leading ones, so that columns broadcast
         eta, theta = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (eta, theta))
         q = q_half_grid(self.n_max, self.m_max, eta.ravel())
-        angular = np.stack([_trig(n, nu, theta) for n, nu in self.theta_keys])
-        return (_metric(eta, theta) * q[self.n, self.m].reshape((-1,) + eta.shape)
+        angular = np.array([_trig(n, nu, theta) for n, nu in self.theta_keys])
+        return (_metric(eta, theta) * q[self.n, self.m].reshape(self.n.shape + eta.shape)
                 * angular[self.theta_of])
 
     def phi_sum(self, values: np.ndarray, phi) -> np.ndarray:
@@ -293,11 +293,11 @@ class TermMatrix:
         nd = max(values.ndim - 1, phi.ndim)
         mer = (1,) * (nd + 1 - values.ndim) + values.shape[1:]
         fac = (1,) * (nd - phi.ndim) + phi.shape
-        factors = np.stack([_trig(m, mu, phi) for m, mu in self.phi_keys])[self.slot_phi]
+        factors = np.array([_trig(m, mu, phi) for m, mu in self.phi_keys])[self.slot_phi]
         split = next((a for a in range(nd) if fac[a] != 1), nd)
         if split < nd and all(k == 1 for k in mer[split:]):
-            out = np.matmul(values.reshape(self.rows, self.width, -1).transpose(0, 2, 1),
-                            factors.reshape(self.rows, self.width, -1))
+            out = np.matmul(values.reshape(self.rows, self.width, math.prod(mer)).transpose(0, 2, 1),
+                            factors.reshape(self.rows, self.width, math.prod(fac)))
         else:
             out = (values.reshape((self.rows, self.width) + mer)
                    * factors.reshape((self.rows, self.width) + fac)).sum(1)
@@ -308,7 +308,7 @@ class TermMatrix:
         ``(rows,)`` plus their broadcast shape."""
         H = self.meridian(eta, theta)
         slots = self.matrix @ H.reshape(len(H), math.prod(H.shape[1:]))
-        return self.phi_sum(slots.reshape((-1,) + H.shape[1:]), phi)
+        return self.phi_sum(slots.reshape(slots.shape[:1] + H.shape[1:]), phi)
 
 
 @lru_cache(maxsize=256)

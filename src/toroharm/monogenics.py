@@ -612,7 +612,10 @@ def _t0_lines(pairs, x0, rho, phi) -> np.ndarray:
 
     def g(t, i):
         eta, theta, _ = toroidal_arrays(t, rho_flat[i, None], 0.0)
-        H = lines.meridian(eta, theta)
+        # on the limit circle (a node x0 that rounds to 0 at rho = 1) the
+        # metric is inf and Q is 0: a NaN integrand, which the rule refuses
+        with np.errstate(invalid="ignore"):
+            H = lines.meridian(eta, theta)
         H = H.reshape(len(H), -1)
         out = np.empty((2, len(C)) + t.shape)
         np.matmul(C, H, out=out[0].reshape(len(C), -1))

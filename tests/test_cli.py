@@ -256,7 +256,6 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_unsettled_quadrature_exits_1_with_one_line(capsys):
     # next to the limit circle (x0 = 5e-324, the least subnormal) the T0
     # line integrands are NaN: a numerical failure, not a usage error
@@ -265,6 +264,20 @@ def test_unsettled_quadrature_exits_1_with_one_line(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: x0 line rule") and err.count("\n") == 1
+
+
+def test_unsettled_quadrature_is_one_line_under_warnings_as_errors():
+    # the same failure with every warning an error, as CI runs the CLI: a
+    # node on the limit circle is a NaN integrand, not a RuntimeWarning
+    import toroharm
+
+    src = str(Path(toroharm.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-W", "error", "-m", "toroharm.cli", "eval", "T0",
+                          "1", "+", "--eta", "745", "--theta", "0.7", "--phi", "0.4"],
+                         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 1
+    assert out.stdout == ""
+    assert out.stderr.startswith("error: x0 line rule") and out.stderr.count("\n") == 1
 
 
 def test_eta0_is_a_grid_export_flag(capsys):

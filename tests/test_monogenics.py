@@ -443,3 +443,13 @@ def test_psi_repeated_slice_points_take_their_distinct_values():
         assert_array_equal(got[:, k], want)
         point = psi(f0, dom, CartesianPoint(x0[k], x1[k], x2[k]), tol=1e-10)
         assert [point.a1, point.a2] == got[1:, k].tolist()
+
+
+@pytest.mark.parametrize("evaluate, shape", [
+    (lambda e: eval_I_batch(HarmonicIndex(2, 1, 1, -1), e, e, e), (0,)),
+    (lambda e: eval_T_batch(HarmonicIndex(2, 1, -1, 1), e, e, e), (3, 0)),
+    (lambda e: eval_T0_batch(1, 1, e, e, e), (3, 0)),
+], ids=["I", "T", "T0"])
+def test_batch_evaluators_accept_zero_points(evaluate, shape):
+    values = evaluate(np.array([]))
+    assert values.shape == shape and values.dtype == float

@@ -79,10 +79,23 @@ def test_degree_recurrence_on_grid():
             assert np.max(np.abs(lhs - rhs) / scale) < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [0, 1])
+@pytest.mark.parametrize("m_max", [0, 1, 2, 3])
+def test_seeded_degrees_of_a_batch_equal_its_one_point_calls(n_max, m_max):
+    # the seeds and the order recurrence act point by point: the AGM, run
+    # without masks until a point settles, freezes each point on its own,
+    # so a batch gives every point the bits of its one-point call
+    eta = np.concatenate([np.geomspace(1e-6, 40.0, 57), [np.inf]])
+    q = q_half_grid(n_max, m_max, eta)
+    for i, e in enumerate(eta):
+        assert_array_equal(q[..., i], q_half_grid(n_max, m_max, e)[..., 0])
+
+
 @pytest.mark.parametrize("values", [1, 20, 61, 300])
 def test_backward_recurrence_blocks_do_not_change_values(monkeypatch, values):
-    # the 2 n cosh(eta) table is built in blocks of at most _Q_TABLE_VALUES
-    # values; block edges (one degree per block at 1) leave every bit as is
+    # the a_n and b_n tables are built in blocks of at most _Q_TABLE_VALUES
+    # values together; block edges (one degree per block at 1) leave every
+    # bit as is
     eta = np.array([1e-3, 0.05, 0.3, 1.0, 3.0, 12.0, 40.0, np.inf])
     cases = [(n_max, m_max, e) for n_max, m_max in [(1, 0), (2, 2), (8, 3), (30, 5)]
              for e in (eta, eta[3:], eta[-1:])]
