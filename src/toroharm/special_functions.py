@@ -57,7 +57,7 @@ def _elliptic_K_csum(k: np.ndarray, kp: np.ndarray):
     # (which also makes each point's value independent of the others); no
     # masks while every point is still open
     active = None
-    for _ in range(39):
+    for _ in range(39):  # 40 steps in all, the first above
         d = a - b
         open_ = np.abs(d) > 8.9e-16 * a
         if active is not None or not open_.all():
@@ -213,9 +213,11 @@ def q_half_grid(n_max: int, m_max: int, eta) -> np.ndarray:
             if points.all():
                 fill(n_max, eta, cols)
             elif points.any():
-                part = cols[..., points]
+                # each recurrence reads at most degrees 0 and 1 and writes above 0
+                part = np.empty(cols.shape[:2] + (np.count_nonzero(points),))
+                part[:2] = cols[:2, :, points]
                 fill(n_max, eta[points], part)
-                cols[..., points] = part
+                cols[1:, :, points] = part[1:]
 
     # raise the order: Q_nu^m = -2(m-1) coth(eta) Q_nu^{m-1}
     #                           + (nu - m + 2)(nu + m - 1) Q_nu^{m-2}
