@@ -219,14 +219,15 @@ def _values(elements: Sequence[BasisElement], grid: ExpansionGrid) -> np.ndarray
     if row_dest:
         out[row_dest] = matrix(grid.eta, grid.theta, grid.phi)
     if pairs:
-        out[line_dest] = _t0_lines(pairs, *grid.meridian, grid.phi).reshape((-1,) + grid.shape)
+        out[line_dest] = _t0_lines(pairs, *grid.meridian, grid.phi).reshape(
+            (len(line_dest),) + grid.shape)
     for b, el in enumerate(bases):
         if el.kind == "ONE":
             out[4 * b] = 1.0
         elif el.kind == "W":
             out[4 * b:4 * b + 3] = eval_W_batch(el.m, el.nu, grid.x1, grid.x2).reshape(
                 (3,) + grid.shape)
-    values = out.reshape(len(bases), 4, -1)
+    values = out.reshape(len(bases), 4, len(grid))
     if base_of is None:
         return values
     values = values[base_of]

@@ -296,8 +296,9 @@ class TermMatrix:
         factors = np.array([_trig(m, mu, phi) for m, mu in self.phi_keys])[self.slot_phi]
         split = next((a for a in range(nd) if fac[a] != 1), nd)
         if split < nd and all(k == 1 for k in mer[split:]):
-            out = np.matmul(values.reshape(self.rows, self.width, math.prod(mer)).transpose(0, 2, 1),
-                            factors.reshape(self.rows, self.width, math.prod(fac)))
+            out = np.matmul(
+                values.reshape(self.rows, self.width, math.prod(mer)).transpose(0, 2, 1),
+                factors.reshape(self.rows, self.width, math.prod(fac)))
         else:
             out = (values.reshape((self.rows, self.width) + mer)
                    * factors.reshape((self.rows, self.width) + fac)).sum(1)

@@ -759,3 +759,12 @@ def test_expand_monogenic_constant_rejects_nonconstant_scalar():
 
     with pytest.raises(ValueError):
         expand_monogenic_constant(bad)
+
+
+def test_elements_on_a_grid_of_zero_nodes():
+    # every kind, the T0 line integrals included, gives an empty (4, 0)
+    nodes = np.array([])
+    grid = ExpansionGrid.on_meridian(nodes, nodes, np.array([0.0, 1.0]))
+    for el in (element_T(2, 1, 1, -1), element_T0(1, 1), element_W(-1, -1), element_one(),
+               element_e3_times(element_T0(2, -1))):
+        assert evaluate_element_grid(el, grid).shape == (4, 0)
