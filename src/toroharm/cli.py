@@ -50,6 +50,10 @@ from .quadrature import QuadratureError
 #: version of the golden, ``coeffs`` and ``grid-export`` JSON documents
 SCHEMA_VERSION = 1
 
+#: the most nodes a ``grid-export`` writes: it holds about 1 kB per node
+#: at its peak (the row strings and the element values)
+_MAX_NODES = 10**6
+
 _DEFAULT_CONFIG = {
     "eta0": 1.0,
     "tolerances": {},
@@ -86,6 +90,15 @@ class RunConfig:
                 raise ValueError(f"tolerance {k!r} must be positive, got {v}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
+        if not (self.output is None or isinstance(self.output, str)):
+            raise ValueError(f"output must be a path, got {self.output!r}")
+        for k, v in self.grid.items():
+            if k not in _DEFAULT_CONFIG["grid"]:
+                raise ValueError(f"unknown grid key {k!r}")
+            count = k != "margin"
+            if isinstance(v, bool) or not isinstance(v, int if count else (int, float)):
+                raise ValueError(f"grid {k!r} must be {'an integer' if count else 'a number'}, "
+                                 f"got {v!r}")
 
 
 class UsageError(Exception):
@@ -104,7 +117,7 @@ def _check_tol_names(cfg: RunConfig, read) -> None:
 
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional config file, and command-line flags."""
-    merged = json.loads(json.dumps(_DEFAULT_CONFIG))  # deep copy
+    merged = {k: dict(v) if isinstance(v, dict) else v for k, v in _DEFAULT_CONFIG.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -121,6 +134,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(
                     f"config key {key!r} is read only by {' and '.join(readers)}")
             if isinstance(merged[key], dict):
+                if not isinstance(val, dict):
+                    raise UsageError(f"config key {key!r} must hold a JSON object")
                 merged[key].update(val)
             else:
                 merged[key] = val
@@ -343,12 +358,15 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     el, rows, _ = _element(args.kind, args.index)
     _check_tol_names(cfg, [])
     g = cfg.grid
-    n_eta = args.n_eta if args.n_eta is not None else int(g["n_eta"])
-    n_theta = args.n_theta if args.n_theta is not None else int(g["n_theta"])
-    n_phi = args.n_phi if args.n_phi is not None else int(g["n_phi"])
-    margin = args.margin if args.margin is not None else float(g["margin"])
+    n_eta = args.n_eta if args.n_eta is not None else g["n_eta"]
+    n_theta = args.n_theta if args.n_theta is not None else g["n_theta"]
+    n_phi = args.n_phi if args.n_phi is not None else g["n_phi"]
+    margin = args.margin if args.margin is not None else g["margin"]
     if min(n_eta, n_theta, n_phi) < 1:
         raise UsageError("grid counts must be positive")
+    if n_eta * n_theta * n_phi > _MAX_NODES:
+        raise UsageError(f"the grid has {n_eta * n_theta * n_phi} nodes; "
+                         f"grid-export writes at most {_MAX_NODES}")
     if not margin >= 0:
         raise UsageError(f"margin must be nonnegative, got {margin}")
     eta0 = TorusDomain(cfg.eta0).eta0
@@ -362,26 +380,44 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"the Cartesian coordinates overflow on this grid (eta from {etas[0]:g})")
     if np.any((grid.meridian[0] == 0.0) & (grid.meridian[1] == 1.0)):
         raise UsageError(f"grid points round onto the limit circle (eta up to {etas[-1]:g})")
-    # eta-major ordering, then theta, then phi
-    tor = [np.repeat(grid.eta, n_phi), np.repeat(grid.theta, n_phi), np.tile(phis, n_eta * n_theta)]
     values = _normalize(evaluate_element_grid(el, grid)[rows])
-    table = np.vstack(list(x) + tor + [values]).T.tolist()
     comp_names = ["value"] if len(values) == 1 else ["a0", "a1", "a2"]
     columns = ["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names
 
     if cfg.format == "json":
+        # eta-major ordering, then theta, then phi
+        tor = [np.repeat(grid.eta, n_phi), np.repeat(grid.theta, n_phi),
+               np.tile(phis, n_eta * n_theta)]
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": args.kind,
             "index": list(args.index),
             "columns": columns,
-            "rows": table,
+            "rows": np.vstack(list(x) + tor + [values]).T.tolist(),
         }
         _emit(json.dumps(payload) + "\n", cfg.output)
     else:
-        body = "\n".join(",".join(repr(v) for v in row) for row in table)
+        body = _csv_rows(grid.meridian[0], etas, thetas, phis, (grid.x1, grid.x2), values)
         _emit(",".join(columns) + "\n" + body + "\n", cfg.output)
     return 0
+
+
+def _csv_rows(x0, etas, thetas, phis, x12, values) -> str:
+    """The CSV rows ``x0,x1,x2,eta,theta,phi,values...`` of a mesh, ordered
+    eta-major, then theta, then phi, each number as its ``repr``.
+
+    ``x0`` (one per meridian node), ``eta``, ``theta`` and ``phi`` repeat
+    across rows, so each distinct one is formatted once; only ``x12`` and
+    ``values`` (``(components, nodes)``) are formatted per node."""
+    def text(a):
+        return list(map(repr, a.ravel().tolist()))
+
+    n_phi, theta_text = len(phis), text(thetas)
+    lead = [s for s in text(x0) for _ in range(n_phi)]
+    mid = [s for s in (f"{e},{t}" for e in text(etas) for t in theta_text)
+           for _ in range(n_phi)]
+    x1, x2, *comps = (map(repr, a.ravel().tolist()) for a in (*x12, *values))
+    return "\n".join(map(",".join, zip(lead, x1, x2, mid, text(phis) * x0.size, *comps)))
 
 
 def _emit(text: str, path: Optional[str]) -> None:

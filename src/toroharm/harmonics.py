@@ -109,8 +109,22 @@ class DerivativeTerm:
             raise ValueError("zero coefficients are dropped, not stored")
 
 
-def _trig(k: int, sign: Sign, angle):
-    return np.cos(k * np.asarray(angle)) if sign > 0 else np.sin(k * np.asarray(angle))
+def _trig_keys(keys) -> Tuple[List[Tuple[int, int]], np.ndarray, int]:
+    """The distinct factors ``(k, sign)`` (``cos(k angle)`` for ``sign > 0``,
+    else ``sin(k angle)``; ``[(0, 1)]`` if none), cosines first, with their
+    ``k`` and the number of cosines, as :func:`_trig_rows` takes them."""
+    keys = sorted(set(keys), key=lambda key: (key[1] < 0, key[0])) or [(0, 1)]
+    return keys, np.array([k for k, _ in keys], dtype=float), sum(s > 0 for _, s in keys)
+
+
+def _trig_rows(k: np.ndarray, n_cos: int, angle: np.ndarray) -> np.ndarray:
+    """The factors of :func:`_trig_keys` at ``angle``, shape ``(len(k),) +
+    angle.shape``: one product ``k angle`` for all of them, then the cosine
+    of the first ``n_cos`` rows and the sine of the rest, in place."""
+    x = k.reshape(k.shape + (1,) * angle.ndim) * angle
+    np.cos(x[:n_cos], out=x[:n_cos])
+    np.sin(x[n_cos:], out=x[n_cos:])
+    return x
 
 
 def _metric(eta, theta) -> np.ndarray:
@@ -255,9 +269,9 @@ class TermMatrix:
         col = {h: j for j, h in enumerate(columns)}
         self.n, self.m = (np.array([getattr(h, a) for h in columns], dtype=int) for a in "nm")
         self.n_max, self.m_max = int(self.n.max(initial=0)), int(self.m.max(initial=0))
-        self.theta_keys = sorted({(h.n, h.nu) for h in columns}) or [(0, 1)]
+        self.theta_keys, self.theta_k, self.theta_ncos = _trig_keys((h.n, h.nu) for h in columns)
         self.theta_of = np.array([self.theta_keys.index((h.n, h.nu)) for h in columns], dtype=int)
-        self.phi_keys = sorted({(h.m, h.mu) for h in columns}) or [(0, 1)]
+        self.phi_keys, self.phi_k, self.phi_ncos = _trig_keys((h.m, h.mu) for h in columns)
         slots = [sorted({(t.index.m, t.index.mu) for t in table}) for table in rows]
         self.rows, self.width = len(rows), max(1, max(map(len, slots), default=0))
         self.slot_phi = np.zeros(self.rows * self.width, dtype=int)
@@ -277,7 +291,7 @@ class TermMatrix:
         nd = max(eta.ndim, theta.ndim)  # leading ones, so that columns broadcast
         eta, theta = (a.reshape((1,) * (nd - a.ndim) + a.shape) for a in (eta, theta))
         q = q_half_grid(self.n_max, self.m_max, eta.ravel())
-        angular = np.array([_trig(n, nu, theta) for n, nu in self.theta_keys])
+        angular = _trig_rows(self.theta_k, self.theta_ncos, theta)
         return (_metric(eta, theta) * q[self.n, self.m].reshape(self.n.shape + eta.shape)
                 * angular[self.theta_of])
 
@@ -293,7 +307,7 @@ class TermMatrix:
         nd = max(values.ndim - 1, phi.ndim)
         mer = (1,) * (nd + 1 - values.ndim) + values.shape[1:]
         fac = (1,) * (nd - phi.ndim) + phi.shape
-        factors = np.array([_trig(m, mu, phi) for m, mu in self.phi_keys])[self.slot_phi]
+        factors = _trig_rows(self.phi_k, self.phi_ncos, phi)[self.slot_phi]
         split = next((a for a in range(nd) if fac[a] != 1), nd)
         if split < nd and all(k == 1 for k in mer[split:]):
             out = np.matmul(

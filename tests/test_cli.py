@@ -136,6 +136,53 @@ def test_grid_export_csv_round_trip(tmp_path, capsys):
     assert path.read_text() == path2.read_text()
 
 
+#: one export of each kind, and W_0^+, whose values hold negative zeros
+_EXPORTS = [("I", "3", "2", "+", "-"), ("Istar", "3", "1", "-", "+"), ("T", "4", "2", "-", "+"),
+            ("T0", "1", "+"), ("W", "-1", "-"), ("J", "2", "-"), ("W", "0", "+")]
+#: (n_eta, n_theta, n_phi, margin, eta0): the benchmark's tabulate grid and one node
+_GRIDS = {"tabulate": (2, 3, 4, 0.3, 1.1), "one node": (1, 1, 1, 0.0, 1.0)}
+
+
+def _reference_export(kind, index, fmt, n_eta, n_theta, n_phi, margin, eta0):
+    """grid-export's output built from the full table of rows, every entry
+    formatted through ``repr``, and the element's raw values."""
+    from toroharm.cli import _element
+    from toroharm.expansion import ExpansionGrid, evaluate_element_grid
+
+    el, rows, _ = _element(kind, index)
+    etas = eta0 + margin * eta0 + np.linspace(0.0, 2.0, n_eta)
+    thetas = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    grid = ExpansionGrid.mesh(etas, thetas, phis)
+    raw = evaluate_element_grid(el, grid)[rows]
+    table = np.vstack([grid.x0, grid.x1, grid.x2, np.repeat(grid.eta, n_phi),
+                       np.repeat(grid.theta, n_phi), np.tile(phis, n_eta * n_theta),
+                       raw + 0.0]).T.tolist()
+    columns = ["x0", "x1", "x2", "eta", "theta", "phi"] + (
+        ["value"] if len(raw) == 1 else ["a0", "a1", "a2"])
+    if fmt == "json":
+        return json.dumps({"schema_version": 1, "kind": kind, "index": list(index),
+                           "columns": columns, "rows": table}) + "\n", raw
+    body = "\n".join(",".join(map(repr, row)) for row in table)
+    return ",".join(columns) + "\n" + body + "\n", raw
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("grid", sorted(_GRIDS))
+@pytest.mark.parametrize("spec", _EXPORTS, ids=" ".join)
+def test_grid_export_equals_the_full_table_reference(capsys, spec, grid, fmt):
+    # the CSV formats each distinct coordinate once; its bytes must not move
+    n_eta, n_theta, n_phi, margin, eta0 = _GRIDS[grid]
+    want, raw = _reference_export(spec[0], spec[1:], fmt, *_GRIDS[grid])
+    if spec == ("W", "0", "+"):
+        assert np.any((raw == 0.0) & np.signbit(raw))
+    code, out, _ = run(capsys, "grid-export", *spec, "--format", fmt,
+                       "--n-eta", str(n_eta), "--n-theta", str(n_theta), "--n-phi", str(n_phi),
+                       "--margin", repr(margin), "--eta0", repr(eta0))
+    assert code == 0
+    assert out == want
+
+
 def test_grid_export_eta_major_and_phi_independence(capsys, tmp_path):
     path = tmp_path / "i.json"
     code, _, _ = run(capsys, "grid-export", "I", "0", "0", "+", "+",
@@ -242,6 +289,16 @@ def test_eval_near_axis_matches_mpmath(capsys):
      "--n-theta", "2", "--n-phi", "1"),
     # a config-file tolerance that no check of the run reads
     ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--config", {"tolerances": {"nosuch": 1e-3}}),
+    # config values of the wrong type, and grid keys that no code reads
+    ("grid-export", "J", "1", "+", "--config", {"grid": 5}),
+    ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--config", {"tolerances": [1]}),
+    ("grid-export", "J", "1", "+", "--config", {"grid": {"n_eta": "x"}}),
+    ("grid-export", "J", "1", "+", "--config", {"grid": {"bogus": 3}}),
+    ("grid-export", "J", "1", "+", "--config", {"grid": {"n_eta": 2.7}}),
+    ("grid-export", "J", "1", "+", "--config", {"output": 5}),
+    # 10^18 nodes: refused before anything is allocated
+    ("grid-export", "J", "1", "+", "--n-eta", "1000000", "--n-theta", "1000000",
+     "--n-phi", "1000000"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = list(argv)
