@@ -39,7 +39,6 @@ from .expansion import (
 from .geometry import (
     CartesianPoint,
     DegenerateLocusError,
-    TorusDomain,
     ToroidalPoint,
     to_cartesian,
 )
@@ -83,11 +82,11 @@ class RunConfig:
     format: str
 
     def __post_init__(self) -> None:
-        if not self.eta0 > 0:
-            raise ValueError("eta0 must be positive")
+        if not (_is_number(self.eta0) and self.eta0 > 0):
+            raise ValueError(f"eta0 must be a positive number, got {self.eta0!r}")
         for k, v in self.tolerances.items():
-            if not v > 0:
-                raise ValueError(f"tolerance {k!r} must be positive, got {v}")
+            if not (_is_number(v) and v > 0):
+                raise ValueError(f"tolerance {k!r} must be a positive number, got {v!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
         if not (self.output is None or isinstance(self.output, str)):
@@ -96,9 +95,23 @@ class RunConfig:
             if k not in _DEFAULT_CONFIG["grid"]:
                 raise ValueError(f"unknown grid key {k!r}")
             count = k != "margin"
-            if isinstance(v, bool) or not isinstance(v, int if count else (int, float)):
+            if not _is_number(v, int if count else (int, float)):
                 raise ValueError(f"grid {k!r} must be {'an integer' if count else 'a number'}, "
                                  f"got {v!r}")
+        g = self.grid
+        if min(g["n_eta"], g["n_theta"], g["n_phi"]) < 1:
+            raise ValueError("grid counts must be positive")
+        nodes = g["n_eta"] * g["n_theta"] * g["n_phi"]
+        if nodes > _MAX_NODES:
+            raise ValueError(f"the grid has {nodes} nodes; grid-export writes at most {_MAX_NODES}")
+        if not g["margin"] >= 0:
+            raise ValueError(f"margin must be nonnegative, got {g['margin']}")
+
+
+def _is_number(v, kind=(int, float)) -> bool:
+    """Whether a JSON value is a number (of ``kind``); JSON's true and
+    false are not."""
+    return isinstance(v, kind) and not isinstance(v, bool)
 
 
 class UsageError(Exception):
@@ -115,18 +128,23 @@ def _check_tol_names(cfg: RunConfig, read) -> None:
                          f"valid names: {valid}")
 
 
+def _read_json(path: str, what: str) -> dict:
+    """The JSON object that the ``what`` file at ``path`` holds."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not JSON, or not UTF-8
+        raise UsageError(f"cannot read {what} file {path}: {exc}")
+    if not isinstance(data, dict):
+        raise UsageError(f"{what} file must hold a JSON object")
+    return data
+
+
 def _load_config(args: argparse.Namespace) -> RunConfig:
     """Merge defaults, optional config file, and command-line flags."""
     merged = {k: dict(v) if isinstance(v, dict) else v for k, v in _DEFAULT_CONFIG.items()}
     if args.config:
-        try:
-            with open(args.config) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read config file {args.config}: {exc}")
-        if not isinstance(data, dict):
-            raise UsageError("config file must hold a JSON object")
-        for key, val in data.items():
+        for key, val in _read_json(args.config, "config").items():
             if key not in merged:
                 raise UsageError(f"unknown config key {key!r}")
             readers = _KEY_READERS.get(key)
@@ -139,9 +157,12 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 merged[key].update(val)
             else:
                 merged[key] = val
-    for key in ("eta0", "output", "format"):  # flags of some subcommands only
-        if getattr(args, key, None) is not None:
-            merged[key] = getattr(args, key)
+    # a flag, where its subcommand has it, overrides the setting of its name
+    flags = vars(args)
+    for settings in (merged, merged["grid"]):
+        for key in settings:
+            if flags.get(key) is not None:
+                settings[key] = flags[key]
     for spec in args.tol or []:
         name, _, val = spec.partition("=")
         if not _ or not name:
@@ -151,14 +172,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         except ValueError:
             raise UsageError(f"--tol value for {name!r} is not a number: {val!r}")
     try:
-        return RunConfig(
-            eta0=float(merged["eta0"]),
-            tolerances={k: float(v) for k, v in merged["tolerances"].items()},
-            grid=merged["grid"],
-            output=merged["output"],
-            format=merged["format"],
-        )
-    except (TypeError, ValueError) as exc:
+        return RunConfig(**merged)
+    except ValueError as exc:
         raise UsageError(str(exc))
 
 
@@ -226,17 +241,20 @@ def _normalize(values: np.ndarray) -> np.ndarray:
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     el, rows, provenance = _element(args.kind, args.index)
+    if args.update_golden and not args.golden:
+        raise UsageError("--update-golden needs --golden PATH")
 
     golden = None
     if args.golden and not args.update_golden:
-        try:
-            with open(args.golden) as fh:
-                golden = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise UsageError(f"cannot read golden file {args.golden}: {exc}")
+        golden = _read_json(args.golden, "golden")
         if golden.get("schema_version") != SCHEMA_VERSION:
             raise UsageError("golden file schema version mismatch")
-        x = CartesianPoint(*golden["point"])
+        point, ref = golden.get("point"), golden.get("values")
+        if not (isinstance(point, list) and len(point) == 3 and isinstance(ref, list)
+                and all(map(_is_number, point + ref))):
+            raise UsageError("golden file must hold a 'point' of three numbers "
+                             "and a list of numbers as 'values'")
+        x = CartesianPoint(*point)
     else:
         x = _parse_point(args)
     _check_tol_names(cfg, ["golden"] if golden is not None else [])
@@ -251,8 +269,6 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     print(f"# provenance: {provenance}")
 
     if args.update_golden:
-        if not args.golden:
-            raise UsageError("--update-golden needs --golden PATH")
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": args.kind,
@@ -260,18 +276,12 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             "point": [x.x0, x.x1, x.x2],
             "values": values,
         }
-        try:
-            with open(args.golden, "w") as fh:
-                json.dump(payload, fh, indent=2)
-                fh.write("\n")
-        except OSError as exc:
-            raise UsageError(f"cannot write golden file: {exc}")
+        _emit(json.dumps(payload, indent=2) + "\n", args.golden)
         print(f"# golden file written: {args.golden}")
         return 0
 
     if golden is not None:
         tol = cfg.tolerances.get("golden", 1e-10)
-        ref = golden["values"]
         if len(ref) != len(values) or any(
                 abs(a - b) > tol for a, b in zip(values, ref)):
             print(f"# golden MISMATCH vs {args.golden} (tol {tol:g})")
@@ -357,26 +367,13 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     el, rows, _ = _element(args.kind, args.index)
     _check_tol_names(cfg, [])
-    g = cfg.grid
-    n_eta = args.n_eta if args.n_eta is not None else g["n_eta"]
-    n_theta = args.n_theta if args.n_theta is not None else g["n_theta"]
-    n_phi = args.n_phi if args.n_phi is not None else g["n_phi"]
-    margin = args.margin if args.margin is not None else g["margin"]
-    if min(n_eta, n_theta, n_phi) < 1:
-        raise UsageError("grid counts must be positive")
-    if n_eta * n_theta * n_phi > _MAX_NODES:
-        raise UsageError(f"the grid has {n_eta * n_theta * n_phi} nodes; "
-                         f"grid-export writes at most {_MAX_NODES}")
-    if not margin >= 0:
-        raise UsageError(f"margin must be nonnegative, got {margin}")
-    eta0 = TorusDomain(cfg.eta0).eta0
-    etas = eta0 + margin * eta0 + np.linspace(0.0, 2.0, n_eta)
-    thetas = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
+    g, eta0 = cfg.grid, cfg.eta0
+    etas = eta0 + g["margin"] * eta0 + np.linspace(0.0, 2.0, g["n_eta"])
+    thetas = np.linspace(-np.pi, np.pi, g["n_theta"], endpoint=False)
+    phis = np.linspace(0.0, 2.0 * np.pi, g["n_phi"], endpoint=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         grid = ExpansionGrid.mesh(etas, thetas, phis)
-        x = (grid.x0, grid.x1, grid.x2)
-    if not np.all(np.isfinite(x)):
+    if not np.all(np.isfinite((grid.x0, grid.x1, grid.x2))):
         raise UsageError(f"the Cartesian coordinates overflow on this grid (eta from {etas[0]:g})")
     if np.any((grid.meridian[0] == 0.0) & (grid.meridian[1] == 1.0)):
         raise UsageError(f"grid points round onto the limit circle (eta up to {etas[-1]:g})")
@@ -384,27 +381,25 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
     comp_names = ["value"] if len(values) == 1 else ["a0", "a1", "a2"]
     columns = ["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names
 
+    lines = _csv_rows(grid.meridian[0], etas, thetas, phis, (grid.x1, grid.x2), values,
+                      ", " if cfg.format == "json" else ",")
     if cfg.format == "json":
-        # eta-major ordering, then theta, then phi
-        tor = [np.repeat(grid.eta, n_phi), np.repeat(grid.theta, n_phi),
-               np.tile(phis, n_eta * n_theta)]
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": args.kind,
-            "index": list(args.index),
-            "columns": columns,
-            "rows": np.vstack(list(x) + tor + [values]).T.tolist(),
-        }
-        _emit(json.dumps(payload) + "\n", cfg.output)
+        head = json.dumps({"schema_version": SCHEMA_VERSION, "kind": args.kind,
+                           "index": list(args.index), "columns": columns})
+        # JSON spells the non-finite floats NaN and Infinity; no finite
+        # float's repr holds "nan" or "inf"
+        body = "], [".join(lines).replace("nan", "NaN").replace("inf", "Infinity")
+        text = head[:-1] + ', "rows": [[' + body + "]]}"
     else:
-        body = _csv_rows(grid.meridian[0], etas, thetas, phis, (grid.x1, grid.x2), values)
-        _emit(",".join(columns) + "\n" + body + "\n", cfg.output)
+        text = ",".join(columns) + "\n" + "\n".join(lines)
+    _emit(text + "\n", cfg.output)
     return 0
 
 
-def _csv_rows(x0, etas, thetas, phis, x12, values) -> str:
-    """The CSV rows ``x0,x1,x2,eta,theta,phi,values...`` of a mesh, ordered
-    eta-major, then theta, then phi, each number as its ``repr``.
+def _csv_rows(x0, etas, thetas, phis, x12, values, sep: str):
+    """The rows ``x0,x1,x2,eta,theta,phi,values...`` of a mesh, ordered
+    eta-major, then theta, then phi, each a string of the row's numbers
+    as their ``repr`` joined by ``sep``.
 
     ``x0`` (one per meridian node), ``eta``, ``theta`` and ``phi`` repeat
     across rows, so each distinct one is formatted once; only ``x12`` and
@@ -414,10 +409,10 @@ def _csv_rows(x0, etas, thetas, phis, x12, values) -> str:
 
     n_phi, theta_text = len(phis), text(thetas)
     lead = [s for s in text(x0) for _ in range(n_phi)]
-    mid = [s for s in (f"{e},{t}" for e in text(etas) for t in theta_text)
+    mid = [s for s in (e + sep + t for e in text(etas) for t in theta_text)
            for _ in range(n_phi)]
     x1, x2, *comps = (map(repr, a.ravel().tolist()) for a in (*x12, *values))
-    return "\n".join(map(",".join, zip(lead, x1, x2, mid, text(phis) * x0.size, *comps)))
+    return map(sep.join, zip(lead, x1, x2, mid, text(phis) * x0.size, *comps))
 
 
 def _emit(text: str, path: Optional[str]) -> None:

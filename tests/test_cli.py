@@ -139,8 +139,10 @@ def test_grid_export_csv_round_trip(tmp_path, capsys):
 #: one export of each kind, and W_0^+, whose values hold negative zeros
 _EXPORTS = [("I", "3", "2", "+", "-"), ("Istar", "3", "1", "-", "+"), ("T", "4", "2", "-", "+"),
             ("T0", "1", "+"), ("W", "-1", "-"), ("J", "2", "-"), ("W", "0", "+")]
-#: (n_eta, n_theta, n_phi, margin, eta0): the benchmark's tabulate grid and one node
-_GRIDS = {"tabulate": (2, 3, 4, 0.3, 1.1), "one node": (1, 1, 1, 0.0, 1.0)}
+#: (n_eta, n_theta, n_phi, margin, eta0): the default grid, the benchmark's
+#: tabulate grid and one node
+_GRIDS = {"default": (8, 14, 14, 0.3, 1.0), "tabulate": (2, 3, 4, 0.3, 1.1),
+          "one node": (1, 1, 1, 0.0, 1.0)}
 
 
 def _reference_export(kind, index, fmt, n_eta, n_theta, n_phi, margin, eta0):
@@ -171,7 +173,8 @@ def _reference_export(kind, index, fmt, n_eta, n_theta, n_phi, margin, eta0):
 @pytest.mark.parametrize("grid", sorted(_GRIDS))
 @pytest.mark.parametrize("spec", _EXPORTS, ids=" ".join)
 def test_grid_export_equals_the_full_table_reference(capsys, spec, grid, fmt):
-    # the CSV formats each distinct coordinate once; its bytes must not move
+    # both formats join rows formatted once per distinct coordinate; their
+    # bytes must not move
     n_eta, n_theta, n_phi, margin, eta0 = _GRIDS[grid]
     want, raw = _reference_export(spec[0], spec[1:], fmt, *_GRIDS[grid])
     if spec == ("W", "0", "+"):
@@ -181,6 +184,18 @@ def test_grid_export_equals_the_full_table_reference(capsys, spec, grid, fmt):
                        "--margin", repr(margin), "--eta0", repr(eta0))
     assert code == 0
     assert out == want
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+def test_grid_export_json_spells_non_finite_values_as_json_does(capsys):
+    # W_200 overflows where rho is about 154; json writes inf as Infinity
+    want, raw = _reference_export("W", ("200", "+"), "json", 1, 2, 1, 0.0, 0.01)
+    assert np.isinf(raw).any()
+    code, out, _ = run(capsys, "grid-export", "W", "200", "+", "--format", "json",
+                       "--n-eta", "1", "--n-theta", "2", "--n-phi", "1", "--margin", "0",
+                       "--eta0", "0.01")
+    assert code == 0
+    assert out == want and "Infinity" in out
 
 
 def test_grid_export_eta_major_and_phi_independence(capsys, tmp_path):
@@ -299,18 +314,42 @@ def test_eval_near_axis_matches_mpmath(capsys):
     # 10^18 nodes: refused before anything is allocated
     ("grid-export", "J", "1", "+", "--n-eta", "1000000", "--n-theta", "1000000",
      "--n-phi", "1000000"),
+    # config values that are JSON but not numbers are not coerced
+    ("grid-export", "J", "1", "+", "--config", {"eta0": True}),
+    ("grid-export", "J", "1", "+", "--config", {"eta0": "2"}),
+    ("verify", "coh", "--config", {"tolerances": {"radius independence of the coefficient": True}}),
+    # a golden file to write needs a path, and one to compare with must hold
+    # an object with a point of three numbers and a list of numbers
+    ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--update-golden"),
+    ("eval", "W", "1", "+", "--golden", [1, 2]),
+    ("eval", "W", "1", "+", "--golden", {"schema_version": 1, "point": [0.1, 0.7, 0.2]}),
+    ("eval", "W", "1", "+", "--golden", {"schema_version": 1, "point": [1, 2], "values": [0.0]}),
+    ("eval", "W", "1", "+", "--golden",
+     {"schema_version": 1, "point": [0.1, 0.7, 0.2], "values": ["x", 0.0, 0.0]}),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = list(argv)
     for i, a in enumerate(argv):
-        if isinstance(a, dict):  # the contents of a config file
-            path = tmp_path / "config.json"
+        if isinstance(a, (dict, list)):  # the contents of a config or golden file
+            path = tmp_path / "input.json"
             path.write_text(json.dumps(a))
             argv[i] = str(path)
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_flags_override_the_grid_before_it_is_checked(capsys, tmp_path):
+    # the resolved value (flag over file over default) is what is checked
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"grid": {"n_eta": "x"}}))
+    argv = ["grid-export", "J", "1", "+", "--n-theta", "1", "--n-phi", "1", "--config", str(cfg)]
+    code, out, _ = run(capsys, *argv, "--n-eta", "3")
+    assert code == 0 and len(out.splitlines()) == 1 + 3
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "error: grid 'n_eta' must be an integer, got 'x'\n"
 
 
 def test_unsettled_quadrature_exits_1_with_one_line(capsys):
