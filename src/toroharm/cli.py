@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence, Tuple
@@ -27,7 +28,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from .appell import inverse_matrix, star_matrix
-from .checks import SUITES, CheckResult
+from .checks import SUITES, CheckResult, run_suite
 from .expansion import (
     BasisElement,
     ExpansionGrid,
@@ -38,7 +39,6 @@ from .expansion import (
 )
 from .geometry import (
     CartesianPoint,
-    DegenerateLocusError,
     ToroidalPoint,
     to_cartesian,
 )
@@ -83,10 +83,10 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         if not (_is_number(self.eta0) and self.eta0 > 0):
-            raise ValueError(f"eta0 must be a positive number, got {self.eta0!r}")
+            raise ValueError(f"eta0 must be a positive finite number, got {self.eta0!r}")
         for k, v in self.tolerances.items():
             if not (_is_number(v) and v > 0):
-                raise ValueError(f"tolerance {k!r} must be a positive number, got {v!r}")
+                raise ValueError(f"tolerance {k!r} must be a positive finite number, got {v!r}")
         if self.format not in ("csv", "json"):
             raise ValueError(f"unknown output format {self.format!r}")
         if not (self.output is None or isinstance(self.output, str)):
@@ -96,8 +96,8 @@ class RunConfig:
                 raise ValueError(f"unknown grid key {k!r}")
             count = k != "margin"
             if not _is_number(v, int if count else (int, float)):
-                raise ValueError(f"grid {k!r} must be {'an integer' if count else 'a number'}, "
-                                 f"got {v!r}")
+                kind = "an integer" if count else "a finite number"
+                raise ValueError(f"grid {k!r} must be {kind}, got {v!r}")
         g = self.grid
         if min(g["n_eta"], g["n_theta"], g["n_phi"]) < 1:
             raise ValueError("grid counts must be positive")
@@ -109,9 +109,12 @@ class RunConfig:
 
 
 def _is_number(v, kind=(int, float)) -> bool:
-    """Whether a JSON value is a number (of ``kind``); JSON's true and
-    false are not."""
-    return isinstance(v, kind) and not isinstance(v, bool)
+    """Whether a JSON value is a number (of ``kind``) that converts to a
+    finite float; JSON's true and false are not numbers."""
+    try:
+        return isinstance(v, kind) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:  # an integer beyond the float range
+        return False
 
 
 class UsageError(Exception):
@@ -261,14 +264,9 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 
     try:
         values = _normalize(evaluate_element(el, x).as_array()[rows]).tolist()
-    except DegenerateLocusError as exc:
+    except ValueError as exc:  # the axis, the limit circle, or a planar power that overflows
         raise UsageError(str(exc))
-    print(" ".join(repr(v) for v in values))
-    print(f"# kind={args.kind} index={' '.join(args.index)} "
-          f"point=({x.x0!r}, {x.x1!r}, {x.x2!r})")
-    print(f"# provenance: {provenance}")
-
-    if args.update_golden:
+    if args.update_golden:  # written first, so that a write error prints nothing
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": args.kind,
@@ -277,6 +275,12 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
             "values": values,
         }
         _emit(json.dumps(payload, indent=2) + "\n", args.golden)
+    print(" ".join(repr(v) for v in values))
+    print(f"# kind={args.kind} index={' '.join(args.index)} "
+          f"point=({x.x0!r}, {x.x1!r}, {x.x2!r})")
+    print(f"# provenance: {provenance}")
+
+    if args.update_golden:
         print(f"# golden file written: {args.golden}")
         return 0
 
@@ -346,7 +350,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     read = []
     for name in names:
         print(f"== suite {name} ==")
-        for r in SUITES[name]():
+        for r in run_suite(name):
             read.append(r.name)
             if r.name in cfg.tolerances:
                 tol = cfg.tolerances[r.name]
@@ -377,7 +381,10 @@ def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
         raise UsageError(f"the Cartesian coordinates overflow on this grid (eta from {etas[0]:g})")
     if np.any((grid.meridian[0] == 0.0) & (grid.meridian[1] == 1.0)):
         raise UsageError(f"grid points round onto the limit circle (eta up to {etas[-1]:g})")
-    values = _normalize(evaluate_element_grid(el, grid)[rows])
+    try:
+        values = _normalize(evaluate_element_grid(el, grid)[rows])
+    except ValueError as exc:  # a planar power that overflows
+        raise UsageError(str(exc))
     comp_names = ["value"] if len(values) == 1 else ["a0", "a1", "a2"]
     columns = ["x0", "x1", "x2", "eta", "theta", "phi"] + comp_names
 

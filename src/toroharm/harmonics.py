@@ -147,12 +147,16 @@ def eval_I(idx: HarmonicIndex, p: ToroidalPoint) -> float:
 def _planar_pair(m: int, x1, x2) -> Tuple[np.ndarray, np.ndarray]:
     """``(J_m^+, J_m^-) = (Re, Im) (x1 + i x2)^m`` on coordinate arrays.
 
-    Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis.
+    Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis, and
+    ``ValueError`` where the power of a finite point overflows.
     """
     z = np.asarray(x1, dtype=float) + 1j * np.asarray(x2, dtype=float)
     if m < 0 and (z == 0).any():
         raise DegenerateLocusError("negative powers are singular on the x0-axis")
-    w = z**m
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = z**m
+    if not np.isfinite(w).all() and not np.isfinite(w[np.isfinite(z)]).all():
+        raise ValueError(f"the planar power (x1 + i x2)^m overflows at m = {m}")
     return w.real, w.imag
 
 

@@ -183,7 +183,8 @@ def eval_W_batch(m: int, sign: Sign, x1, x2) -> np.ndarray:
     ``W_m^- = J_m^- e1 + J_m^+ e2`` on coordinate arrays; returns shape
     (3,) + x1.shape, with zero scalar part.
 
-    Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis.
+    Raises :class:`DegenerateLocusError` for m < 0 on the x0-axis, and
+    ``ValueError`` where the planar power overflows.
     """
     jp, jm = _planar_pair(m, x1, x2)
     zero = np.zeros(np.shape(jp))

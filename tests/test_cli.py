@@ -186,16 +186,19 @@ def test_grid_export_equals_the_full_table_reference(capsys, spec, grid, fmt):
     assert out == want
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
-def test_grid_export_json_spells_non_finite_values_as_json_does(capsys):
-    # W_200 overflows where rho is about 154; json writes inf as Infinity
-    want, raw = _reference_export("W", ("200", "+"), "json", 1, 2, 1, 0.0, 0.01)
-    assert np.isinf(raw).any()
-    code, out, _ = run(capsys, "grid-export", "W", "200", "+", "--format", "json",
-                       "--n-eta", "1", "--n-theta", "2", "--n-phi", "1", "--margin", "0",
-                       "--eta0", "0.01")
+def test_grid_export_json_spells_non_finite_values_as_json_does(capsys, monkeypatch):
+    # the values are planted (W_200 on a fat torus, which overflowed, is now
+    # refused), so this reads the spelling alone: json writes Infinity and NaN
+    from toroharm import cli, expansion
+
+    planted = np.array([[0.0, 0.0], [np.inf, -np.inf], [np.nan, 1.5], [0.0, 0.0]])
+    for module in (cli, expansion):
+        monkeypatch.setattr(module, "evaluate_element_grid", lambda el, grid: planted)
+    want, _ = _reference_export("W", ("2", "+"), "json", 1, 2, 1, 0.0, 1.0)
+    code, out, _ = run(capsys, "grid-export", "W", "2", "+", "--format", "json",
+                       "--n-eta", "1", "--n-theta", "2", "--n-phi", "1", "--margin", "0")
     assert code == 0
-    assert out == want and "Infinity" in out
+    assert out == want and "-Infinity" in out and "NaN" in out
 
 
 def test_grid_export_eta_major_and_phi_independence(capsys, tmp_path):
@@ -326,6 +329,21 @@ def test_eval_near_axis_matches_mpmath(capsys):
     ("eval", "W", "1", "+", "--golden", {"schema_version": 1, "point": [1, 2], "values": [0.0]}),
     ("eval", "W", "1", "+", "--golden",
      {"schema_version": 1, "point": [0.1, 0.7, 0.2], "values": ["x", 0.0, 0.0]}),
+    # a golden file that cannot be written: nothing is printed before it
+    ("eval", "I", "0", "0", "+", "+", "--eta", "1", "--golden", "no-such-directory/g.json",
+     "--update-golden"),
+    # JSON numbers that are no finite float: an integer beyond the float
+    # range, and the Infinity that Python's json module reads and writes
+    ("grid-export", "J", "1", "+", "--config", {"eta0": 10**400}),
+    ("grid-export", "J", "1", "+", "--config", {"grid": {"margin": math.inf}}),
+    ("verify", "coh", "--config",
+     {"tolerances": {"radius independence of the coefficient": 10**400}}),
+    # every suite name is checked before any suite runs
+    ("verify", "coh", "nope"),
+    # planar powers beyond the float range (rho reaches about 150 at eta0 0.01)
+    ("grid-export", "W", "200", "+", "--eta0", "0.01", "--n-eta", "1", "--n-theta", "2",
+     "--n-phi", "1"),
+    ("eval", "J", "800", "+", "--x", "0", "3", "0"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = list(argv)

@@ -89,6 +89,15 @@ def test_w_e3_relation():
             assert np.linalg.norm(lhs - rhs) < 1e-14
 
 
+def test_w_refuses_a_planar_power_that_overflows():
+    # 150^200 and 0.01^-200 are beyond the float range: refused with no
+    # warning (which the test run turns into an error); a NaN point passes
+    for m, rho in ((200, 150.0), (-200, 0.01)):
+        with pytest.raises(ValueError, match=f"overflows at m = {m}"):
+            eval_W_batch(m, 1, np.array([rho, np.nan]), np.zeros(2))
+    assert np.isnan(eval_W_batch(2, 1, np.array([150.0, np.nan]), np.zeros(2))[1, 1])
+
+
 def test_t_zero_slots():
     assert t_is_zero(1, 0, 1, 1)
     assert t_is_zero(1, 2, 1, -1)
