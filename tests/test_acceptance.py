@@ -1,11 +1,13 @@
 """End-to-end acceptance gate.
 
-One test per verification suite runs every check of ``checks.SUITES``
-through ``run_suite``, as ``toroharm verify`` does, and prints one
-pass/fail line per suite (visible with ``pytest -s`` or in the captured
-output).
+One test per verification suite gates every check of ``checks.SUITES``
+and pins the names and tolerances of its results; one test per headline
+property gates the checks that cover it. Each prints a single pass/fail
+line (visible with ``pytest -s`` or in the captured output). A check runs
+once per session: every test reads its results from :func:`_run`.
 """
 
+import functools
 import time
 import warnings
 from fractions import Fraction
@@ -15,8 +17,25 @@ import pytest
 from toroharm import harmonics, monogenics
 from toroharm.checks import (
     SUITES,
+    CheckResult,
+    check_deep_truncation,
     check_derivative_tables,
+    check_generator_orthogonality,
+    check_gram_definiteness,
+    check_harmonicity,
+    check_j_coefficients,
+    check_known_expansions,
+    check_legendre_mpmath,
+    check_legendre_oracle,
+    check_legendre_recurrences,
+    check_matrix_inverse,
+    check_projection_round_trip,
+    check_psi,
+    check_reverse_appell_exact,
+    check_reverse_appell_numeric,
     check_teodorescu_closed_form,
+    check_teodorescu_oracle,
+    check_torus_volume,
     run_suite,
 )
 
@@ -84,18 +103,58 @@ PINNED = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def _run(check):
+    """The results of ``check`` and its seconds, warnings raised as errors
+    as CI runs ``python -W error -m toroharm.cli verify``."""
+    t0 = time.perf_counter()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = check()
+    return results, time.perf_counter() - t0
+
+
+def _gate(label, checks, max_seconds=None):
+    """Assert that every result of ``checks`` passes, within ``max_seconds``
+    if given, and return the results."""
+    runs = [_run(check) for check in checks]
+    results = [r for rs, _ in runs for r in rs]
+    elapsed = sum(seconds for _, seconds in runs)
+    passed = all(r.passed for r in results)
+    if max_seconds is not None and elapsed > max_seconds:
+        passed = False
+    worst = max(r.residual for r in results)
+    print(f"{label}: {'PASS' if passed else 'FAIL'} "
+          f"({len(results)} checks, worst residual {worst:.3e}, {elapsed:.1f} s)")
+    assert passed, "\n".join(r.line() for r in results)
+    return results
+
+
 @pytest.mark.parametrize("name", sorted(SUITES))
 def test_suite_passes_in_60_s_with_pinned_checks(name):
-    t0 = time.perf_counter()
-    with warnings.catch_warnings():  # as CI runs ``python -W error -m toroharm.cli verify``
-        warnings.simplefilter("error")
-        results = run_suite(name)
-    elapsed = time.perf_counter() - t0
-    passed = all(r.passed for r in results)
-    print(f"suite {name}: {'PASS' if passed else 'FAIL'} ({len(results)} checks, {elapsed:.1f} s)")
-    assert passed, "\n".join(r.line() for r in results)
-    assert elapsed <= 60.0
+    results = _gate(f"suite {name}", SUITES[name], max_seconds=60.0)
     assert [(r.name, r.tolerance) for r in results] == PINNED[name]
+
+
+def test_run_suite_concatenates_the_suite_checks_in_order(monkeypatch):
+    a, b, c = (CheckResult(name, True, 0.0, 1.0) for name in "abc")
+    monkeypatch.setitem(SUITES, "two checks", (lambda: [a], lambda: [b, c]))
+    assert run_suite("two checks") == [a, b, c]
+
+
+def test_criterion_01_legendre_recurrences_and_oracle():
+    _gate("criterion 01 half-integer Legendre recurrences + quadrature oracle + mpmath",
+          [check_legendre_recurrences, check_legendre_oracle, check_legendre_mpmath],
+          max_seconds=60.0)
+
+
+def test_criterion_02_harmonicity():
+    _gate("criterion 02 Laplacian annihilates the toroidal harmonics", [check_harmonicity])
+
+
+def test_criterion_03_derivative_tables():
+    _gate("criterion 03 analytic Cartesian derivatives match central differences",
+          [check_derivative_tables])
 
 
 def test_derivative_table_check_sees_a_1e_5_coefficient_error(monkeypatch):
@@ -112,6 +171,31 @@ def test_derivative_table_check_sees_a_1e_5_coefficient_error(monkeypatch):
     assert not result.passed
 
 
+def test_criterion_04_reverse_appell():
+    _gate("criterion 04 starred basis raises degree under d/dx0",
+          [check_reverse_appell_exact, check_reverse_appell_numeric])
+
+
+def test_criterion_05_matrix_inverse():
+    _gate("criterion 05 exact rational inverse of the star matrix", [check_matrix_inverse])
+
+
+def test_criterion_06_known_expansions():
+    # ``check_known_expansions`` runs at N = 40
+    _gate("criterion 06 closed-form expansions of 1 and x0", [check_known_expansions],
+          max_seconds=60.0)
+
+
+def test_criterion_07_expansion_coefficients():
+    _gate("criterion 07 planar expansion coefficients vs Fourier oracle",
+          [check_j_coefficients])
+
+
+def test_criterion_08_teodorescu_closed_form():
+    _gate("criterion 08 annulus Teodorescu transform closed form",
+          [check_teodorescu_closed_form], max_seconds=120.0)
+
+
 def test_teodorescu_closed_form_check_runs_the_mode_transform(monkeypatch):
     # the constant source has one mode, so every point stops at level 1
     levels = []
@@ -125,3 +209,42 @@ def test_teodorescu_closed_form_check_runs_the_mode_transform(monkeypatch):
     [result] = check_teodorescu_closed_form()
     assert result.passed and result.residual <= 1e-12, result.line()
     assert levels == [0, 1] * 10
+
+
+def test_teodorescu_modes_match_cauchy_pompeiu():
+    _gate("Teodorescu mode transform vs Cauchy-Pompeiu", [check_teodorescu_oracle])
+
+
+def test_criterion_09_psi_monogenicity():
+    _gate("criterion 09 monogenic completion Psi", [check_psi])
+
+
+def test_criterion_10_cohomology():
+    _gate("criterion 10 circulation coefficients around the torus hole", SUITES["coh"])
+
+
+def test_criterion_11_basis_experiments():
+    _gate("criterion 11 Gram definiteness, projection round trip, generator orthogonality",
+          [check_gram_definiteness, check_projection_round_trip, check_generator_orthogonality])
+
+
+def test_deep_truncation_projection():
+    # one SVD per phi mode reaches degree 8 (planted, 1e-6) and 10 (the
+    # Cauchy kernel with its pole in the hole, relative residual 1e-5)
+    results = _gate("deep-truncation projection by phi mode", [check_deep_truncation])
+    assert [(r.name, r.tolerance) for r in results] == [
+        ("deep-truncation planted round trip", 1e-6),
+        ("Cauchy kernel projection residual", 1e-5),
+    ]
+
+
+def test_criterion_12_torus_volume():
+    _gate("criterion 12 solid torus volume quadrature", [check_torus_volume])
+
+
+def test_check_names_and_order_are_pinned():
+    # ``verify --tol NAME=VALUE`` keys on these names
+    names = [r.name for suite in ("appell", "coh", "expansions")
+             for check in SUITES[suite] for r in _run(check)[0]]
+    assert names == [name for suite in ("appell", "coh", "expansions")
+                     for name, _ in PINNED[suite]]
