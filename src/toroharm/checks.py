@@ -116,11 +116,11 @@ def _result(name: str, residual: float, tol: float, detail: str = "") -> CheckRe
     return CheckResult(name, residual <= tol, float(residual), tol, detail)
 
 
-def _random_interior_points(n: int, eta0: float, seed: int, margin: float = 0.3):
+def _random_interior_points(n: int, eta0: float, seed: int):
     """``(eta, theta, phi)`` arrays of ``n`` seeded points with ``eta`` in
-    ``[eta0 + margin, eta0 + margin + 2.5)`` and principal angles."""
+    ``[eta0 + 0.3, eta0 + 2.8)`` and principal angles."""
     r = np.random.default_rng(seed).random((n, 3))
-    return (eta0 + margin + 2.5 * r[:, 0],
+    return (eta0 + 0.3 + 2.5 * r[:, 0],
             2.0 * math.pi * r[:, 1] - math.pi,
             2.0 * math.pi * r[:, 2] - math.pi)
 
@@ -172,9 +172,10 @@ def _all_indices(n_max: int, m_max: int) -> List[HarmonicIndex]:
 # legendre suite
 # ---------------------------------------------------------------------------
 
-def check_legendre_recurrences(n_max: int = 30, m_max: int = 10) -> List[CheckResult]:
+def check_legendre_recurrences() -> List[CheckResult]:
     """Degree and order recurrences of the radial functions, relative
     residual over t in [1.1, 10]."""
+    n_max, m_max = 30, 10
     eta = np.arccosh(np.linspace(1.1, 10.0, 45))
     t = np.cosh(eta)
     q = q_half_grid(n_max + 1, m_max, eta)
@@ -218,9 +219,10 @@ def _q_integral_mp(n: int, m: int, t: float):
                 * (t * t - 1) ** (mp.mpf(m) / 2) * integral)
 
 
-def check_legendre_oracle(n_points: int = 125) -> List[CheckResult]:
+def check_legendre_oracle() -> List[CheckResult]:
     """Fast radial path against the integral-representation oracle
     (:func:`_q_integral_mp`) on sampled (n, m, t) triples."""
+    n_points = 125
     rng = np.random.default_rng(20240811)
     worst = 0.0
     for _ in range(n_points):
@@ -344,7 +346,7 @@ def _harmonic_mp(pd, idx: HarmonicIndex):
     return pref * q[idx.n][idx.m] * tn * tm
 
 
-def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> List[CheckResult]:
+def check_harmonicity() -> List[CheckResult]:
     """FD Laplacian of the toroidal harmonics at random interior points.
 
     Two parts.  The O(h^2) decay of the plain second-order stencil is
@@ -357,6 +359,7 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
     """
     import mpmath as mp
 
+    n_max, m_max, n_points = 8, 4, 50
     pts = cartesian_arrays(*_random_interior_points(n_points, 1.0, 20240812))
     worst = {1e-3: 0.0, 1e-4: 0.0}
     for idx in _all_indices(n_max, m_max):
@@ -397,27 +400,28 @@ def check_harmonicity(n_max: int = 8, m_max: int = 4, n_points: int = 50) -> Lis
     ]
 
 
-def check_derivative_tables(n_max: int = 6, m_max: int = 6) -> List[CheckResult]:
+def check_derivative_tables() -> List[CheckResult]:
     """Analytic coefficient expansions of the three Cartesian partials
     against fourth-order central differences at h = 2e-4, where both the
     truncation and the rounding error of the differences sit near 1e-9."""
     p = _point(1.35, 0.85, 0.55)
     x = cartesian_arrays(*p)
     worst = 0.0
-    for idx in _all_indices(n_max, m_max):
+    for idx in _all_indices(6, 6):
         fd = _fd_partials(_chart_field(eval_I_batch, idx), *x, 2e-4, order=4)[:, 0]
         an = np.stack([eval_terms(table(idx), *p) for table in (d0_terms, d1_terms, d2_terms)])
         worst = max(worst, _max_rel(fd, an))
     return [_result("derivative tables vs central differences", worst, 1e-6,
-                    f"all sign combinations, n,m <= {n_max}")]
+                    "all sign combinations, n,m <= 6")]
 
 
 # ---------------------------------------------------------------------------
 # appell suite
 # ---------------------------------------------------------------------------
 
-def check_reverse_appell_exact(m_max: int = 6, n_max: int = 15) -> List[CheckResult]:
+def check_reverse_appell_exact() -> List[CheckResult]:
     """Coefficient-level degree-raising identity, exact in rationals."""
+    m_max, n_max = 6, 15
     for m in range(m_max + 1):
         ok, msg = reverse_appell_check(m, n_max)
         if not ok:
@@ -426,8 +430,9 @@ def check_reverse_appell_exact(m_max: int = 6, n_max: int = 15) -> List[CheckRes
                         f"m <= {m_max}, n <= {n_max}, zero tolerance")]
 
 
-def check_matrix_inverse(m_max: int = 6, n_max: int = 20) -> List[CheckResult]:
+def check_matrix_inverse() -> List[CheckResult]:
     """Star matrix times its inverse equals the identity, exactly."""
+    m_max, n_max = 6, 20
     for m in range(m_max + 1):
         s = star_matrix(m, n_max).entries
         v = inverse_matrix(m, n_max).entries
@@ -441,7 +446,7 @@ def check_matrix_inverse(m_max: int = 6, n_max: int = 20) -> List[CheckResult]:
                         f"m <= {m_max}, n_max = {n_max}")]
 
 
-def check_reverse_appell_numeric(n_max: int = 6, m_max: int = 3) -> List[CheckResult]:
+def check_reverse_appell_numeric() -> List[CheckResult]:
     """Function-level degree raising: finite differences of the starred
     harmonics against the coefficient prediction.
 
@@ -452,7 +457,7 @@ def check_reverse_appell_numeric(n_max: int = 6, m_max: int = 3) -> List[CheckRe
     p = _point(1.4, 0.8, 0.5)
     x = cartesian_arrays(*p)
     worst = 0.0
-    for idx in _all_indices(n_max, m_max):
+    for idx in _all_indices(6, 3):
         if idx.n >= 1:
             fd = _fd_partials(_chart_field(eval_I_star_batch, idx), *x, 2e-4, order=4)[0, 0]
             worst = max(worst, _max_rel(fd, eval_d0_star(idx, *p)))
@@ -460,7 +465,7 @@ def check_reverse_appell_numeric(n_max: int = 6, m_max: int = 3) -> List[CheckRe
                     "cosine family single-term; sine family with zero-slot correction")]
 
 
-def check_alpha_beta_transport(N: int = 25) -> List[CheckResult]:
+def check_alpha_beta_transport() -> List[CheckResult]:
     """The starred-basis coefficient lists reproduce 1 and x0.
 
     Evaluated at joint depth N = 25: the starred harmonics lose about
@@ -468,6 +473,7 @@ def check_alpha_beta_transport(N: int = 25) -> List[CheckResult]:
     depth where roundoff stays below the tolerance; the underlying
     transport identity is exact in rationals at any depth.
     """
+    N = 25
     alphas, betas = alpha_beta(N)
     unit = j_coefficient_unit()
     eta, th = (c.ravel() for c in np.meshgrid(
@@ -489,7 +495,7 @@ def check_alpha_beta_transport(N: int = 25) -> List[CheckResult]:
 # monogenic suite
 # ---------------------------------------------------------------------------
 
-def check_T_monogenic(n_max: int = 4, m_max: int = 3) -> List[CheckResult]:
+def check_T_monogenic() -> List[CheckResult]:
     """Fueter-operator residual of the exact monogenics T.
 
     Fully analytic: each component of T is a finite harmonic combination,
@@ -498,14 +504,14 @@ def check_T_monogenic(n_max: int = 4, m_max: int = 3) -> List[CheckResult]:
     """
     pts = _random_interior_points(5, 1.0, 20240813)
     worst = 0.0
-    for el in t_family(n_max, m_max):
+    for el in t_family(4, 3):
         if el.kind == "T":
             tables = t_term_tables(el.n, el.m, el.nu, el.mu)
             worst = max(worst, _max_norm(_dbar(_table_partials(tables, *pts))))
     return [_result("T monogenicity (analytic second derivatives)", worst, 1e-10)]
 
 
-def check_T_scalar_part(n_max: int = 4, m_max: int = 3) -> List[CheckResult]:
+def check_T_scalar_part() -> List[CheckResult]:
     """Scalar part of T against the degree-raising image of its source.
 
     For the sine-family T the scalar part is the positive multiple of
@@ -514,7 +520,7 @@ def check_T_scalar_part(n_max: int = 4, m_max: int = 3) -> List[CheckResult]:
     """
     p = _point(1.3, 0.7, 0.4)
     worst = 0.0
-    for el in t_family(n_max, m_max):
+    for el in t_family(4, 3):
         if el.kind == "T":
             sc = eval_T_batch(HarmonicIndex(el.n, el.m, el.nu, el.mu), *p)[0]
             ref = eval_d0_star(HarmonicIndex(el.n - 1, el.m, -el.nu, el.mu), *p)
@@ -522,24 +528,23 @@ def check_T_scalar_part(n_max: int = 4, m_max: int = 3) -> List[CheckResult]:
     return [_result("Sc T matches degree-raising image", worst, 1e-10)]
 
 
-def check_W_constants(m_range=(-3, 3)) -> List[CheckResult]:
+def check_W_constants() -> List[CheckResult]:
     """W fields are monogenic constants (both operators vanish)."""
     x = cartesian_arrays(*_random_interior_points(3, 1.0, 20240814))
     worst = 0.0
-    for m in range(m_range[0], m_range[1] + 1):
+    for m in range(-3, 4):
         for s in (1, -1):
             partials = _fd_partials(_w_field(m, s), *x, 1e-5)
             worst = max(worst, _max_norm(_dbar(partials)), _max_norm(_dbar(partials, -1)))
     return [_result("W monogenic constants", worst, 1e-6)]
 
 
-def check_teodorescu_closed_form(eta0: float = 1.0) -> List[CheckResult]:
+def check_teodorescu_closed_form() -> List[CheckResult]:
     """Planar transform of the constant 1 against its closed form.
 
     Only the mode 0 of the source is nonzero, so the mode transform is
     exact up to round-off from its first level on."""
-    dom = TorusDomain(eta0)
-    r_in, r_out = dom.slice_radii()
+    r_in, r_out = TorusDomain(1.0).slice_radii()
     rng = np.random.default_rng(20240815)
     worst = 0.0
     for _ in range(10):
@@ -567,14 +572,14 @@ def _cauchy_pompeiu(F, w, r_in, r_out, n=1024):
     return F(w) - mean(r_out) + mean(r_in)
 
 
-def check_teodorescu_oracle(eta0: float = 1.0) -> List[CheckResult]:
+def check_teodorescu_oracle() -> List[CheckResult]:
     """The mode transform against the Cauchy-Pompeiu formula, for the
     smooth source ``f = exp(z/2 + conj(z)/3)`` (modes of both signs) with
     ``F = 3 f``, at points near the inner circle, in the middle and near
     the outer circle.  The boundary rule converges geometrically and shares
     nothing with the mode transform; at 1024 nodes per circle it is exact
     to round-off at all three points."""
-    r_in, r_out = TorusDomain(eta0).slice_radii()
+    r_in, r_out = TorusDomain(1.0).slice_radii()
 
     def f(z):
         return np.exp(z / 2.0 + np.conj(z) / 3.0)
@@ -588,11 +593,11 @@ def check_teodorescu_oracle(eta0: float = 1.0) -> List[CheckResult]:
                     "3 points across the annulus, 1024 boundary nodes per circle")]
 
 
-def check_psi(eta0: float = 1.0) -> List[CheckResult]:
+def check_psi() -> List[CheckResult]:
     """The completion operator: closed forms for 1 and x0, the
     monogenicity of completions of the degree-0 harmonics, and their
     closed forms ``T0`` against ``Psi`` of the source."""
-    dom = TorusDomain(eta0)
+    dom = TorusDomain(1.0)
     r_in, _ = dom.slice_radii()
     out = []
 
@@ -600,7 +605,7 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
               dom, tol=1e-9)
     opx = Psi(lambda x0, x1, x2: np.broadcast_arrays(np.asarray(x0, float), x1)[0],
               dom, tol=1e-9)
-    x0, x1, x2 = cartesian_arrays(*_random_interior_points(6, eta0, 20240816))
+    x0, x1, x2 = cartesian_arrays(*_random_interior_points(6, 1.0, 20240816))
     f = 0.5 * (1.0 - r_in**2 / (x1**2 + x2**2))
     err = np.concatenate([op1(x0, x1, x2) - [[1.0], [0.0], [0.0]],
                           opx(x0, x1, x2) - np.stack([x0, f * x1, f * x2])])
@@ -608,7 +613,7 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
     worst_mono = _max_norm(_dbar(_fd_partials(opx, x0, x1, x2, 1e-4)))
     out.append(_result("completion of x0 monogenic", worst_mono, 1e-4))
 
-    x = cartesian_arrays(*_random_interior_points(5, eta0, 20240817))
+    x = cartesian_arrays(*_random_interior_points(5, 1.0, 20240817))
     worst = worst_psi = 0.0
     for el in t_family(0, 3):
         field = partial(eval_T0_batch, el.m, el.mu)
@@ -625,14 +630,13 @@ def check_psi(eta0: float = 1.0) -> List[CheckResult]:
     return out
 
 
-def check_decompose(eta0: float = 1.0) -> List[CheckResult]:
+def check_decompose() -> List[CheckResult]:
     """The full-quaternion split F = f + g e3 produces monogenic parts.
 
     The reconstruction itself is exact by construction (the completion
     preserves its scalar argument), so the content to verify is that
     both reduced-quaternion outputs annihilate the Fueter operator.
     """
-    dom = TorusDomain(eta0)
 
     def F(x0, x1, x2):
         # W_1^+ e3 + (1 + 0.5 e1 + e3) + W_{-1}^-
@@ -640,8 +644,8 @@ def check_decompose(eta0: float = 1.0) -> List[CheckResult]:
         const = np.multiply.outer([1.0, 0.5, 0.0, 1.0], np.ones(np.broadcast(x0, x1, x2).shape))
         return qmul(w_plus, E3) + const + w_minus
 
-    f, g = decompose_H(F, dom, tol=1e-6)
-    x = cartesian_arrays(*_random_interior_points(2, eta0, 20240818))
+    f, g = decompose_H(F, TorusDomain(1.0), tol=1e-6)
+    x = cartesian_arrays(*_random_interior_points(2, 1.0, 20240818))
     worst = max(_max_norm(_dbar(_fd_partials(part, *x, 1e-4))) for part in (g, f))
     return [_result("quaternion decomposition yields monogenic parts", worst, 1e-4)]
 
@@ -702,15 +706,16 @@ def check_coefficient_invariance() -> List[CheckResult]:
 # expansions suite
 # ---------------------------------------------------------------------------
 
-def _margin_grid(eta0: float, margin: float) -> ExpansionGrid:
-    return ExpansionGrid.mesh(np.linspace(eta0 + margin, eta0 + 3.0, 9),
+def _margin_grid() -> ExpansionGrid:
+    return ExpansionGrid.mesh(np.linspace(1.5, 4.0, 9),
                               np.linspace(-math.pi, math.pi, 11, endpoint=False),
                               np.linspace(0.0, 2.0 * math.pi, 5, endpoint=False))
 
 
-def check_known_expansions(N: int = 40) -> List[CheckResult]:
+def check_known_expansions() -> List[CheckResult]:
     """Truncated closed-form series for 1 and x0 on a margin-0.5 grid."""
-    grid = _margin_grid(1.0, 0.5)
+    N = 40
+    grid = _margin_grid()
     v1 = evaluate_series_grid(known_expansion_one(N), grid)
     vx = evaluate_series_grid(known_expansion_x0(N), grid)
     return [
@@ -721,20 +726,20 @@ def check_known_expansions(N: int = 40) -> List[CheckResult]:
     ]
 
 
-def check_expansion_one_in_T(N: int = 20) -> List[CheckResult]:
+def check_expansion_one_in_T() -> List[CheckResult]:
     """The constant 1 as a series of exact monogenics T."""
-    grid = _margin_grid(1.0, 0.5)
-    v = evaluate_series_grid(known_expansion_one_in_T(N), grid)
+    grid = _margin_grid()
+    v = evaluate_series_grid(known_expansion_one_in_T(20), grid)
     err = max(float(np.max(np.abs(v[0] - 1.0))),
               float(np.max(np.abs(v[1]))), float(np.max(np.abs(v[2]))))
-    return [_result("expansion of 1 over exact monogenics", err, 1e-5, f"N = {N}")]
+    return [_result("expansion of 1 over exact monogenics", err, 1e-5, "N = 20")]
 
 
-def check_j_coefficients(n_max: int = 10, m_max: int = 4,
-                         eta: float = 1.2) -> List[CheckResult]:
+def check_j_coefficients() -> List[CheckResult]:
     """The planar-family expansion coefficients against the Fourier
     quadrature oracle, and the demonstrable failure of both misprint
     placements of the degree/order Kronecker factor."""
+    n_max, m_max, eta = 10, 4, 1.2
     worst = 0.0
     for m in range(m_max + 1):
         for n in range(n_max + 1):
@@ -769,8 +774,8 @@ def check_j_coefficients(n_max: int = 10, m_max: int = 4,
 # basis suite
 # ---------------------------------------------------------------------------
 
-def _gram_grid(eta0: float = 1.0) -> ExpansionGrid:
-    return ExpansionGrid.from_samples(sample_grid(TorusDomain(eta0), 8, 14, 14, margin=0.3))
+def _gram_grid() -> ExpansionGrid:
+    return ExpansionGrid.from_samples(sample_grid(TorusDomain(1.0), 8, 14, 14, margin=0.3))
 
 
 def check_gram_definiteness() -> List[CheckResult]:

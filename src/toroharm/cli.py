@@ -49,9 +49,14 @@ from .quadrature import QuadratureError
 #: version of the golden, ``coeffs`` and ``grid-export`` JSON documents
 SCHEMA_VERSION = 1
 
-#: the most nodes a ``grid-export`` writes: it holds about 1 kB per node
-#: at its peak (the row strings and the element values)
+#: the most nodes a ``grid-export`` writes: it holds about 1 kB per node at
+#: its peak (row strings and element values), besides the radial table
 _MAX_NODES = 10**6
+#: the largest degree and order of an index (and ``m`` and ``n_max`` of
+#: ``coeffs``): the exact star tables grow faster than cubically in the degree
+_MAX_INDEX = 100
+#: the most radial-table entries, ``(n + 2)(m + 2)`` per meridian node
+_MAX_TABLE = 10**7
 
 _DEFAULT_CONFIG = {
     "eta0": 1.0,
@@ -199,9 +204,10 @@ _KINDS = {
 }
 
 
-def _element(kind: str, index: Sequence[str]) -> Tuple[BasisElement, slice, str]:
+def _element(kind: str, index: Sequence[str], nodes: int) -> Tuple[BasisElement, slice, str]:
     """The basis element that a CLI kind and its index arguments name (T's
-    identically zero slots allowed), its printed rows and its provenance."""
+    identically zero slots allowed), its printed rows and its provenance;
+    one past the index or table bound on ``nodes`` meridian nodes is refused."""
     el_kind, n_args, rows, provenance = _KINDS[kind]
     if len(index) != n_args:
         raise UsageError(f"kind {kind} takes {n_args} index arguments")
@@ -215,6 +221,11 @@ def _element(kind: str, index: Sequence[str]) -> Tuple[BasisElement, slice, str]
                               allow_excluded=True)
     except (ValueError, TypeError) as exc:
         raise UsageError(f"bad index for kind {kind}: {exc}")
+    entries = (el.n + 2) * (el.m + 2) * nodes
+    if el.kind != "W" and (max(el.n, el.m) > _MAX_INDEX or entries > _MAX_TABLE):
+        raise UsageError(f"{kind} {' '.join(index)} on {nodes} meridian nodes needs {entries} "
+                         f"radial-table entries; the bounds are {_MAX_TABLE} entries and "
+                         f"degree and order {_MAX_INDEX}")
     if el.kind == "T" and t_is_zero(el.n, el.m, el.nu, el.mu):
         provenance += "; identically zero slot"
     return el, rows, provenance
@@ -243,7 +254,7 @@ def _normalize(values: np.ndarray) -> np.ndarray:
 
 
 def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
-    el, rows, provenance = _element(args.kind, args.index)
+    el, rows, provenance = _element(args.kind, args.index, 1)
     if args.update_golden and not args.golden:
         raise UsageError("--update-golden needs --golden PATH")
 
@@ -301,8 +312,8 @@ def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
 def cmd_coeffs(args: argparse.Namespace, cfg: RunConfig) -> int:
     _check_tol_names(cfg, [])
     m, n_max = args.m, args.n_max
-    if m < 0 or n_max < 0:
-        raise UsageError("m and n_max must be nonnegative")
+    if not (0 <= m <= _MAX_INDEX and 0 <= n_max <= _MAX_INDEX):
+        raise UsageError(f"m and n_max must be in [0, {_MAX_INDEX}]")
     star = star_matrix(m, n_max)
     inv = inverse_matrix(m, n_max)
 
@@ -369,9 +380,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_grid_export(args: argparse.Namespace, cfg: RunConfig) -> int:
-    el, rows, _ = _element(args.kind, args.index)
-    _check_tol_names(cfg, [])
     g, eta0 = cfg.grid, cfg.eta0
+    el, rows, _ = _element(args.kind, args.index, g["n_eta"] * g["n_theta"])
+    _check_tol_names(cfg, [])
     etas = eta0 + g["margin"] * eta0 + np.linspace(0.0, 2.0, g["n_eta"])
     thetas = np.linspace(-np.pi, np.pi, g["n_theta"], endpoint=False)
     phis = np.linspace(0.0, 2.0 * np.pi, g["n_phi"], endpoint=False)

@@ -8,11 +8,11 @@ sampled grids, the closed-form expansions of 1 and x0, and the Laurent
 analysis of monogenic constants.
 
 Every value comes from one evaluation core, :func:`_values`.  On a mesh,
-projection splits by phi Fourier mode (one SVD per mode): the same core
-gives each element's mode, on a few probe points, and its meridian values
-by mode, on the mesh's meridian nodes times a few azimuths.  One real
-matrix per azimuth count (:func:`_phi_modes`) takes values on uniform
-azimuths to their phi modes, for the elements and for every field.
+projection splits by phi Fourier mode (one SVD per mode).  Each element's
+mode is a rule of its index (:func:`_mode`), and the same core gives its
+meridian values by mode, on the mesh's meridian nodes times a few
+azimuths.  One real matrix per azimuth count (:func:`_phi_modes`) takes
+values on uniform azimuths to their phi modes, for every field.
 
 Completeness of the infinite families is only falsifiable numerically;
 the desk-scale experiments here test positive-definiteness of Gram
@@ -316,37 +316,19 @@ def _phi_modes(K: int) -> np.ndarray:
     return M
 
 
-#: meridian points on which :func:`_modes` reads the phi mode of each element
-_PROBE = np.array([0.6, 1.3, 2.4]), np.array([0.4, 2.2, -1.3])
-#: the largest share of an element's probe values outside its mode
+def _mode(el: BasisElement) -> int:
+    """The phi mode of an element in the frame ``(1, e_rho, e_phi, e3)``:
+    ``m`` for ``T``, ``T0``, ``I``, ``I*`` and 1, whose harmonics carry
+    ``trig(m phi)``; ``|m + 1|`` for ``W[m]``, which is ``rho^m (cos((m + 1)
+    phi) e_rho - sin((m + 1) phi) e_phi)`` or that turned a quarter turn;
+    and for an e3 multiple its inner element's mode, since right
+    multiplication by e3 commutes with the rotation in phi."""
+    el = el.inner or el
+    return abs(el.m + 1) if el.kind == "W" else el.m
+
+
+#: the share of its element's largest meridian value below which a part is 0
 _MODE_LEAK = 1e-12
-
-
-@lru_cache(maxsize=64)
-def _modes(elements: Tuple[BasisElement, ...]) -> Optional[Tuple[int, ...]]:
-    """The phi mode of each element, or ``None`` if one of them spans more
-    than one mode.
-
-    The Cartesian components of every kind are meridian functions times
-    ``trig(j phi)`` with ``j`` at most ``|m| + 1`` for the index ``m`` of
-    the element (or of its inner element), and at most ``|m| + 2`` in the
-    frame ``(1, e_rho, e_phi, e3)``.  On the :data:`_PROBE` points times
-    ``K = 2 max|m| + 6`` uniform azimuths no bin aliases, so, transformed
-    like a field (by :func:`_phi_modes`), an element's mode is the one that
-    holds most of its energy; the energy in its other modes, summed
-    directly, must be below :data:`_MODE_LEAK` squared of its total.  No
-    mode is assumed per kind.
-    """
-    n, P = len(elements), len(_PROBE[0])
-    K = 2 * max(abs((el.inner or el).m) for el in elements) + 6
-    V = _values(elements, ExpansionGrid.on_meridian(*_PROBE, 2.0 * np.pi * np.arange(K) / K))
-    H = V.reshape(n, 4, P, K).transpose(0, 2, 1, 3).reshape(n * P, 4 * K) @ _phi_modes(K)
-    energy = (H.reshape(n, P, -1, 8) ** 2).sum((1, 3))
-    own = energy.argmax(1)
-    leak = np.where(np.arange(energy.shape[1]) == own[:, None], 0.0, energy).sum(1)
-    if np.any(leak > _MODE_LEAK**2 * energy.sum(1)):
-        return None
-    return tuple(own.tolist())
 
 
 def _meridian_values(elements: Sequence[BasisElement], k: int, grid: ExpansionGrid) -> np.ndarray:
@@ -500,17 +482,16 @@ def _factor(A: np.ndarray, mode: Optional[int], elements: np.ndarray,
 
 def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors:
     """The factors of a basis on a grid.  Where the grid has uniform phi
-    nodes and every element one phi mode (:func:`_modes`), one group per
-    mode: its elements, and the parts in which one of them is nonzero on
-    the meridian values (:func:`_meridian_values`), evaluated and factored
-    one mode at a time.  Else one group of every element and nonzero
-    component on the full values.  The groups' factors are then stacked,
-    ``U`` and ``C`` zero padded to the most rows and elements of any
-    group, and the gather and the rest laid out in the weighted field's
-    order (see :class:`_Factors`)."""
-    modes = _modes(basis) if _uniform_phi(grid) else None
+    nodes (:func:`_uniform_phi`), one group per phi mode (:func:`_mode`):
+    its elements, and the parts in which one of them is nonzero on the
+    meridian values (:func:`_meridian_values`), evaluated and factored one
+    mode at a time.  Else one group of every element and nonzero component
+    on the full values.  The groups' factors are then stacked, ``U`` and
+    ``C`` zero padded to the most rows and elements of any group, and the
+    gather and the rest laid out in the weighted field's order (see
+    :class:`_Factors`)."""
     groups, factored = [], []
-    if modes is None:
+    if not _uniform_phi(grid):
         V = _values(basis, grid)
         parts = np.flatnonzero(V.any(axis=(0, 2)))
         groups.append(_Group(None, np.arange(len(basis)), parts))
@@ -521,7 +502,7 @@ def _factorise(basis: Tuple[BasisElement, ...], grid: ExpansionGrid) -> _Factors
         entry = np.arange(4 * len(grid)).reshape(-1, 4, 1).transpose(1, 0, 2)
     else:
         P, K = grid.shape
-        modes = np.array(modes)
+        modes = np.array([_mode(el) for el in basis])
         by_mode = [(k, np.flatnonzero(modes == k)) for k in np.unique(modes).tolist()]
         for k, group in by_mode:
             if 2 * k >= K:
@@ -613,16 +594,16 @@ def project(
     residual norm on the grid.  A field that is not finite on every node
     raises ``ValueError``.
 
-    On a mesh with uniform phi nodes and phi-independent weights (as from
-    :func:`~toroharm.geometry.sample_grid`) each element lies in one phi
-    Fourier mode of the frame ``(1, e_rho, e_phi, e3)`` (:func:`_modes`),
-    so the problem splits exactly by mode: one SVD per mode, of the
-    elements' unit-normalised meridian values (:func:`_meridian_values`,
-    read from their values at two azimuths per mode, never on the full
-    mesh), against the field's phi modes (:func:`_phi_modes`).  A basis
-    mode at or above ``K / 2`` for ``K`` phi nodes aliases and raises
-    ``ValueError``.  Any other grid, or a basis with an element in several
-    modes, is solved as one group on the full values.  Refuses (raising
+    Each element lies in one phi Fourier mode of the frame ``(1, e_rho,
+    e_phi, e3)``, a rule of its index (:func:`_mode`).  So on a mesh with
+    uniform phi nodes and phi-independent weights (as from
+    :func:`~toroharm.geometry.sample_grid`) the problem splits exactly by
+    mode: one SVD per mode, of the elements' unit-normalised meridian
+    values (:func:`_meridian_values`, read from their values at two
+    azimuths per mode, never on the full mesh), against the field's phi
+    modes (:func:`_phi_modes`).  A basis mode at or above ``K / 2`` for
+    ``K`` phi nodes aliases and raises ``ValueError``.  Any other grid is
+    solved as one group on the full values.  Refuses (raising
     :class:`IllConditionedGram`) when the ratio of the extreme singular
     values of a group exceeds :data:`_CONDITION_CAP`, and raises
     ``ValueError`` on an empty basis.

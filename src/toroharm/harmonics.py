@@ -378,13 +378,13 @@ def j_coefficient(n: int, m: int, sign: Sign = 1) -> float:
     return sign * base / ratio
 
 
-def fourier_cosine_coefficients(m: int, eta: float, N: int, n_nodes: int = 0) -> np.ndarray:
+def fourier_cosine_coefficients(m: int, eta: float, N: int) -> np.ndarray:
     """Theta-Fourier cosine coefficients ``a_0..a_N`` of
     ``(cosh(eta) - cos(theta))^(-(m + 1/2))`` by periodic-trapezoid
-    quadrature (spectrally accurate)."""
+    quadrature (spectrally accurate) on ``max(512, 8 (N + 1))`` nodes."""
     if eta <= 0:
         raise ValueError("eta must be positive")
-    npts = n_nodes or max(512, 8 * (N + 1))
+    npts = max(512, 8 * (N + 1))
     theta = 2.0 * np.pi * np.arange(npts) / npts
     f = (np.cosh(eta) - np.cos(theta)) ** (-(m + 0.5))
     # real FFT gives sum f cos(n theta); normalize to cosine-series form

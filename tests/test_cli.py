@@ -1,6 +1,9 @@
 import json
 import math
 import os
+import re
+import shlex
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +18,7 @@ from toroharm.cli import main
 from toroharm.special_functions import q_half_grid
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
+README = GOLDENS.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -151,7 +155,7 @@ def _reference_export(kind, index, fmt, n_eta, n_theta, n_phi, margin, eta0):
     from toroharm.cli import _element
     from toroharm.expansion import ExpansionGrid, evaluate_element_grid
 
-    el, rows, _ = _element(kind, index)
+    el, rows, _ = _element(kind, index, n_eta * n_theta)
     etas = eta0 + margin * eta0 + np.linspace(0.0, 2.0, n_eta)
     thetas = np.linspace(-np.pi, np.pi, n_theta, endpoint=False)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
@@ -344,6 +348,16 @@ def test_eval_near_axis_matches_mpmath(capsys):
     ("grid-export", "W", "200", "+", "--eta0", "0.01", "--n-eta", "1", "--n-theta", "2",
      "--n-phi", "1"),
     ("eval", "J", "800", "+", "--x", "0", "3", "0"),
+    # indices above 100, refused before any table is built
+    ("coeffs", "0", "101"),
+    ("coeffs", "101", "0"),
+    ("eval", "T", "101", "0", "-", "+", "--eta", "1.4", "--theta", "0.8", "--phi", "0.5"),
+    ("eval", "Istar", "300", "0", "+", "+", "--eta", "1.4", "--theta", "0.8", "--phi", "0.5"),
+    ("eval", "I", "0", "101", "+", "+", "--eta", "1.4", "--theta", "0.8", "--phi", "0.5"),
+    ("grid-export", "T0", "101", "+", "--n-eta", "1", "--n-theta", "1", "--n-phi", "1"),
+    # a radial table of 10^10 entries (about 82 GB)
+    ("grid-export", "I", "100", "100", "+", "+", "--n-eta", "1000", "--n-theta", "1000",
+     "--n-phi", "1"),
 ])
 def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     argv = list(argv)
@@ -356,6 +370,43 @@ def test_input_errors_exit_2_with_one_line(capsys, tmp_path, argv):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_radial_table_bound_is_on_the_meridian_nodes(capsys):
+    # I[100, 100] has 102 * 102 table entries per meridian node: 961 nodes
+    # are within the 10^7 entries and 962 are not, whatever the azimuths
+    argv = ["grid-export", "I", "100", "100", "+", "+", "--n-phi", "1"]
+    code, out, _ = run(capsys, *argv, "--n-eta", "31", "--n-theta", "31")
+    assert code == 0 and len(out.splitlines()) == 1 + 961
+    code, out, err = run(capsys, *argv, "--n-eta", "37", "--n-theta", "26")
+    assert code == 2 and out == ""
+    assert err == ("error: I 100 100 + + on 962 meridian nodes needs 10008648 radial-table "
+                   "entries; the bounds are 10000000 entries and degree and order 100\n")
+
+
+def _readme_commands():
+    """The ``toroharm eval``, ``coeffs`` and ``grid-export`` lines of the
+    README's ``sh`` blocks, continuations joined and comments dropped."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line, comments=True)[1:] for line in lines
+            if line.split()[:1] == ["toroharm"] and line.split()[1] != "verify"]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_exits_0(capsys, tmp_path, monkeypatch, argv):
+    # in a directory with a copy of the goldens (the golden comparison
+    # must match) and the run.json that the config example reads
+    shutil.copytree(GOLDENS, tmp_path / "goldens")
+    (tmp_path / "run.json").write_text(json.dumps(
+        {"eta0": 1.2, "grid": {"n_eta": 3, "n_theta": 4, "n_phi": 5}, "format": "json"}))
+    monkeypatch.chdir(tmp_path)
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+
+
+def test_readme_commands_cover_every_subcommand_but_verify():
+    assert sorted({argv[0] for argv in _readme_commands()}) == ["coeffs", "eval", "grid-export"]
 
 
 def test_flags_override_the_grid_before_it_is_checked(capsys, tmp_path):

@@ -1,11 +1,13 @@
 import re
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from toroharm.expansion import (
+    BasisElement,
     ExpansionGrid,
     IllConditionedGram,
     basis_A,
@@ -37,7 +39,7 @@ from toroharm.geometry import (
     sample_grid,
     to_cartesian,
 )
-from toroharm.harmonics import HarmonicIndex
+from toroharm.harmonics import HarmonicIndex, index_is_valid
 from toroharm.monogenics import E3, eval_W_batch, qmul
 from toroharm.special_functions import q_half_grid
 
@@ -377,36 +379,40 @@ def _mode_energy(values, grid):
     return (np.abs(np.fft.rfft(cyl)) ** 2).sum(axis=(1, 2))
 
 
-def _expected_mode(el):
-    """W[m] lies in phi mode |m + 1|, an e3 multiple in its inner
-    element's mode, every other element in its m."""
-    el = el.inner or el
-    return abs(el.m + 1) if el.kind == "W" else el.m
+def every_kind(n_max, m_max):
+    """Elements of all seven kinds: I and I* of every index, the second
+    reduced basis (1, W with both signs of m, T0 and T), and the e3
+    multiples of 1 and of every W."""
+    harmonics = [BasisElement(kind, *k) for kind in ("I", "ISTAR")
+                 for k in product(range(n_max + 1), range(m_max + 1), (1, -1), (1, -1))
+                 if index_is_valid(*k)]
+    second = basis_A_second(n_max, m_max)
+    return harmonics + second + [element_e3_times(el) for el in second
+                                 if el.kind in ("ONE", "W")]
 
 
-@pytest.mark.parametrize("family", [basis_A, basis_A_second, basis_H])
+@pytest.mark.parametrize("family", [basis_A, basis_A_second, basis_H, every_kind])
 def test_each_element_lies_in_its_phi_mode(family):
-    # the modes come from probe points; the full values on the default mesh
-    # put at most 1e-13 of each element's energy outside its mode
-    from toroharm.expansion import _modes, _values
+    # the full values on the default mesh put at most 1e-13 of each
+    # element's energy outside the mode that its index gives
+    from toroharm.expansion import _mode, _values
 
     grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
     basis = family(8, 3)
-    mode = _modes(tuple(basis))
-    assert list(mode) == [_expected_mode(el) for el in basis]
     energy = _mode_energy(_values(basis, grid), grid)
-    for el, e, k in zip(basis, energy, mode):
+    for el, e in zip(basis, energy):
+        k = _mode(el)
         assert np.delete(e, k).sum() <= 1e-13 * e.sum(), (el.label(), k, e)
 
 
 def test_meridian_values_rebuild_the_grid_values():
     # V[e, c] cos(k phi) - V[e, 4 + c] sin(k phi) in (1, e_rho, e_phi, e3),
     # rotated back to e1/e2, is the element on every node of the mesh
-    from toroharm.expansion import _meridian_values, _modes, _values
+    from toroharm.expansion import _meridian_values, _mode, _values
 
     grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
     basis = basis_H(4, 3)
-    modes = np.array(_modes(tuple(basis)))
+    modes = np.array([_mode(el) for el in basis])
     phi = grid.phi.ravel()
     for k in np.unique(modes).tolist():
         group = np.flatnonzero(modes == k)
@@ -666,16 +672,18 @@ def test_phi_mode_matrix_is_the_rotated_rfft(K):
 
 @pytest.mark.parametrize("family", [basis_A_second, basis_H])
 def test_modes_match_the_rotated_rfft_of_the_probe_values(family):
-    # each element's mode is the largest bin of its probe values rotated,
-    # transformed by rfft and divided by the mode scale
-    from toroharm.expansion import _PROBE, _mode_scale, _modes, _rotate, _values
+    # the mode that the index gives is the largest bin of the element's
+    # values on the default mesh, rotated, transformed by rfft and divided
+    # by the mode scale
+    from toroharm.expansion import _mode, _mode_scale, _rotate, _values
 
-    basis = tuple(family(4, 3))
-    K = 2 * max(abs((el.inner or el).m) for el in basis) + 6
-    phi = 2.0 * np.pi * np.arange(K) / K
-    V = _values(basis, ExpansionGrid.on_meridian(*_PROBE, phi)).transpose(1, 0, 2)
-    G = np.fft.rfft(_rotate(V.reshape(4, len(basis), -1, K), np.cos(phi), np.sin(phi)))
-    assert _modes(basis) == tuple((np.abs(G / _mode_scale(K)) ** 2).sum((0, 2)).argmax(1))
+    grid = sample_grid(TorusDomain(1.0), 8, 14, 14, 0.3)
+    basis = family(4, 3)
+    P, K = grid.shape
+    V = _values(basis, grid).transpose(1, 0, 2).reshape(4, len(basis), P, K)
+    G = np.fft.rfft(_rotate(V, np.cos(grid.phi), np.sin(grid.phi)))
+    largest = (np.abs(G / _mode_scale(K)) ** 2).sum((0, 2)).argmax(1)
+    assert largest.tolist() == [_mode(el) for el in basis]
 
 
 def test_planted_degree_8_coefficients_come_back_over_forty_seeds():
